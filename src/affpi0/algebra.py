@@ -54,10 +54,6 @@ class AlgebraPresentation:
             self._gb = groebner(self.relations, DEGREVLEX)
         return self._gb
 
-    def set_cached_gb(self, gb: GroebnerBasis) -> None:
-        """Install an externally cached basis (atomic single assignment)."""
-        self._gb = gb
-
     def is_zero_algebra(self) -> bool:
         return self.gb().contains_one()
 
@@ -77,9 +73,6 @@ class AlgebraPresentation:
 
     def one_element(self) -> "ElementRep":
         return self.element(Polynomial.one(self.arity, self.field))
-
-    def var_element(self, i: int) -> "ElementRep":
-        return self.element(Polynomial.variable(i, self.arity, self.field))
 
     def standard_monomials(self, maxdeg: int) -> list[Monomial]:
         return standard_monomials(self.gb(), self.arity, maxdeg)
@@ -120,7 +113,11 @@ class AlgebraPresentation:
         try:
             fdoc = doc["field"]
             field = FieldDescriptor() if fdoc == "Q" else FieldDescriptor(int(fdoc["p"]))
-            return AlgebraPresentation(field, doc["vars"], doc.get("relations", ()))
+            variables, relations = doc["vars"], doc.get("relations", [])
+            if not (_is_string_list(variables) and _is_string_list(relations)):
+                raise ParseError("bad algebra document: vars and relations "
+                                 "must be lists of strings")
+            return AlgebraPresentation(field, variables, relations)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad algebra document: {exc}") from exc
 
@@ -264,15 +261,28 @@ class AlgebraMorphism:
 
     @staticmethod
     def from_json(doc: dict, base_dir: str = ".") -> "AlgebraMorphism":
+        if not isinstance(doc, dict):
+            raise ParseError("bad morphism document: expected an object")
+        for key in ("source", "target"):
+            if not isinstance(doc.get(key), (str, dict)):
+                raise ParseError(f"bad morphism document: {key!r} must be a "
+                                 "file name or an algebra document")
+        if not _is_string_list(doc.get("images")):
+            raise ParseError("bad morphism document: 'images' must be a list "
+                             "of strings")
         src = _resolve_algebra(doc["source"], base_dir)
         tgt = _resolve_algebra(doc["target"], base_dir)
-        return AlgebraMorphism(src, tgt, doc.get("images", ()))
+        return AlgebraMorphism(src, tgt, doc["images"])
 
 
 def morphism_check(source: AlgebraPresentation, target: AlgebraPresentation,
                    images: Sequence[Polynomial | str]) -> AlgebraMorphism:
     """Validate a candidate morphism; raises MorphismError naming the violation."""
     return AlgebraMorphism(source, target, images, check=True)
+
+
+def _is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def _resolve_algebra(ref, base_dir: str) -> AlgebraPresentation:
@@ -331,27 +341,6 @@ class TensorPresentation(AlgebraPresentation):
     def embed_b(self, p: Polynomial) -> Polynomial:
         n = self.factor_a.arity
         return p.extend_arity(self.arity, list(range(n, n + self.factor_b.arity)))
-
-    def include_a(self) -> AlgebraMorphism:
-        return AlgebraMorphism(self.factor_a, self, [
-            Polynomial.variable(i, self.arity, self.field)
-            for i in range(self.factor_a.arity)], check=False)
-
-    def include_b(self) -> AlgebraMorphism:
-        n = self.factor_a.arity
-        return AlgebraMorphism(self.factor_b, self, [
-            Polynomial.variable(n + i, self.arity, self.field)
-            for i in range(self.factor_b.arity)], check=False)
-
-    def split_by_a(self, p: Polynomial) -> dict[Monomial, Polynomial]:
-        """Group a (normal-form) polynomial as {a-monomial: polynomial in B-vars}."""
-        n, m = self.factor_a.arity, self.factor_b.arity
-        out: dict[Monomial, Polynomial] = {}
-        for mono, c in p.terms.items():
-            va, vb = mono[:n], mono[n:]
-            bucket = out.setdefault(va, Polynomial.zero(m, self.field))
-            bucket.terms[vb] = c
-        return out
 
 
 def tensor_product(a: AlgebraPresentation, b: AlgebraPresentation

@@ -1,4 +1,4 @@
-"""Command-line front end: file I/O, dispatch, cache, machine-readable reports.
+"""Command-line front end: file I/O, dispatch, machine-readable reports.
 
 Exit codes: 0 success, 1 property violated, 2 input error, 3 resource limit.
 Reports are schema-versioned JSON with sorted keys; two runs with the same
@@ -12,7 +12,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
 
 from . import matrix_homotopy, pi0 as pi0_mod, simplicial
@@ -28,8 +27,7 @@ from .homotopy import SearchBounds, homotopy_search, homotopy_verify
 from .mapspace import (mapspace_presentation, points_crosscheck,
                        verify_directsum_law, verify_exponential_law,
                        verify_tensor_law)
-from .polyring import (DEGREVLEX, GF, QQ, GroebnerBasis, Polynomial,
-                       poly_parse, set_limits)
+from .polyring import GF, QQ, Polynomial, set_limits
 
 SCHEMA = 1
 
@@ -73,63 +71,14 @@ def make_report(command: str, digest: str, result: dict, bounds: dict,
 
 
 # ---------------------------------------------------------------------------
-# cache
-
-
-def cache_dir() -> str | None:
-    return os.environ.get("AFFPI0_CACHE")
-
-
-def _cache_key(a: AlgebraPresentation, order: str) -> str:
-    doc = json.dumps([str(a.field), list(a.vars),
-                      [r.to_string(a.vars) for r in a.relations], order],
-                     sort_keys=True)
-    return hashlib.sha256(doc.encode()).hexdigest()
-
-
-def cached_groebner(a: AlgebraPresentation) -> tuple[GroebnerBasis, bool]:
-    """Serve the reduced basis from the cache when possible.
-
-    Corrupt entries are ignored and recomputed; writes are atomic
-    (temp file + rename), so concurrent readers never see partial data.
-    """
-    directory = cache_dir()
-    if not directory:
-        return a.gb(), False
-    os.makedirs(directory, exist_ok=True)
-    key = _cache_key(a, "degrevlex")
-    path = os.path.join(directory, f"gb-{key}.json")
-    if os.path.exists(path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            polys = tuple(poly_parse(s, a.vars, a.field)
-                          for s in doc["basis"])
-            gb = GroebnerBasis(polys, DEGREVLEX)
-            a.set_cached_gb(gb)
-            return gb, True
-        except (ValueError, KeyError, ParseError, json.JSONDecodeError):
-            pass
-    gb = a.gb()
-    doc = {"schema": SCHEMA,
-           "basis": [g.to_string(a.vars) for g in gb]}
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-    os.replace(tmp, path)
-    return gb, False
-
-
-# ---------------------------------------------------------------------------
 # subcommand handlers
 
 
 def cmd_alg(args) -> dict:
     a = load_algebra(args.algebra)
     if args.action == "gb":
-        gb, from_cache = cached_groebner(a)
-        return {"basis": [g.to_string(a.vars) for g in gb],
-                "cached": from_cache,
+        return {"basis": [g.to_string(a.vars) for g in a.gb()],
+                "cached": False,
                 "zero_algebra": a.is_zero_algebra()}
     if args.action == "nf":
         p = a.parse(args.poly)
@@ -431,6 +380,9 @@ def run(argv: list[str]) -> int:
               ("deg", "tower", "trunc", "levels", "xdeg", "bdeg")
               if getattr(args, k, None) is not None}
     try:
+        for name, value in bounds.items():
+            if value < 0:
+                raise ParseError(f"--{name} must be non-negative, got {value}")
         result = HANDLERS[args.command](args)
     except (ParseError, MorphismError, RingMismatchError,
             UnsupportedFieldError, HypothesisError, TruncationError,

@@ -113,19 +113,14 @@ def exterior_derivative(omega: DifferentialForm) -> DifferentialForm:
 # membership in the Jacobian submodule
 
 
-def _coordinates(a: AlgebraPresentation, polys: Sequence[Polynomial],
-                 monomials: list[Monomial]) -> list[list]:
-    zero = a.field.zero()
-    return [[p.terms.get(m, zero) for m in monomials] for p in polys]
-
-
 def _span_rows(a: AlgebraPresentation, slack: int
                ) -> list[dict[tuple[int, ...], Polynomial]]:
     """Multiplier-monomial times Jacobian-row generators of the submodule."""
     rows = []
+    multipliers = a.standard_monomials(slack)
     for r in a.relations:
         base = {(i,): r.derivative(i) for i in range(a.arity)}
-        for mult in a.standard_monomials(slack):
+        for mult in multipliers:
             row = {}
             for idx, c in base.items():
                 v = a.nf(c.mul_monomial(mult))
@@ -146,10 +141,15 @@ def form_is_zero(omega: DifferentialForm, slack: int
     """
     if omega.degree != 1:
         raise ValueError("form_is_zero decides degree-1 forms")
-    a = omega.algebra
     if omega.is_zero:
         return True, None
-    span = _span_rows(a, slack)
+    ok = _in_jacobian_span(omega, _span_rows(omega.algebra, slack))
+    return (True, None) if ok else (False, omega)
+
+
+def _in_jacobian_span(omega: DifferentialForm,
+                      span: list[dict[tuple[int, ...], Polynomial]]) -> bool:
+    a = omega.algebra
     monomials = sorted({m for row in span for c in row.values()
                         for m in c.terms}
                        | {m for c in omega.coeffs.values() for m in c.terms})
@@ -165,8 +165,7 @@ def form_is_zero(omega: DifferentialForm, slack: int
     for idx in index:
         c = omega.coeffs.get(idx, Polynomial.zero(a.arity, a.field))
         target.extend(c.terms.get(m, a.field.zero()) for m in monomials)
-    ok = linalg.in_span(flat_rows, target, a.field)
-    return (True, None) if ok else (False, omega)
+    return linalg.in_span(flat_rows, target, a.field)
 
 
 # ---------------------------------------------------------------------------
@@ -198,22 +197,24 @@ def derham_h0(a: AlgebraPresentation, degree: int,
     """
     if slack is None:
         slack = degree + 2
-    basis = _kernel_basis(a, degree, slack)
-    prev = _kernel_basis(a, degree - 1, slack) if degree > 0 else []
+    span = _span_rows(a, slack)
+    basis = _kernel_basis(a, degree, span)
+    prev = _kernel_basis(a, degree - 1, span) if degree > 0 else []
     stabilized = len(prev) == len(basis)
     for elem in basis:
-        ok, _ = form_is_zero(universal_derivation(elem), slack)
+        omega = universal_derivation(elem)
+        ok = omega.is_zero or _in_jacobian_span(omega, span)
         if not ok:      # pragma: no cover - the joint solve already certifies
             raise AssertionError("kernel element failed its certificate")
     return TruncatedKernel(a, degree, basis, stabilized, a.field.is_rational)
 
 
-def _kernel_basis(a: AlgebraPresentation, degree: int, slack: int
+def _kernel_basis(a: AlgebraPresentation, degree: int,
+                  span: list[dict[tuple[int, ...], Polynomial]]
                   ) -> list[ElementRep]:
     slice_monos = a.standard_monomials(degree)
     if not slice_monos:
         return []
-    span = _span_rows(a, slack)
     diffs = [universal_derivation(a.element(Polynomial.monomial(m, a.field)))
              for m in slice_monos]
     monomials = sorted({m for row in span for c in row.values()
@@ -244,14 +245,8 @@ def _kernel_basis(a: AlgebraPresentation, degree: int, slack: int
     null = linalg.nullspace(matrix, len(columns), a.field)
     slice_part = [vec[:len(slice_monos)] for vec in null]
     reduced, pivots = linalg.rref(slice_part, a.field)
-    basis = []
-    for row in reduced[:len(pivots)]:
-        poly = Polynomial.zero(a.arity, a.field)
-        for coeff, mono in zip(row, slice_monos):
-            if coeff != zero:
-                poly = poly + Polynomial.monomial(mono, a.field, coeff)
-        basis.append(a.element(poly))
-    return basis
+    return [a.element(Polynomial.combination(a.arity, a.field, slice_monos, row))
+            for row in reduced[:len(pivots)]]
 
 
 def subalgebra_closure_check(kernel: TruncatedKernel) -> bool:
@@ -284,23 +279,19 @@ def subalgebra_closure_check(kernel: TruncatedKernel) -> bool:
 # the formal-integral cochain homotopy
 
 
-def _x_split(p: Polynomial, x_idx: int) -> dict[int, Polynomial]:
-    """Group by the power of the homotopy variable, dropping that variable."""
-    out: dict[int, Polynomial] = {}
+def _integrate_x(p: Polynomial, base: AlgebraPresentation) -> Polynomial:
+    """The formal integral over [0, 1] in the last variable: x^k·w -> w/(k+1)."""
+    field = base.field
+    terms: dict[Monomial, object] = {}
     for m, c in p.terms.items():
-        k = m[x_idx]
-        rest = m[:x_idx] + (0,) + m[x_idx + 1:]
-        bucket = out.setdefault(k, Polynomial.zero(p.arity, p.field))
-        bucket.terms[rest] = bucket.terms.get(rest, p.field.zero())
-        bucket.terms[rest] = p.field.add(bucket.terms[rest], c)
-    for k in list(out):
-        out[k].terms = {m: c for m, c in out[k].terms.items()
-                        if c != p.field.zero()}
-    return out
-
-
-def _drop_x(p: Polynomial, ext: PolynomialExtension) -> Polynomial:
-    return p.restrict_arity(list(range(ext.base.arity)))
+        w = m[:-1]
+        v = field.add(terms.get(w, field.zero()),
+                      field.mul(c, _invert_int(field, m[-1] + 1)))
+        if v:
+            terms[w] = v
+        else:
+            terms.pop(w, None)
+    return Polynomial(base.arity, field, terms)
 
 
 def _invert_int(field, k: int):
@@ -317,16 +308,9 @@ def integral_phi1(omega: DifferentialForm, ext: PolynomialExtension
     ax = ext.algebra
     if omega.algebra != ax or omega.degree != 1:
         raise ValueError("phi^1 consumes degree-1 forms over A[x]")
-    base = ext.base
-    x_idx = ext.x_index
-    acc = Polynomial.zero(base.arity, base.field)
-    for (i,), c in omega.coeffs.items():
-        if i != x_idx:
-            continue
-        for k, part in _x_split(c, x_idx).items():
-            inv = _invert_int(base.field, k + 1)
-            acc = acc + _drop_x(part, ext).scale(inv)
-    return base.element(acc)
+    dx_part = omega.coeffs.get((ext.x_index,),
+                               Polynomial.zero(ax.arity, ax.field))
+    return ext.base.element(_integrate_x(dx_part, ext.base))
 
 
 def integral_phi2(omega: DifferentialForm, ext: PolynomialExtension
@@ -335,20 +319,13 @@ def integral_phi2(omega: DifferentialForm, ext: PolynomialExtension
     ax = ext.algebra
     if omega.algebra != ax or omega.degree != 2:
         raise ValueError("phi^2 consumes degree-2 forms over A[x]")
-    base = ext.base
-    x_idx = ext.x_index
     coeffs: dict[tuple[int, ...], Polynomial] = {}
     for (i, j), c in omega.coeffs.items():
-        if j != x_idx:
+        if j != ext.x_index:
             continue  # no dx factor: the M_0 part maps to zero
         # stored dx_i∧dx = -dx·(dx_i): flip the sign for the dx·(x^k w) shape
-        for k, part in _x_split(c, x_idx).items():
-            inv = _invert_int(base.field, k + 1)
-            add = _drop_x(part, ext).scale(base.field.neg(inv))
-            key = (i,)
-            prev = coeffs.get(key, Polynomial.zero(base.arity, base.field))
-            coeffs[key] = prev + add
-    return DifferentialForm(base, 1, coeffs)
+        coeffs[(i,)] = -_integrate_x(c, ext.base)
+    return DifferentialForm(ext.base, 1, coeffs)
 
 
 def push_form(omega: DifferentialForm, morphism,

@@ -15,7 +15,7 @@ from typing import Sequence
 from .algebra import (AlgebraMorphism, AlgebraPresentation, ElementRep,
                       PolynomialExtension, polynomial_extension)
 from .errors import HypothesisError, MorphismError, PropertyViolationError
-from .polyring import BlockOrder, Monomial, Polynomial, normal_form
+from .polyring import BlockOrder, Polynomial, normal_form
 from .solve import SOLVE_GUARD, solve_system
 
 
@@ -140,13 +140,8 @@ def homotopy_search(f: AlgebraMorphism, g: AlgebraMorphism,
     constraints: list[Polynomial] = []
 
     def collect(poly_big: Polynomial) -> None:
-        reduced = normal_form(poly_big, b_lift, order)
-        groups: dict[Monomial, Polynomial] = {}
-        for mono, c in reduced.terms.items():
-            key = mono[:nbx]
-            bucket = groups.setdefault(key, Polynomial.zero(n_unknown, fieldd))
-            bucket.terms[mono[nbx:]] = c
-        constraints.extend(groups.values())
+        constraints.extend(
+            normal_form(poly_big, b_lift, order).split(nbx).values())
 
     # relations of the source must map to zero in B[x]
     for r in a.relations:
@@ -167,18 +162,14 @@ def homotopy_search(f: AlgebraMorphism, g: AlgebraMorphism,
         collect(at0 - f_img)
         collect(at1 - g_img)
 
-    constraints = [c for c in constraints if not c.is_zero]
     result = solve_system(constraints, n_unknown, fieldd, guard)
     if result.solutions:
         sol = result.solutions[0]
-        images = []
-        for gi in range(a.arity):
-            img = Polynomial.zero(ext.algebra.arity, fieldd)
-            for si, (w, k) in enumerate(slots):
-                c = sol[gi * len(slots) + si]
-                if c != fieldd.zero():
-                    img = img + Polynomial.monomial(tuple(w) + (k,), fieldd, c)
-            images.append(img)
+        slot_monos = [tuple(w) + (k,) for w, k in slots]
+        images = [Polynomial.combination(
+            nbx, fieldd, slot_monos,
+            sol[gi * len(slots):(gi + 1) * len(slots)])
+            for gi in range(a.arity)]
         h = AlgebraMorphism(a, ext.algebra, images, check=True)
         return SearchResult("found", ElementaryHomotopy(f, g, h, ext))
     if result.complete:

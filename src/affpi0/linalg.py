@@ -99,22 +99,6 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence],
     return out
 
 
-def mat_vec(a: Sequence[Sequence], x: Sequence, field: FieldDescriptor) -> list:
-    zero = field.zero()
-    out = []
-    for row in a:
-        acc = zero
-        for v, xi in zip(row, x):
-            if v != zero and xi != zero:
-                acc = field.add(acc, field.mul(v, xi))
-        out.append(acc)
-    return out
-
-
 def identity_matrix(n: int, field: FieldDescriptor) -> list[list]:
     zero, one = field.zero(), field.one()
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def mat_equal(a: Sequence[Sequence], b: Sequence[Sequence]) -> bool:
-    return [list(r) for r in a] == [list(r) for r in b]

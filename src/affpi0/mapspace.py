@@ -109,7 +109,7 @@ class MapSpacePresentation:
                      else Polynomial.constant(r.constant_term(),
                                               self.big_arity, self.field))
             reduced = normal_form(image, self._b_lift, self.big_order)
-            for coeff in self._group_by_b(reduced).values():
+            for coeff in reduced.split(self.n_b).values():
                 key = coeff.key()
                 if key and key not in seen:
                     seen.add(key)
@@ -119,15 +119,6 @@ class MapSpacePresentation:
         self._j_lift: list[Polynomial] | None = None
 
     # -- internals ------------------------------------------------------------
-
-    def _group_by_b(self, p: Polynomial) -> dict[Monomial, Polynomial]:
-        """Split a combined-ring polynomial as {B-monomial: z-polynomial}."""
-        out: dict[Monomial, Polynomial] = {}
-        for mono, c in p.terms.items():
-            vb, vz = mono[:self.n_b], mono[self.n_b:]
-            bucket = out.setdefault(vb, Polynomial.zero(self.n_z, self.field))
-            bucket.terms[vz] = c
-        return out
 
     def _combined_basis(self) -> list[Polynomial]:
         if self._j_lift is None:
@@ -151,7 +142,7 @@ class MapSpacePresentation:
                  else Polynomial.constant(p.constant_term(),
                                           self.big_arity, self.field))
         reduced = normal_form(image, self._combined_basis(), self.big_order)
-        return self._group_by_b(reduced)
+        return reduced.split(self.n_b)
 
     def upsilon(self, a: ElementRep) -> dict[Monomial, Polynomial]:
         if a.algebra != self.a:
@@ -218,21 +209,40 @@ def associated_morphism(m: MapSpacePresentation, phi: AlgebraMorphism
         raise RingMismatchError("phi must land in a tensor presentation")
     if phi.source != m.a or target.factor_a != m.b:
         raise RingMismatchError("phi does not match this map space")
-    c_alg = target.factor_b
-    images: list[Polynomial | None] = [None] * m.n_z
-    for gi in range(m.a.arity):
-        split = target.split_by_a(phi.images[gi])
-        delta = set(m.trunc.deltas[gi])
-        for v, coeff in split.items():
-            if v not in delta:
-                raise TruncationError(
-                    f"image of {m.a.vars[gi]} uses monomial {v} outside its delta")
-            images[m.z_index[(gi, v)]] = coeff
-    done = [im if im is not None else Polynomial.zero(c_alg.arity, m.field)
-            for im in images]
-    psi = AlgebraMorphism(m.algebra, c_alg, done, check=True)
+    psi = _level_morphism(m, target.factor_b,
+                          [im.split(m.b.arity) for im in phi.images])
     _verify_factorization(m, phi, psi, target)
     return psi
+
+
+def _level_morphism(m: MapSpacePresentation, target: AlgebraPresentation,
+                    coeffs: Sequence[dict[Monomial, Polynomial]]
+                    ) -> AlgebraMorphism:
+    """The checked morphism from level m sending z[a,v] to coeffs[a][v].
+
+    Coefficients are reduced in the target first; a nonzero one on a monomial
+    outside its generator's delta is a TruncationError, and coordinates
+    without a coefficient go to zero.
+    """
+    images = [Polynomial.zero(target.arity, m.field)] * m.n_z
+    for gi, by_monomial in enumerate(coeffs):
+        for v, coeff in by_monomial.items():
+            coeff = target.nf(coeff)
+            if coeff.is_zero:
+                continue
+            k = m.z_index.get((gi, v))
+            if k is None:
+                raise TruncationError(
+                    f"the image of {m.a.vars[gi]} needs monomial {v} outside "
+                    "its delta")
+            images[k] = coeff
+    return AlgebraMorphism(m.algebra, target, images, check=True)
+
+
+def _accumulate(acc: dict[Monomial, Polynomial], v: Monomial,
+                piece: Polynomial) -> None:
+    prev = acc.get(v)
+    acc[v] = piece if prev is None else prev + piece
 
 
 def _verify_factorization(m: MapSpacePresentation, phi: AlgebraMorphism,
@@ -240,9 +250,9 @@ def _verify_factorization(m: MapSpacePresentation, phi: AlgebraMorphism,
                           ) -> None:
     """Check phi = (id_B ⊗ psi) ∘ upsilon on every generator of A."""
     for gi in range(m.a.arity):
-        expected = target.split_by_a(phi.images[gi])
         expected = {v: c_alg_nf for v, c_alg_nf in
-                    ((v, target.factor_b.nf(c)) for v, c in expected.items())
+                    ((v, target.factor_b.nf(c))
+                     for v, c in phi.images[gi].split(m.b.arity).items())
                     if not c_alg_nf.is_zero}
         got: dict[Monomial, Polynomial] = {}
         for v, coeff in m.upsilon_poly(
@@ -261,19 +271,9 @@ def point_from_morphism(m: MapSpacePresentation, phi: AlgebraMorphism
     """The point of the level algebra associated with a morphism A -> B."""
     if phi.source != m.a or phi.target != m.b:
         raise RingMismatchError("morphism does not match this map space")
-    for gi in range(m.a.arity):
-        delta = set(m.trunc.deltas[gi])
-        for mono in phi.images[gi].terms:
-            if mono not in delta:
-                raise TruncationError(
-                    f"image of {m.a.vars[gi]} uses monomial {mono} outside "
-                    "its delta")
-    fld = field_algebra(m.field)
-    images = []
-    for gi, v in m.zvars:
-        coeff = phi.images[gi].terms.get(v, m.field.zero())
-        images.append(Polynomial.constant(coeff, 0, m.field))
-    return AlgebraMorphism(m.algebra, fld, images, check=True)
+    return _level_morphism(m, field_algebra(m.field), [
+        {v: Polynomial.constant(c, 0, m.field) for v, c in im.terms.items()}
+        for im in phi.images])
 
 
 def morphism_from_point(m: MapSpacePresentation, point: AlgebraMorphism
@@ -281,14 +281,10 @@ def morphism_from_point(m: MapSpacePresentation, point: AlgebraMorphism
     """The morphism A -> B recovered from a point of the level algebra."""
     if point.source != m.algebra:
         raise RingMismatchError("point of a different level algebra")
-    images = []
-    for gi in range(m.a.arity):
-        img = Polynomial.zero(m.b.arity, m.field)
-        for v in m.trunc.deltas[gi]:
-            c = point.images[m.z_index[(gi, v)]].constant_term()
-            if c != m.field.zero():
-                img = img + Polynomial.monomial(v, m.field, c)
-        images.append(img)
+    images = [Polynomial.combination(
+        m.b.arity, m.field, delta,
+        [point.images[m.z_index[(gi, v)]].constant_term() for v in delta])
+        for gi, delta in enumerate(m.trunc.deltas)]
     return AlgebraMorphism(m.a, m.b, images, check=True)
 
 
@@ -333,29 +329,15 @@ def functor_action(f: AlgebraMorphism, g: AlgebraMorphism,
     if g.source != m_target.b or g.target != m_source.b:
         raise RingMismatchError("g must map the new target algebra into the old")
     field = m_source.field
-    images: list[Polynomial | None] = [None] * m_source.n_z
-    for gi in range(m_source.a.arity):
-        up = m_target.upsilon_poly(f.images[gi])
+    coeffs = []
+    for image in f.images:
         acc: dict[Monomial, Polynomial] = {}
-        for w, coeff in up.items():
+        for w, coeff in m_target.upsilon_poly(image).items():
             g_w = g.apply_poly(Polynomial.monomial(w, field))
             for v, c in g_w.terms.items():
-                bucket = acc.get(v)
-                add = coeff.scale(c)
-                acc[v] = add if bucket is None else bucket + add
-        delta = set(m_source.trunc.deltas[gi])
-        for v, coeff in acc.items():
-            coeff = m_target.algebra.nf(coeff)
-            if coeff.is_zero:
-                continue
-            if v not in delta:
-                raise TruncationError(
-                    f"functor image of {m_source.a.vars[gi]} needs monomial {v} "
-                    "outside the source truncation")
-            images[m_source.z_index[(gi, v)]] = coeff
-    done = [im if im is not None
-            else Polynomial.zero(m_target.n_z, field) for im in images]
-    return AlgebraMorphism(m_source.algebra, m_target.algebra, done, check=True)
+                _accumulate(acc, v, coeff.scale(c))
+        coeffs.append(acc)
+    return _level_morphism(m_source, m_target.algebra, coeffs)
 
 
 def comultiplication(m_ac: MapSpacePresentation, m_bc: MapSpacePresentation,
@@ -371,31 +353,17 @@ def comultiplication(m_ac: MapSpacePresentation, m_bc: MapSpacePresentation,
         raise RingMismatchError("comultiplication inputs do not chain")
     field = m_ac.field
     t = tensor_product(m_bc.algebra, m_ab.algebra)
-    images: list[Polynomial | None] = [None] * m_ac.n_z
+    coeffs = []
     for gi in range(a.arity):
         up_ab = m_ab.upsilon_poly(Polynomial.variable(gi, a.arity, field))
         acc: dict[Monomial, Polynomial] = {}
         for v, c_ab in up_ab.items():
-            up_bc = m_bc.upsilon_poly(Polynomial.monomial(v, field))
             rhs = t.embed_b(c_ab)
-            for w, c_bc in up_bc.items():
-                piece = t.embed_a(c_bc) * rhs
-                bucket = acc.get(w)
-                acc[w] = piece if bucket is None else bucket + piece
-        delta = set(m_ac.trunc.deltas[gi])
-        for w, coeff in acc.items():
-            coeff = t.nf(coeff)
-            if coeff.is_zero:
-                continue
-            if w not in delta:
-                raise TruncationError(
-                    f"comultiplication needs monomial {w} outside the truncation "
-                    f"for generator {a.vars[gi]}")
-            images[m_ac.z_index[(gi, w)]] = coeff
-    done = [im if im is not None else Polynomial.zero(t.arity, field)
-            for im in images]
-    phi = AlgebraMorphism(m_ac.algebra, t, done, check=True)
-    return phi, t
+            for w, c_bc in m_bc.upsilon_poly(
+                    Polynomial.monomial(v, field)).items():
+                _accumulate(acc, w, t.embed_a(c_bc) * rhs)
+        coeffs.append(acc)
+    return _level_morphism(m_ac, t, coeffs), t
 
 
 def coassociativity_check(a: AlgebraPresentation, b: AlgebraPresentation,
@@ -608,8 +576,9 @@ def verify_directsum_law(a: AlgebraPresentation, b: AlgebraPresentation,
     forward = associated_morphism(m_ds, psi)      # M(A, DS) -> M1 ⊗ M2
 
     # backward: pair the associated morphisms of (p_i ⊗ id) ∘ upsilon_DS
-    back1 = _projection_component(m_ds, m1, p1)
-    back2 = _projection_component(m_ds, m2, p2)
+    ident = AlgebraMorphism.identity(a)
+    back1 = functor_action(ident, p1, m1, m_ds)
+    back2 = functor_action(ident, p2, m2, m_ds)
     bwd_images = ([back1.images[i] for i in range(m1.n_z)]
                   + [back2.images[i] for i in range(m2.n_z)])
     backward = AlgebraMorphism(right, m_ds.algebra, bwd_images, check=True)
@@ -628,42 +597,3 @@ def verify_directsum_law(a: AlgebraPresentation, b: AlgebraPresentation,
     return {"ok": True, "law": "directsum",
             "left_coords": m_ds.n_z, "right_coords": right.arity,
             "dim_b": dim_b, "dim_b2": dim_b2}
-
-
-def _projection_component(m_ds: MapSpacePresentation,
-                          m_i: MapSpacePresentation,
-                          proj: AlgebraMorphism) -> AlgebraMorphism:
-    """Associated morphism M_i -> M(A, B ⊕ B') of (proj ⊗ id) ∘ upsilon."""
-    field = m_ds.field
-    images: list[Polynomial | None] = [None] * m_i.n_z
-    for gi in range(m_ds.a.arity):
-        up = m_ds.upsilon_poly(Polynomial.variable(gi, m_ds.a.arity, field))
-        acc: dict[Monomial, Polynomial] = {}
-        for w, coeff in up.items():
-            pw = proj.apply_poly(Polynomial.monomial(w, field))
-            for v, c in pw.terms.items():
-                bucket = acc.get(v)
-                add = coeff.scale(c)
-                acc[v] = add if bucket is None else bucket + add
-        delta = set(m_i.trunc.deltas[gi])
-        for v, coeff in acc.items():
-            coeff = m_ds.algebra.nf(coeff)
-            if coeff.is_zero:
-                continue
-            if v not in delta:
-                raise TruncationError("projection image outside truncation")
-            images[m_i.z_index[(gi, v)]] = coeff
-    done = [im if im is not None else Polynomial.zero(m_ds.n_z, field)
-            for im in images]
-    return AlgebraMorphism(m_i.algebra, m_ds.algebra, done, check=True)
-
-
-def verify_natural_isomorphism(law: str, **kwargs) -> dict:
-    """Dispatch for the exponential / tensor / direct-sum law witnesses."""
-    if law == "exponential":
-        return verify_exponential_law(**kwargs)
-    if law == "tensor":
-        return verify_tensor_law(**kwargs)
-    if law == "directsum":
-        return verify_directsum_law(**kwargs)
-    raise ValueError(f"unknown law {law!r}")

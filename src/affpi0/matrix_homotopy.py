@@ -167,11 +167,6 @@ class NCPoly:
         return " + ".join(bits)
 
 
-def nc_zero_matrix(n: int, inverses=frozenset()):
-    z = NCPoly({}, inverses)
-    return [[z for _ in range(n)] for _ in range(n)]
-
-
 def nc_mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     out = []

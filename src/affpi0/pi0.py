@@ -11,7 +11,7 @@ other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import linalg
 from .algebra import AlgebraMorphism, AlgebraPresentation, ElementRep
@@ -20,8 +20,7 @@ from .errors import (HypothesisError, PropertyViolationError,
                      UnsupportedFieldError)
 from .mapspace import MapSpacePresentation, mapspace_presentation
 from .matrix_homotopy import NCPoly, nc_mat_is_zero, nc_mat_mul, nc_mat_sub
-from .polyring import (BlockOrder, Monomial, Polynomial, elimination_ideal,
-                       normal_form)
+from .polyring import BlockOrder, Polynomial, elimination_ideal, normal_form
 from .solve import SolveResult, solve_system
 
 
@@ -50,10 +49,21 @@ def equalizer_membership(a: AlgebraPresentation, elem: ElementRep,
     """
     if elem.algebra != a:
         raise ValueError("element of a different algebra")
+    return _verdict(_line_levels(a, towerdepth), elem.poly, towerdepth)
+
+
+def _line_levels(a: AlgebraPresentation, towerdepth: int
+                 ) -> Iterator[MapSpacePresentation]:
+    """Levels 0..towerdepth of M(A, F[x]), built as they are consumed."""
     line = _line_algebra(a.field)
-    for d in range(towerdepth + 1):
-        m = mapspace_presentation(a, line, d)
-        diff = _evaluation_difference(m, elem.poly)
+    return (mapspace_presentation(a, line, d) for d in range(towerdepth + 1))
+
+
+def _verdict(levels: Iterable[MapSpacePresentation], poly: Polynomial,
+             towerdepth: int) -> EqualizerVerdict:
+    """The equalizer test of one element on levels 0..towerdepth, in order."""
+    for d, m in enumerate(levels):
+        diff = _evaluation_difference(m, poly)
         if not diff.is_zero:
             return EqualizerVerdict(False, d, diff)
     return EqualizerVerdict(True, towerdepth, None)
@@ -107,7 +117,7 @@ def equalizer_subspace(a: AlgebraPresentation, degree: int, tower: int
         coords = {mm: k for k, mm in enumerate(level_monos)}
         rows = []
         for vec in current:
-            poly = _combine(slice_monos, vec, a)
+            poly = Polynomial.combination(a.arity, field, slice_monos, vec)
             diff = _evaluation_difference(m, poly)
             row = [field.zero()] * len(level_monos)
             for mm, c in diff.terms.items():
@@ -121,18 +131,9 @@ def equalizer_subspace(a: AlgebraPresentation, degree: int, tower: int
         if not current:
             break
     reduced, pivots = linalg.rref(current, field) if current else ([], [])
-    basis = [a.element(_combine(slice_monos, row, a))
+    basis = [a.element(Polynomial.combination(a.arity, field, slice_monos, row))
              for row in reduced[:len(pivots)]]
     return EqualizerSubspace(a, degree, tower, basis)
-
-
-def _combine(monos: Sequence[Monomial], vec, a: AlgebraPresentation
-             ) -> Polynomial:
-    poly = Polynomial.zero(a.arity, a.field)
-    for m, c in zip(monos, vec):
-        if c != a.field.zero():
-            poly = poly + Polynomial.monomial(m, a.field, c)
-    return poly
 
 
 def _vec_combine(weights, vectors, field):
@@ -174,17 +175,10 @@ def _root_solutions(a: AlgebraPresentation, k: int, degree: int
         exps[a.arity + i] = 1
         generic = generic + Polynomial(big, field, {tuple(exps): field.one()})
     constraint = generic ** k - generic
-    reduced = normal_form(constraint, lift, order)
-    groups: dict[Monomial, Polynomial] = {}
-    for mono, c in reduced.terms.items():
-        key = mono[:a.arity]
-        bucket = groups.setdefault(key, Polynomial.zero(n, field))
-        bucket.terms[mono[a.arity:]] = c
-    system = [g for g in groups.values() if not g.is_zero]
+    system = list(normal_form(constraint, lift, order).split(a.arity).values())
     result: SolveResult = solve_system(system, n, field)
-    elems = []
-    for sol in result.solutions:
-        elems.append(a.element(_combine(slice_monos, sol, a)))
+    elems = [a.element(Polynomial.combination(a.arity, field, slice_monos, sol))
+             for sol in result.solutions]
     for e in elems:
         if (e ** k) != e:      # pragma: no cover - exact solver
             raise AssertionError("solver returned a non-solution")
@@ -264,8 +258,10 @@ def pi0_presentation(a: AlgebraPresentation, degree: int,
             "pi0 needs characteristic zero; over a prime field only the "
             "equalizer and idempotent routes run")
     kernel = derham_h0(a, degree)
+    depth = min(tower, 2)
+    levels = list(_line_levels(a, depth))
     for elem in kernel.basis:
-        verdict = equalizer_membership(a, elem, min(tower, 2))
+        verdict = _verdict(levels, elem.poly, depth)
         if not verdict.passed:
             raise PropertyViolationError(
                 "derham kernel element fails the equalizer route",

@@ -296,6 +296,15 @@ class Polynomial:
             return Polynomial(len(m), field)
         return Polynomial(len(m), field, {m: c})
 
+    @staticmethod
+    def combination(arity: int, field: FieldDescriptor,
+                    monomials: Sequence[Monomial], coeffs: Sequence[Scalar]
+                    ) -> "Polynomial":
+        """sum c·m over paired monomials and field scalars (a coefficient
+        vector read in a monomial basis); zero coefficients are dropped."""
+        return Polynomial(arity, field,
+                          {m: c for m, c in zip(monomials, coeffs) if c})
+
     # -- basic queries ---------------------------------------------------------
 
     @property
@@ -469,6 +478,16 @@ class Polynomial:
                 raise RingMismatchError("term uses a variable outside the subring")
             terms[tuple(m[i] for i in keep)] = c
         return Polynomial(len(keep), self.field, terms)
+
+    def split(self, n: int) -> dict[Monomial, "Polynomial"]:
+        """Group by the first n exponents: {front: polynomial in the rest}."""
+        out: dict[Monomial, Polynomial] = {}
+        for m, c in self.terms.items():
+            part = out.get(m[:n])
+            if part is None:
+                part = out[m[:n]] = Polynomial(self.arity - n, self.field)
+            part.terms[m[n:]] = c
+        return out
 
     # -- canonical form ---------------------------------------------------------
 

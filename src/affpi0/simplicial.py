@@ -352,15 +352,10 @@ def sing_h0(a: AlgebraPresentation, tower: int, degree: int) -> SingH0Result:
                 for r0, r1 in zip(d0, d1)]
         kernel = linalg.nullspace(diff, space.levels[0].dimension, field)
         reduced, pivots = linalg.rref(kernel, field) if kernel else ([], [])
-        basis = []
-        level0 = space.levels[0]
-        for row in reduced[:len(pivots)]:
-            poly = Polynomial.zero(a.arity, field)
-            for c, mono in zip(row, level0.basis):
-                if c != field.zero():
-                    # level-0 coordinates mirror the generators of A
-                    poly = poly + Polynomial.monomial(mono, field, c)
-            basis.append(a.element(poly))
+        # level-0 coordinates mirror the generators of A
+        basis = [a.element(Polynomial.combination(
+            a.arity, field, space.levels[0].basis, row))
+            for row in reduced[:len(pivots)]]
         out.append(SingLevel(d, basis))
     return SingH0Result(a, degree, out)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -173,24 +174,49 @@ def test_reports_deterministic_and_schema(files, capsys):
     assert "deg" in rep1["bounds"] and "tower" in rep1["bounds"]
 
 
-def test_cache_roundtrip(files, capsys, monkeypatch, tmp_path):
+def test_gb_ignores_a_planted_cache_entry(files, capsys, monkeypatch,
+                                          tmp_path):
+    # the Gröbner cache is gone: an entry planted where it used to be read
+    # (key of Q[x]/(x^3 - x) in degrevlex) must not reach the report
     cache = tmp_path / "cache"
+    cache.mkdir()
+    key_doc = json.dumps(["Q", ["x"], ["x^3 - x"], "degrevlex"],
+                         sort_keys=True)
+    key = hashlib.sha256(key_doc.encode()).hexdigest()
+    (cache / f"gb-{key}.json").write_text(
+        json.dumps({"schema": 99, "basis": ["x - 5"]}))
     monkeypatch.setenv("AFFPI0_CACHE", str(cache))
-    code, rep1 = run_json(["alg", "gb", files["cubic"]], capsys)
-    assert code == 0 and not rep1["result"]["cached"]
-    code, rep2 = run_json(["alg", "gb", files["cubic"]], capsys)
-    assert code == 0 and rep2["result"]["cached"]
-    assert rep1["result"]["basis"] == rep2["result"]["basis"]
-    # cross-key isolation: a different algebra gets its own entry
-    code, rep3 = run_json(["alg", "gb", files["idem"]], capsys)
-    assert code == 0 and not rep3["result"]["cached"]
-    # corrupt entries are ignored and recomputed
-    entries = list(cache.glob("gb-*.json"))
-    entries[0].write_text("{broken")
-    code, rep4 = run_json(["alg", "gb", files["cubic"]], capsys)
+    code, rep = run_json(["alg", "gb", files["cubic"]], capsys)
     assert code == 0
-    code, rep5 = run_json(["alg", "gb", files["idem"]], capsys)
-    assert code == 0
+    assert rep["result"]["basis"] == ["x^3 - x"]
+    assert rep["result"]["cached"] is False
+
+
+def test_morphism_without_source_is_an_input_error(files, capsys):
+    path = files["tmp"] / "nosource.json"
+    path.write_text(json.dumps({"target": "cubic.json", "images": ["x"]}))
+    code, rep = run_json(["hom", "check", str(path)], capsys)
+    assert code == 2 and rep["kind"] == "input"
+
+
+@pytest.mark.parametrize("doc", [
+    {"field": "Q", "vars": ["x"], "relations": [5]},
+    {"field": "Q", "vars": "xy", "relations": ["x*y - 1"]},
+])
+def test_malformed_algebra_document_is_an_input_error(files, capsys, doc):
+    path = files["tmp"] / "malformed.json"
+    path.write_text(json.dumps(doc))
+    code, rep = run_json(["alg", "gb", str(path)], capsys)
+    assert code == 2 and rep["kind"] == "input"
+
+
+@pytest.mark.parametrize("argv", [
+    ["derham", "h0", "{cubic}", "--deg", "-1"],
+    ["pi0", "{cubic}", "--tower", "-1"],
+])
+def test_negative_bounds_are_input_errors(files, capsys, argv):
+    code, rep = run_json([a.format(**files) for a in argv], capsys)
+    assert code == 2 and rep["kind"] == "input"
 
 
 def test_resource_guard_exit_code(files, capsys, monkeypatch):

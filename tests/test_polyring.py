@@ -138,6 +138,27 @@ def test_derivative_and_substitute():
     assert q == P("y^2*x + 3*y", names)
 
 
+def test_split_by_leading_block():
+    names = ["a", "b", "u", "v"]
+    p = P("3*a^2*u - a^2*v^2 + b*u + 5*b + u*v - 7", names)
+    parts = p.split(2)
+    rest = ["u", "v"]
+    assert parts == {(2, 0): P("3*u - v^2", rest), (0, 1): P("u + 5", rest),
+                     (0, 0): P("u*v - 7", rest)}
+    recombined = Polynomial.zero(4, QQ)
+    for front, part in parts.items():
+        recombined = recombined + Polynomial.monomial(
+            front + (0, 0), QQ) * part.extend_arity(4, [2, 3])
+    assert recombined == p
+    # n = 0 keeps the whole polynomial under the empty exponent tuple
+    assert p.split(0) == {(): p}
+    # n = arity leaves constants in the 0-variable ring
+    whole = p.split(4)
+    assert len(whole) == len(p.terms)
+    assert whole[(2, 0, 1, 0)] == Polynomial.constant(3, 0, QQ)
+    assert Polynomial.zero(4, QQ).split(2) == {}
+
+
 # ---------------------------------------------------------------------------
 # Gröbner bases
 

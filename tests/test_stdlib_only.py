@@ -1,0 +1,31 @@
+"""The runtime imports nothing outside the Python standard library."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+import affpi0
+
+PROBE = """
+import json, pkgutil, sys
+before = set(sys.modules)
+import affpi0
+for info in pkgutil.iter_modules(affpi0.__path__):
+    __import__("affpi0." + info.name)
+loaded = {name.split(".")[0] for name in set(sys.modules) - before}
+print(json.dumps(sorted(loaded)))
+"""
+
+
+def test_runtime_loads_only_stdlib_modules():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(affpi0.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", PROBE], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    loaded = set(json.loads(out))
+    assert "affpi0" in loaded
+    outside = sorted(loaded - {"affpi0"} - set(sys.stdlib_module_names))
+    assert not outside, f"non-stdlib modules imported: {outside}"
