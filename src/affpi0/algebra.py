@@ -112,7 +112,14 @@ class AlgebraPresentation:
     def from_json(doc: dict) -> "AlgebraPresentation":
         try:
             fdoc = doc["field"]
-            field = FieldDescriptor() if fdoc == "Q" else FieldDescriptor(int(fdoc["p"]))
+            if fdoc == "Q":
+                field = FieldDescriptor()
+            else:
+                p = fdoc["p"]
+                if not isinstance(p, int) or isinstance(p, bool):
+                    raise ParseError(f"bad algebra document: the prime "
+                                     f"must be an integer, got {p!r}")
+                field = FieldDescriptor(p)
             variables, relations = doc["vars"], doc.get("relations", [])
             if not (_is_string_list(variables) and _is_string_list(relations)):
                 raise ParseError("bad algebra document: vars and relations "

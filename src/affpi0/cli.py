@@ -1,6 +1,7 @@
 """Command-line front end: file I/O, dispatch, machine-readable reports.
 
-Exit codes: 0 success, 1 property violated, 2 input error, 3 resource limit.
+Exit codes: 0 success, 1 property violated, 2 input error, 3 resource limit,
+4 internal error (an exception the package does not raise on purpose).
 Reports are schema-versioned JSON with sorted keys; two runs with the same
 inputs and flags are byte-identical apart from the timing field.
 """
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_PROPERTY = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +400,10 @@ def run(argv: list[str]) -> int:
         emit({"schema": SCHEMA, "error": str(exc), "kind": "property",
               "witness": str(exc.witness)}, args.format)
         return EXIT_PROPERTY
+    except Exception as exc:     # a fault of the package, not of the request
+        emit({"schema": SCHEMA, "error": f"{type(exc).__name__}: {exc}",
+              "kind": "internal"}, args.format)
+        return EXIT_INTERNAL
     report = make_report(args.command, digest, result, bounds, started)
     emit(report, args.format)
     return EXIT_OK

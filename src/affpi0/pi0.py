@@ -104,36 +104,46 @@ def equalizer_subspace(a: AlgebraPresentation, degree: int, tower: int
     """
     line = _line_algebra(a.field)
     slice_monos = a.standard_monomials(degree)
-    field = a.field
-    vectors = [[field.one() if i == j else field.zero()
-                for j in range(len(slice_monos))]
-               for i in range(len(slice_monos))]
-    current = vectors
+    current = linalg.identity_matrix(len(slice_monos), a.field)
     for d in range(1, tower + 1):
-        m = mapspace_presentation(a, line, d)
-        # upsilon images of generators are linear in the coordinates, so the
-        # difference of a degree-<=D slice element has coordinate degree <= D
-        level_monos = m.algebra.standard_monomials(max(degree, 1))
-        coords = {mm: k for k, mm in enumerate(level_monos)}
-        rows = []
-        for vec in current:
-            poly = Polynomial.combination(a.arity, field, slice_monos, vec)
-            diff = _evaluation_difference(m, poly)
-            row = [field.zero()] * len(level_monos)
-            for mm, c in diff.terms.items():
-                row[coords[mm]] = c
-            rows.append(row)
-        # kernel of the linear map current -> level algebra slice
-        null = linalg.nullspace(
-            [[rows[j][i] for j in range(len(rows))]
-             for i in range(len(level_monos))], len(rows), field)
-        current = [_vec_combine(null_vec, current, field) for null_vec in null]
+        current = _equalizer_cut(mapspace_presentation(a, line, d),
+                                 slice_monos, current, degree)
         if not current:
             break
-    reduced, pivots = linalg.rref(current, field) if current else ([], [])
-    basis = [a.element(Polynomial.combination(a.arity, field, slice_monos, row))
-             for row in reduced[:len(pivots)]]
+    basis = [a.element(Polynomial.combination(a.arity, a.field, slice_monos,
+                                              row))
+             for row in _rref_basis(current, a.field)]
     return EqualizerSubspace(a, degree, tower, basis)
+
+
+def _equalizer_cut(m: MapSpacePresentation, slice_monos: Sequence,
+                   current: list[list], degree: int) -> list[list]:
+    """The combinations of the slice vectors `current` that pass the
+    equalizer test at level m, as slice vectors."""
+    field = m.field
+    # upsilon images of generators are linear in the coordinates, so the
+    # difference of a degree-<=D slice element has coordinate degree <= D
+    level_monos = m.algebra.standard_monomials(max(degree, 1))
+    coords = {mm: k for k, mm in enumerate(level_monos)}
+    rows = []
+    for vec in current:
+        poly = Polynomial.combination(m.a.arity, field, slice_monos, vec)
+        diff = _evaluation_difference(m, poly)
+        row = [field.zero()] * len(level_monos)
+        for mm, c in diff.terms.items():
+            row[coords[mm]] = c
+        rows.append(row)
+    # kernel of the linear map current -> level algebra slice
+    null = linalg.nullspace(
+        [[rows[j][i] for j in range(len(rows))]
+         for i in range(len(level_monos))], len(rows), field)
+    return [_vec_combine(null_vec, current, field) for null_vec in null]
+
+
+def _rref_basis(vectors: list[list], field) -> list[list]:
+    """The nonzero rows of the reduced row echelon form of `vectors`."""
+    reduced, pivots = linalg.rref(vectors, field)
+    return reduced[:len(pivots)]
 
 
 def _vec_combine(weights, vectors, field):
@@ -159,26 +169,46 @@ class IdempotentReport:
         return len(self.idempotents)
 
 
-def _root_solutions(a: AlgebraPresentation, k: int, degree: int
+def _root_solutions(a: AlgebraPresentation, k: int, degree: int,
+                    level1: MapSpacePresentation | None = None
                     ) -> tuple[list[ElementRep], bool]:
-    """Solve e^k = e with e supported on the degree-bounded slice."""
-    slice_monos = a.standard_monomials(degree)
-    n = len(slice_monos)
+    """Solve e^k = e with e supported on the degree-bounded slice.
+
+    The unknowns are the coordinates of the slice's level-1 equalizer cut,
+    which holds every solution: the image of e in M_1[x] solves e^k = e, so
+    f = e^(k-1) is an idempotent of a polynomial ring, hence constant, and
+    (k·f - 1)·e' = 0 with k·f - 1 a unit when char ∤ k-1, so e' = 0; in
+    characteristic p that puts e in M_1[x^p], where the same argument lowers
+    the degree, so e is constant and both evaluations agree.  `level1` is
+    M_1(A, F[x]) when the caller has already built it.
+    """
     field = a.field
-    # generic element over coefficient unknowns, in the ring (A-vars | c-vars)
-    big = a.arity + n
+    slice_monos = a.standard_monomials(degree)
+    if level1 is None:
+        level1 = mapspace_presentation(a, _line_algebra(field), 1)
+    identity = linalg.identity_matrix(len(slice_monos), field)
+    cut = _rref_basis(_equalizer_cut(level1, slice_monos, identity, degree),
+                      field)
+    r = len(cut)
+    # generic element over the cut's coordinates, in the ring (A-vars | u-vars)
+    big = a.arity + r
     order = BlockOrder(a.arity)
     lift = [g.extend_arity(big, list(range(a.arity))) for g in a.gb()]
-    generic = Polynomial.zero(big, field)
-    for i, m in enumerate(slice_monos):
-        exps = list(m) + [0] * n
-        exps[a.arity + i] = 1
-        generic = generic + Polynomial(big, field, {tuple(exps): field.one()})
+    terms = {}
+    for j, row in enumerate(cut):
+        unknown = (0,) * j + (1,) + (0,) * (r - j - 1)
+        for m, c in zip(slice_monos, row):
+            if c:
+                terms[m + unknown] = c
+    generic = Polynomial(big, field, terms)
     constraint = generic ** k - generic
     system = list(normal_form(constraint, lift, order).split(a.arity).values())
-    result: SolveResult = solve_system(system, n, field)
-    elems = [a.element(Polynomial.combination(a.arity, field, slice_monos, sol))
-             for sol in result.solutions]
+    result: SolveResult = solve_system(system, r, field)
+    # slice coordinates, sorted as the solver sorts them
+    vectors = sorted(tuple(_vec_combine(sol, cut, field)) if cut else ()
+                     for sol in result.solutions)
+    elems = [a.element(Polynomial.combination(a.arity, field, slice_monos, v))
+             for v in vectors]
     for e in elems:
         if (e ** k) != e:      # pragma: no cover - exact solver
             raise AssertionError("solver returned a non-solution")
@@ -268,7 +298,8 @@ def pi0_presentation(a: AlgebraPresentation, degree: int,
                 witness=(elem, verdict.level))
     basis = kernel.basis
     pres, incl = _subalgebra_presentation(a, basis)
-    idem = idempotent_search(a, degree)
+    idem = IdempotentReport(*_root_solutions(a, 2, degree,
+                                             levels[1] if depth else None))
     count = None
     if idem.complete:
         prims = primitive_idempotents(idem)

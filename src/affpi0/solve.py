@@ -172,12 +172,17 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     if len(coeffs) == 1:
         return sorted(roots)
     # clear denominators to an integer polynomial
-    from math import gcd, lcm
+    from math import gcd, isqrt, lcm
     den = lcm(*[c.denominator for c in coeffs])
     ints = [int(c * den) for c in coeffs]
     g = gcd(*ints)
     ints = [c // g for c in ints]
     lead, const = abs(ints[-1]), abs(ints[0])
+    for name, value in (("leading coefficient", lead), ("constant", const)):
+        if isqrt(value) > SOLVE_GUARD:
+            raise ResourceLimitError(
+                f"rational root search: isqrt of the {name} {value} exceeds "
+                f"guard SOLVE_GUARD = {SOLVE_GUARD}")
     for q in _divisors(lead):
         for p in _divisors(const):
             for cand in (Fraction(p, q), Fraction(-p, q)):

@@ -8,6 +8,7 @@ import os
 
 import pytest
 
+from affpi0 import cli
 from affpi0.cli import run
 
 
@@ -202,6 +203,9 @@ def test_morphism_without_source_is_an_input_error(files, capsys):
 @pytest.mark.parametrize("doc", [
     {"field": "Q", "vars": ["x"], "relations": [5]},
     {"field": "Q", "vars": "xy", "relations": ["x*y - 1"]},
+    {"field": {"p": 3.7}, "vars": ["x"], "relations": ["x^3 - x"]},
+    {"field": {"p": "7"}, "vars": ["x"], "relations": ["x^3 - x"]},
+    {"field": {"p": True}, "vars": ["x"], "relations": ["x^3 - x"]},
 ])
 def test_malformed_algebra_document_is_an_input_error(files, capsys, doc):
     path = files["tmp"] / "malformed.json"
@@ -255,3 +259,15 @@ def test_text_format_output(files, capsys):
     assert code == 0
     assert "basis" in out and "x^3 - x" in out
     assert "timing_ms" not in out  # text view drops volatile fields
+
+
+def test_unexpected_exception_is_an_internal_report(files, capsys,
+                                                    monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.HANDLERS, "alg", broken)
+    code, rep = run_json(["alg", "gb", files["cubic"]], capsys)
+    assert code == 4
+    assert rep == {"schema": 1, "kind": "internal",
+                   "error": "RuntimeError: boom"}

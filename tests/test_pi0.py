@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
 
 import pytest
 
+from affpi0 import pi0 as pi0_mod
 from affpi0.algebra import AlgebraPresentation, field_algebra
 from affpi0.errors import HypothesisError, UnsupportedFieldError
 from affpi0.pi0 import (equalizer_membership, equalizer_subspace,
                         functor_property_checks, idempotent_search,
                         iskp_subalgebra, pi0_presentation, pnc_zero_witness,
                         primitive_idempotents)
-from affpi0.polyring import GF, QQ
+from affpi0.polyring import GF, QQ, Polynomial
 
 
 def A_of(field, names, rels):
@@ -111,6 +113,62 @@ def test_iskp_free_line_constants_only():
 def test_iskp_char_divides_hypothesis():
     with pytest.raises(HypothesisError):
         iskp_subalgebra(A_of(GF(2), ["e"], ["e^2 - e"]), 3, 1)
+
+
+def _brute_force_roots(a, degree):
+    """Every slice vector over F_p with e^2 = e, and every one with e^3 = e,
+    in lexicographic order."""
+    monos = a.standard_monomials(degree)
+    squares, cubes = [], []
+    for vec in itertools.product(range(a.field.p), repeat=len(monos)):
+        e = a.element(Polynomial.combination(a.arity, a.field, monos, vec))
+        e2 = e * e
+        if e2 == e:
+            squares.append(e.to_string())
+        if e2 * e == e:
+            cubes.append(e.to_string())
+    return squares, cubes
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("names,rels", [
+    (["x"], ["x^3 - x"]),
+    (["t"], ["t^2 - 1"]),
+    (["x", "y"], ["x^2 + y^2 - 1"]),
+    (["x", "y"], ["y^2 - y"]),
+])
+def test_root_solvers_match_brute_force_over_fp(p, names, rels):
+    a = A_of(GF(p), names, rels)
+    for degree in range(3):
+        squares, cubes = _brute_force_roots(a, degree)
+        rep = idempotent_search(a, degree)
+        sub = iskp_subalgebra(a, 3, degree)
+        assert rep.complete and sub.complete
+        assert [e.to_string() for e in rep.idempotents] == squares
+        assert [e.to_string() for e in sub.generators] == cubes
+
+
+@pytest.mark.parametrize("field,degree", [(QQ, 5), (GF(5), 4)])
+def test_circle_idempotents_at_high_degree(field, degree):
+    rep = idempotent_search(A_of(field, ["x", "y"], ["x^2 + y^2 - 1"]),
+                            degree)
+    assert rep.complete
+    assert [e.to_string() for e in rep.idempotents] == ["0", "1"]
+
+
+def test_idempotent_search_solves_over_the_level_one_cut(monkeypatch):
+    a = A_of(QQ, ["x", "y"], ["x^2 + y^2 - 1"])
+    seen = []
+    solve = pi0_mod.solve_system
+
+    def spy(gens, nvars, field):
+        seen.append(nvars)
+        return solve(gens, nvars, field)
+
+    monkeypatch.setattr(pi0_mod, "solve_system", spy)
+    idempotent_search(a, 4)
+    assert seen == [equalizer_subspace(a, 4, 1).dimension]
+    assert seen[0] < len(a.standard_monomials(4))
 
 
 # ---------------------------------------------------------------------------
