@@ -160,6 +160,7 @@ def cmd_pi0(args) -> dict:
     a = load_algebra(args.algebra)
     out: dict = {"method": args.method, "degree": args.deg,
                  "tower": args.tower}
+    rep = None
     if args.method == "all" and not a.field.is_rational:
         out["note"] = ("derham route skipped over a prime field; "
                        "equalizer and idempotent outputs are pi0-candidates")
@@ -171,11 +172,10 @@ def cmd_pi0(args) -> dict:
             "presentation": res.presentation.to_json(),
             "component_count": res.component_count,
         }
-        if res.idempotents is not None:
-            out["idempotents"] = {
-                "count": res.idempotents.count,
-                "complete": res.idempotents.complete,
-            }
+        rep = res.idempotents
+        if rep is not None:
+            out["idempotents"] = {"count": rep.count,
+                                  "complete": rep.complete}
     if args.method in ("equalizer", "all"):
         eq = pi0_mod.equalizer_subspace(a, args.deg, args.tower)
         out["equalizer"] = {"dimension": eq.dimension,
@@ -183,7 +183,8 @@ def cmd_pi0(args) -> dict:
                             "label": ("pi0" if a.field.is_rational
                                       else "pi0-candidate")}
     if args.method in ("idempotent", "all"):
-        rep = pi0_mod.idempotent_search(a, args.deg)
+        if rep is None:
+            rep = pi0_mod.idempotent_search(a, args.deg)
         prims = pi0_mod.primitive_idempotents(rep)
         out["idempotent"] = {
             "count": rep.count,

@@ -220,22 +220,20 @@ def _level_morphism(m: MapSpacePresentation, target: AlgebraPresentation,
                     ) -> AlgebraMorphism:
     """The checked morphism from level m sending z[a,v] to coeffs[a][v].
 
-    Coefficients are reduced in the target first; a nonzero one on a monomial
-    outside its generator's delta is a TruncationError, and coordinates
-    without a coefficient go to zero.
+    A coefficient on a monomial outside its generator's delta must reduce to
+    zero in the target, else it is a TruncationError; the others are reduced
+    by AlgebraMorphism, and coordinates without a coefficient go to zero.
     """
     images = [Polynomial.zero(target.arity, m.field)] * m.n_z
     for gi, by_monomial in enumerate(coeffs):
         for v, coeff in by_monomial.items():
-            coeff = target.nf(coeff)
-            if coeff.is_zero:
-                continue
             k = m.z_index.get((gi, v))
-            if k is None:
+            if k is not None:
+                images[k] = coeff
+            elif not target.nf(coeff).is_zero:
                 raise TruncationError(
                     f"the image of {m.a.vars[gi]} needs monomial {v} outside "
                     "its delta")
-            images[k] = coeff
     return AlgebraMorphism(m.algebra, target, images, check=True)
 
 

@@ -4,7 +4,10 @@ Coefficients are exact: `fractions.Fraction` over the rationals, reduced
 residues in ``[0, p)`` over a prime field.  Monomials are exponent tuples,
 polynomials sparse term maps.  All values are immutable after construction and
 every operation is a pure function, so concurrent use on distinct values is
-safe.
+safe.  The one write after construction is a polynomial's memo of its leading
+data under the last order asked about: a cache of a value derived from the
+immutable terms, replaced whole, so concurrent writers store equal values and
+a reader never sees a half-written entry.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add as _add, le as _le, sub as _sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError, ResourceLimitError, RingMismatchError
@@ -174,13 +179,24 @@ def _drl_key(m: Monomial):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
+def _drl_heap_key(m: Monomial):
+    return (-sum(m), m[::-1])
+
+
 class MonomialOrder:
-    """A monomial order given by a sort key; larger key = larger monomial."""
+    """A monomial order given by a sort key; larger key = larger monomial.
+
+    `_heap_key` sorts the other way: its ascending order is the monomial
+    order descending, so a min-heap pops the largest monomial first.
+    """
 
     name = "degrevlex"
 
     def key(self, m: Monomial):
         return _drl_key(m)
+
+    def _heap_key(self, m: Monomial):
+        return _drl_heap_key(m)
 
     def __repr__(self):
         return f"<order {self.name}>"
@@ -198,6 +214,9 @@ class LexOrder(MonomialOrder):
     def key(self, m: Monomial):
         return m
 
+    def _heap_key(self, m: Monomial):
+        return tuple(-e for e in m)
+
 
 class BlockOrder(MonomialOrder):
     """Eliminates the first ``n_front`` variables: front block dominates."""
@@ -210,25 +229,29 @@ class BlockOrder(MonomialOrder):
         k = self.n_front
         return (_drl_key(m[:k]), _drl_key(m[k:]))
 
+    def _heap_key(self, m: Monomial):
+        k = self.n_front
+        return (_drl_heap_key(m[:k]), _drl_heap_key(m[k:]))
+
 
 DEGREVLEX = MonomialOrder()
 LEX = LexOrder()
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(_add, a, b))
 
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(_le, a, b))
 
 
 def monomial_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(_sub, a, b))
 
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def monomials_up_to(arity: int, maxdeg: int) -> Iterator[Monomial]:
@@ -255,16 +278,18 @@ def _compositions(arity: int, deg: int) -> Iterator[Monomial]:
 class Polynomial:
     """Sparse multivariate polynomial over an exact field.
 
-    Treat instances as immutable; arithmetic returns fresh objects.
+    Treat instances as immutable; arithmetic returns fresh objects.  `_lead`
+    memoizes the leading data for the last order asked about.
     """
 
-    __slots__ = ("arity", "field", "terms")
+    __slots__ = ("arity", "field", "terms", "_lead")
 
     def __init__(self, arity: int, field: FieldDescriptor,
                  terms: dict[Monomial, Scalar] | None = None):
         self.arity = arity
         self.field = field
         self.terms = terms if terms is not None else {}
+        self._lead = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -318,13 +343,28 @@ class Polynomial:
     def constant_term(self):
         return self.terms.get((0,) * self.arity, self.field.zero())
 
-    def leading_monomial(self, order: MonomialOrder = DEGREVLEX) -> Monomial:
+    def _leading(self, order: MonomialOrder):
+        """(order, leading monomial, leading coefficient, tail terms).
+
+        The terms never change once a polynomial is handed out (`split`
+        fills its parts before returning them), so the memo only has to match
+        the order; asking about another order replaces it.
+        """
+        lead = self._lead
+        if lead is not None and (lead[0] is order or lead[0] == order):
+            return lead
         if self.is_zero:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
+        lm = max(self.terms, key=order.key)
+        lead = self._lead = (order, lm, self.terms[lm], tuple(
+            (m, c) for m, c in self.terms.items() if m != lm))
+        return lead
+
+    def leading_monomial(self, order: MonomialOrder = DEGREVLEX) -> Monomial:
+        return self._leading(order)[1]
 
     def leading_coeff(self, order: MonomialOrder = DEGREVLEX):
-        return self.terms[self.leading_monomial(order)]
+        return self._leading(order)[2]
 
     def _same_ring(self, other: "Polynomial") -> None:
         if self.arity != other.arity or self.field != other.field:
@@ -391,6 +431,14 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative exponent")
+        if (n > LIMITS.max_degree and self.field.is_rational
+                and self.total_degree() == 0
+                and abs(self.constant_term()) != 1):
+            # a nonconstant power trips the degree guard within a few
+            # squarings; a rational constant's numerator would only grow
+            raise ResourceLimitError(
+                f"exponent {n} of the constant {self.constant_term()} "
+                f"exceeds guard max_degree {LIMITS.max_degree}")
         result = Polynomial.one(self.arity, self.field)
         base = self
         while n:
@@ -702,26 +750,34 @@ def normal_form(p: Polynomial, basis: Iterable[Polynomial] | GroebnerBasis,
         if g.arity != p.arity or g.field != p.field:
             raise RingMismatchError("normal form: basis lives in another ring")
     f = p.field
-    lts = [(g.leading_monomial(order), g.leading_coeff(order), g) for g in divisors]
+    lts = [g._leading(order)[1:] for g in divisors]
     work = dict(p.terms)
+    # terms are popped largest first; a popped monomial missing from `work`
+    # was cancelled after it was queued
+    heap_key = order._heap_key
+    queue = [(heap_key(m), m) for m in work]
+    heapify(queue)
     result: dict[Monomial, Scalar] = {}
     zero = f.zero()
-    key = order.key
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for lm, lc, g in lts:
+    while queue:
+        m = heappop(queue)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue
+        for lm, lc, tail in lts:
             if monomial_divides(lm, m):
                 q = monomial_div(m, lm)
                 factor = f.div(c, lc)
-                for gm, gc in g.terms.items():
-                    if gm == lm:
-                        continue
+                for gm, gc in tail:
                     mm = monomial_mul(gm, q)
-                    v = f.sub(work.get(mm, zero), f.mul(factor, gc))
+                    old = work.get(mm)
+                    v = f.sub(zero if old is None else old, f.mul(factor, gc))
                     if v == zero:
-                        work.pop(mm, None)
+                        if old is not None:
+                            del work[mm]
                     else:
+                        if old is None:
+                            heappush(queue, (heap_key(mm), mm))
                         work[mm] = v
                 _check_terms(len(work))
                 break
@@ -739,20 +795,22 @@ def _s_polynomial(g1: Polynomial, g2: Polynomial, order: MonomialOrder) -> Polyn
     return a - b
 
 
-def _update_pairs(G: list[Polynomial], lmG: list[Monomial], P: set[tuple[int, int]],
-                  h: Polynomial, order: MonomialOrder):
-    """Gebauer-Möller pair update on appending h to G."""
+def _update_pairs(G: list[Polynomial], lmG: list[Monomial],
+                  P: dict[tuple[int, int], Monomial], queue: list,
+                  h: Polynomial, order: MonomialOrder) -> None:
+    """Gebauer-Möller pair update on appending h to G.
+
+    `P` maps each live pair to the lcm of its leading monomials; `queue` is
+    a heap of (order key of the lcm, pair) that may still hold pruned pairs.
+    """
     lmh = h.leading_monomial(order)
     t = len(G)
     # drop old pairs whose lcm is strictly divisible by lm(h)
-    kept = set()
-    for (i, j) in P:
-        lcm_ij = monomial_lcm(lmG[i], lmG[j])
-        if (not monomial_divides(lmh, lcm_ij)
-                or monomial_lcm(lmG[i], lmh) == lcm_ij
-                or monomial_lcm(lmG[j], lmh) == lcm_ij):
-            kept.add((i, j))
-    P = kept
+    for (i, j), lcm_ij in list(P.items()):
+        if (monomial_divides(lmh, lcm_ij)
+                and monomial_lcm(lmG[i], lmh) != lcm_ij
+                and monomial_lcm(lmG[j], lmh) != lcm_ij):
+            del P[i, j]
     # group candidate new pairs by lcm, keep minimal representatives
     lcm_groups: dict[Monomial, list[int]] = {}
     for i in range(t):
@@ -766,10 +824,11 @@ def _update_pairs(G: list[Polynomial], lmG: list[Monomial], P: set[tuple[int, in
         if any(monomial_lcm(lmG[i], lmh) == monomial_mul(lmG[i], lmh)
                for i in lcm_groups[L]):
             continue
-        P.add((min(lcm_groups[L]), t))
+        pair = (min(lcm_groups[L]), t)
+        P[pair] = L
+        heappush(queue, (order.key(L), pair))
     G.append(h)
     lmG.append(lmh)
-    return P
 
 
 def groebner(gens: Iterable[Polynomial],
@@ -777,6 +836,7 @@ def groebner(gens: Iterable[Polynomial],
     """Reduced Gröbner basis by Buchberger with Gebauer-Möller elimination.
 
     Output is deterministic: monic, auto-reduced, sorted by leading monomial.
+    Pairs are drawn smallest lcm first, ties broken by their indices.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -787,14 +847,17 @@ def groebner(gens: Iterable[Polynomial],
             raise RingMismatchError("generators live in different rings")
     G: list[Polynomial] = []
     lmG: list[Monomial] = []
-    P: set[tuple[int, int]] = set()
+    P: dict[tuple[int, int], Monomial] = {}
+    queue: list = []
     for g in sorted(gens, key=lambda q: order.key(q.leading_monomial(order))):
         h = normal_form(g, G, order)
         if not h.is_zero:
-            P = _update_pairs(G, lmG, P, h.monic(order), order)
+            _update_pairs(G, lmG, P, queue, h.monic(order), order)
     while P:
-        i, j = min(P, key=lambda ij: (order.key(monomial_lcm(lmG[ij[0]], lmG[ij[1]])), ij))
-        P.remove((i, j))
+        pair = heappop(queue)[1]
+        if P.pop(pair, None) is None:
+            continue
+        i, j = pair
         s = _s_polynomial(G[i], G[j], order)
         h = normal_form(s, G, order)
         if h.is_zero:
@@ -803,7 +866,7 @@ def groebner(gens: Iterable[Polynomial],
         if len(G) >= LIMITS.max_basis:
             raise ResourceLimitError(
                 f"basis size exceeds guard {LIMITS.max_basis}")
-        P = _update_pairs(G, lmG, P, h.monic(order), order)
+        _update_pairs(G, lmG, P, queue, h.monic(order), order)
     # minimalize: drop elements whose LT is divisible by another LT
     minimal: list[Polynomial] = []
     for g in sorted(G, key=lambda q: order.key(q.leading_monomial(order))):

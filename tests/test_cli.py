@@ -236,6 +236,34 @@ def test_resource_guard_exit_code(files, capsys, monkeypatch):
         set_limits(max_degree=64)
 
 
+def test_large_constant_power_is_a_resource_limit(files, capsys):
+    doc = files["tmp"] / "power.json"
+    doc.write_text(json.dumps({"field": "Q", "vars": ["x"],
+                               "relations": ["x - 3^100000000"]}))
+    code, rep = run_json(["alg", "gb", str(doc)], capsys)
+    assert code == 3 and rep["kind"] == "resource-limit"
+    assert "max_degree" in rep["error"]
+
+
+def test_pi0_all_runs_the_idempotent_search_once(files, capsys, monkeypatch):
+    from affpi0 import pi0
+    calls = []
+    search = pi0._root_solutions
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(pi0, "_root_solutions", spy)
+    code, rep = run_json(["pi0", files["idem"], "--method", "all",
+                          "--deg", "2", "--tower", "2"], capsys)
+    assert code == 0 and len(calls) == 1
+    code, alone = run_json(["pi0", files["idem"], "--method", "idempotent",
+                            "--deg", "2"], capsys)
+    assert code == 0
+    assert rep["result"]["idempotent"] == alone["result"]["idempotent"]
+
+
 def test_pi0_all_over_prime_field_runs_candidate_routes(files, capsys):
     code, rep = run_json(["pi0", files["f3t"], "--method", "all",
                           "--deg", "2", "--tower", "1"], capsys)

@@ -220,6 +220,26 @@ def test_functor_action_identity_pair():
     assert act == AlgebraMorphism.identity(m.algebra)
 
 
+def test_functor_action_reduces_each_image_once(monkeypatch):
+    a = A_of(QQ, ["t"], ["t^2 - t"])
+    b = A_of(QQ, ["x"], ["x^2 - x"])
+    m = mapspace_presentation(a, b, 1)
+    target = m.algebra
+    calls = []
+    nf = target.nf
+
+    def spy(p):
+        calls.append(p)
+        return nf(p)
+
+    monkeypatch.setattr(target, "nf", spy)
+    functor_action(AlgebraMorphism.identity(a), AlgebraMorphism.identity(b),
+                   m, m)
+    # one reduction per image and one per checked relation, all in the
+    # morphism's constructor; every coefficient lies on its delta
+    assert len(calls) == m.n_z + len(target.relations)
+
+
 def test_functor_action_contravariant_in_target():
     a = A_of(QQ, ["t"], [])
     bx = A_of(QQ, ["x"], [])

@@ -300,6 +300,17 @@ def test_resource_guard_trips():
         set_limits(max_degree=64)
 
 
+def test_large_power_of_a_rational_constant_trips_the_degree_guard():
+    for text in ("3^100000000", "(1/2)^65", "(x - x + 2)^65"):
+        with pytest.raises(ResourceLimitError, match="max_degree"):
+            P(text, ["x"])
+    assert P("3^64", ["x"]) == Polynomial.constant(3 ** 64, 1, QQ)
+    assert P("(-1)^100000001", ["x"]) == Polynomial.constant(-1, 1, QQ)
+    assert P("0^100000000", ["x"]).is_zero
+    assert P("3^100000000", ["x"], GF(7)) == Polynomial.constant(
+        pow(3, 100000000, 7), 1, GF(7))
+
+
 def test_prime_field_groebner():
     names = ["x", "y"]
     f = GF(2)
