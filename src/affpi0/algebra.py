@@ -16,8 +16,8 @@ from typing import Iterable, Sequence
 from .errors import (MorphismError, ParseError, ResourceLimitError,
                      RingMismatchError, UnsupportedFieldError)
 from .polyring import (DEGREVLEX, FieldDescriptor, GroebnerBasis, Monomial,
-                       Polynomial, groebner, ideal_membership, normal_form,
-                       poly_parse, standard_monomials)
+                       Polynomial, groebner, ideal_membership, is_name,
+                       normal_form, poly_parse, standard_monomials)
 
 POINT_GUARD = 200_000
 
@@ -124,6 +124,10 @@ class AlgebraPresentation:
             if not (_is_string_list(variables) and _is_string_list(relations)):
                 raise ParseError("bad algebra document: vars and relations "
                                  "must be lists of strings")
+            for name in variables:
+                if not is_name(name):
+                    raise ParseError(f"bad algebra document: variable name "
+                                     f"{name!r} is not an identifier")
             return AlgebraPresentation(field, variables, relations)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad algebra document: {exc}") from exc
@@ -299,15 +303,21 @@ def _resolve_algebra(ref, base_dir: str) -> AlgebraPresentation:
     return AlgebraPresentation.from_json(ref)
 
 
+def _read_json(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise ParseError(f"unreadable JSON document {path}: {exc}") from exc
+
+
 def load_algebra(path: str) -> AlgebraPresentation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return AlgebraPresentation.from_json(json.load(fh))
+    return AlgebraPresentation.from_json(_read_json(path))
 
 
 def load_morphism(path: str) -> AlgebraMorphism:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return AlgebraMorphism.from_json(doc, os.path.dirname(os.path.abspath(path)))
+    return AlgebraMorphism.from_json(_read_json(path),
+                                     os.path.dirname(os.path.abspath(path)))
 
 
 # ---------------------------------------------------------------------------

@@ -389,7 +389,7 @@ def run(argv: list[str]) -> int:
         result = HANDLERS[args.command](args)
     except (ParseError, MorphismError, RingMismatchError,
             UnsupportedFieldError, HypothesisError, TruncationError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            OSError, json.JSONDecodeError) as exc:
         emit({"schema": SCHEMA, "error": str(exc), "kind": "input"},
              args.format)
         return EXIT_INPUT

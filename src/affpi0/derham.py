@@ -11,7 +11,7 @@ heuristic, reported as such, never asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import linalg
 from .algebra import AlgebraPresentation, ElementRep, PolynomialExtension
@@ -150,22 +150,29 @@ def form_is_zero(omega: DifferentialForm, slack: int
 def _in_jacobian_span(omega: DifferentialForm,
                       span: list[dict[tuple[int, ...], Polynomial]]) -> bool:
     a = omega.algebra
-    monomials = sorted({m for row in span for c in row.values()
-                        for m in c.terms}
-                       | {m for c in omega.coeffs.values() for m in c.terms})
-    index = [(i,) for i in range(a.arity)]
-    flat_rows = []
-    for row in span:
-        flat = []
-        for idx in index:
-            c = row.get(idx, Polynomial.zero(a.arity, a.field))
-            flat.extend(c.terms.get(m, a.field.zero()) for m in monomials)
-        flat_rows.append(flat)
-    target = []
-    for idx in index:
-        c = omega.coeffs.get(idx, Polynomial.zero(a.arity, a.field))
-        target.extend(c.terms.get(m, a.field.zero()) for m in monomials)
-    return linalg.in_span(flat_rows, target, a.field)
+    monomials = _support([*span, omega.coeffs])
+    return linalg.in_span([_flatten(a, row, monomials) for row in span],
+                          _flatten(a, omega.coeffs, monomials), a.field)
+
+
+def _support(forms: Iterable[dict[tuple[int, ...], Polynomial]]
+             ) -> list[Monomial]:
+    """The sorted monomials of the coefficients of degree-1 forms."""
+    return sorted({m for coeffs in forms for c in coeffs.values()
+                   for m in c.terms})
+
+
+def _flatten(a: AlgebraPresentation,
+             coeffs: dict[tuple[int, ...], Polynomial],
+             monomials: Sequence[Monomial]) -> list:
+    """A degree-1 form as one vector: the coordinates of its dx_i
+    coefficient in `monomials`, for i = 0..n-1 in turn."""
+    zeros = [a.field.zero()] * len(monomials)
+    flat = []
+    for i in range(a.arity):
+        c = coeffs.get((i,))
+        flat.extend(zeros if c is None else c.coefficients(monomials))
+    return flat
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +194,14 @@ class TruncatedKernel:
         return len(self.basis)
 
 
-def derham_h0(a: AlgebraPresentation, degree: int,
-              slack: int | None = None) -> TruncatedKernel:
+def derham_h0(a: AlgebraPresentation, degree: int) -> TruncatedKernel:
     """Exact kernel of the universal derivation on the degree-<=D slice.
 
     Every basis element is certified by exact membership of its differential
-    in the Jacobian submodule (with multiplier slack D+2 by default); the
-    stabilization flag compares with the slice one degree lower.
+    in the Jacobian submodule (with multiplier slack D+2); the stabilization
+    flag compares with the slice one degree lower.
     """
-    if slack is None:
-        slack = degree + 2
-    span = _span_rows(a, slack)
+    span = _span_rows(a, degree + 2)
     basis = _kernel_basis(a, degree, span)
     prev = _kernel_basis(a, degree - 1, span) if degree > 0 else []
     stabilized = len(prev) == len(basis)
@@ -217,60 +221,29 @@ def _kernel_basis(a: AlgebraPresentation, degree: int,
         return []
     diffs = [universal_derivation(a.element(Polynomial.monomial(m, a.field)))
              for m in slice_monos]
-    monomials = sorted({m for row in span for c in row.values()
-                        for m in c.terms}
-                       | {m for d in diffs for c in d.coeffs.values()
-                          for m in c.terms})
-    index = [(i,) for i in range(a.arity)]
-    width = len(index) * len(monomials)
-    zero = a.field.zero()
-
-    def flatten(form_coeffs: dict) -> list:
-        flat = []
-        for idx in index:
-            c = form_coeffs.get(idx)
-            if c is None:
-                flat.extend([zero] * len(monomials))
-            else:
-                flat.extend(c.terms.get(m, zero) for m in monomials)
-        return flat
-
-    # unknowns: slice coefficients c_m, then span multipliers l_k;
-    # rows of the homogeneous system are the coordinates of
-    # sum c_m d(m) - sum l_k row_k = 0
-    columns = [flatten(d.coeffs) for d in diffs]
-    columns += [[a.field.neg(v) for v in flatten(row)] for row in span]
-    matrix = [[columns[j][i] for j in range(len(columns))]
-              for i in range(width)]
-    null = linalg.nullspace(matrix, len(columns), a.field)
+    forms = [d.coeffs for d in diffs] + span
+    monomials = _support(forms)
+    # relations sum c_m d(m) + sum l_k row_k = 0 among the differentials of
+    # the slice monomials and the span rows; the slice parts c are the kernel
+    null = linalg.left_nullspace(
+        [_flatten(a, coeffs, monomials) for coeffs in forms], a.field)
     slice_part = [vec[:len(slice_monos)] for vec in null]
-    reduced, pivots = linalg.rref(slice_part, a.field)
     return [a.element(Polynomial.combination(a.arity, a.field, slice_monos, row))
-            for row in reduced[:len(pivots)]]
+            for row in linalg.row_basis(slice_part, a.field)]
 
 
 def subalgebra_closure_check(kernel: TruncatedKernel) -> bool:
     """Products of basis elements that stay inside the slice re-expand in it."""
     a = kernel.algebra
     slice_monos = a.standard_monomials(kernel.degree)
-    coords = {m: k for k, m in enumerate(slice_monos)}
-    rows = []
-    for elem in kernel.basis:
-        vec = [a.field.zero()] * len(slice_monos)
-        for m, c in elem.poly.terms.items():
-            vec[coords[m]] = c
-        rows.append(vec)
+    rows = [elem.poly.coefficients(slice_monos) for elem in kernel.basis]
     for x in kernel.basis:
         for y in kernel.basis:
             prod = (x * y).poly
             if prod.total_degree() > kernel.degree:
                 continue
-            target = [a.field.zero()] * len(slice_monos)
-            for m, c in prod.terms.items():
-                if m not in coords:
-                    return False
-                target[coords[m]] = c
-            if not linalg.in_span(rows, target, a.field):
+            target = prod.coefficients(slice_monos)
+            if target is None or not linalg.in_span(rows, target, a.field):
                 return False
     return True
 

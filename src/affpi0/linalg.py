@@ -1,8 +1,9 @@
 """Exact dense linear algebra over the package's ground fields.
 
-Matrices are lists of rows of field scalars (Fraction or residues).  Only the
-small helpers the geometry modules need: RREF, rank, nullspace, membership of
-a vector in a row span.  Everything is exact; no pivoting heuristics needed.
+Matrices are lists of rows of field scalars (Fraction or residues).  The
+vocabulary the geometry modules share: RREF, the canonical row basis, rank,
+right and left kernels, membership of a vector in a row span, and products.
+Everything is exact; no pivoting heuristics needed.
 """
 
 from __future__ import annotations
@@ -39,6 +40,12 @@ def rref(rows: list[list], field: FieldDescriptor) -> tuple[list[list], list[int
     return m, pivots
 
 
+def row_basis(rows: list[list], field: FieldDescriptor) -> list[list]:
+    """The nonzero rows of the RREF: the canonical basis of the row span."""
+    reduced, pivots = rref(rows, field)
+    return reduced[:len(pivots)]
+
+
 def rank(rows: list[list], field: FieldDescriptor) -> int:
     return len(rref(rows, field)[1])
 
@@ -59,43 +66,31 @@ def nullspace(rows: list[list], ncols: int, field: FieldDescriptor) -> list[list
     return basis
 
 
-def solve_in_span(rows: list[list], target: list, field: FieldDescriptor
-                  ) -> list | None:
-    """Coefficients x with x·rows = target, or None if target is outside the span."""
-    if not rows:
-        return None if any(v != field.zero() for v in target) else []
-    ncols = len(rows[0])
-    # transpose: solve A^T x = target
-    aug = [[rows[j][i] for j in range(len(rows))] + [target[i]]
-           for i in range(ncols)]
-    red, pivots = rref(aug, field)
-    n = len(rows)
-    if n in pivots:
-        return None
-    zero = field.zero()
-    x = [zero] * n
-    for r, c in enumerate(pivots):
-        x[c] = red[r][n]
-    return x
+def left_nullspace(rows: list[list], field: FieldDescriptor) -> list[list]:
+    """Basis of the relations {w : w·rows = 0} among the rows."""
+    return nullspace([list(col) for col in zip(*rows)], len(rows), field)
 
 
 def in_span(rows: list[list], target: list, field: FieldDescriptor) -> bool:
-    return solve_in_span(rows, target, field) is not None
+    """Whether target is a combination x·rows of the rows."""
+    # solve rows^T x = target: the target column must not hold a pivot
+    augmented = [list(col) for col in zip(*rows, target)]
+    return len(rows) not in rref(augmented, field)[1]
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence],
             field: FieldDescriptor) -> list[list]:
+    """a·b: row i is the combination of the rows of b weighted by row i of a,
+    zero weights skipped; with no rows in b every product row is empty."""
     zero = field.zero()
+    width = len(b[0]) if b else 0
     out = []
-    for row in a:
-        new = []
-        for j in range(len(b[0])):
-            acc = zero
-            for k, v in enumerate(row):
-                if v != zero:
-                    acc = field.add(acc, field.mul(v, b[k][j]))
-            new.append(acc)
-        out.append(new)
+    for weights in a:
+        acc = [zero] * width
+        for w, row in zip(weights, b):
+            if w != zero:
+                acc = [field.add(s, field.mul(w, v)) for s, v in zip(acc, row)]
+        out.append(acc)
     return out
 
 

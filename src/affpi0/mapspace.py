@@ -164,9 +164,9 @@ def mapspace_presentation(a: AlgebraPresentation, b: AlgebraPresentation,
     return MapSpacePresentation(a, b, trunc)
 
 
-def tower(a: AlgebraPresentation, b: AlgebraPresentation, dmax: int,
-          dmin: int = 0) -> list[MapSpacePresentation]:
-    return [mapspace_presentation(a, b, d) for d in range(dmin, dmax + 1)]
+def tower(a: AlgebraPresentation, b: AlgebraPresentation, dmax: int
+          ) -> list[MapSpacePresentation]:
+    return [mapspace_presentation(a, b, d) for d in range(dmax + 1)]
 
 
 def structural_morphism(small: MapSpacePresentation, big: MapSpacePresentation

@@ -44,6 +44,7 @@ class SymRing:
 
 
 def mat_mul(a, b):
+    """The product of matrices over Polynomial or NCPoly entries."""
     n, k, m = len(a), len(b), len(b[0])
     return [[sum((a[i][t] * b[t][j] for t in range(k)),
                  start=a[0][0].scale(0)) for j in range(m)] for i in range(n)]
@@ -167,28 +168,6 @@ class NCPoly:
         return " + ".join(bits)
 
 
-def nc_mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = NCPoly({}, a[0][0].inverses | b[0][0].inverses)
-            for t in range(k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def nc_mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def nc_mat_is_zero(a) -> bool:
-    return all(e.is_zero for row in a for e in row)
-
-
 # ---------------------------------------------------------------------------
 # the lemma suite
 
@@ -262,10 +241,10 @@ def block_lemma_checks() -> dict:
     c_inv = NCPoly.sym("c_inv", inv)
     one = NCPoly.const(1, inv)
     zero = NCPoly({}, inv)
-    left = nc_mat_mul([[one, zero], [zero, c]],
-                      nc_mat_mul([[zero, zero], [zero, al]],
-                                 [[one, zero], [zero, c_inv]]))
-    corner = nc_mat_is_zero(nc_mat_sub(
+    left = mat_mul([[one, zero], [zero, c]],
+                   mat_mul([[zero, zero], [zero, al]],
+                           [[one, zero], [zero, c_inv]]))
+    corner = mat_is_zero(mat_sub(
         left, [[zero, zero], [zero, c * al * c_inv]]))
 
     report = {
@@ -376,7 +355,7 @@ def permutation_homotopy(sigma: Sequence[int], sizes: Sequence[int]) -> dict:
     # general route: pad to 2k and go through diag(0, P D P^{-1})
     big = 2 * k
     r, rinv = _block_rotation(ring, k)
-    padded = _pad(ring, start, big)
+    padded = _block_diag(ring, [start], big)
     conj1 = mat_mul(rinv, mat_mul(padded, r))
     p = _permutation_matrix(ring, sigma, sizes)
     p_inv = [[p[j][i] for j in range(k)] for i in range(k)]
@@ -386,15 +365,12 @@ def permutation_homotopy(sigma: Sequence[int], sizes: Sequence[int]) -> dict:
     l1_start = mat_eval_x(link1, ring, 0)
     l1_end = mat_eval_x(link1, ring, 1)
     conjugated = mat_mul(p, mat_mul(start, p_inv))
-    expect_mid = _block_diag(ring, [_zero_block(ring, k)], big)
-    for i in range(k):
-        for j in range(k):
-            expect_mid[k + i][k + j] = conjugated[i][j]
+    expect_mid = _block_diag(ring, [_block_diag(ring, [], k), conjugated], big)
     ok1 = (mat_is_zero(mat_sub(l1_start, padded))
            and mat_is_zero(mat_sub(l1_end, expect_mid)))
     links.append({"kind": "pad-conjugate", "ok": ok1})
 
-    padded_end = _pad(ring, end, big)
+    padded_end = _block_diag(ring, [end], big)
     conj2 = mat_mul(rinv, mat_mul(padded_end, r))
     l2_start = mat_eval_x(conj2, ring, 0)
     l2_end = mat_eval_x(conj2, ring, 1)
@@ -411,18 +387,6 @@ def permutation_homotopy(sigma: Sequence[int], sizes: Sequence[int]) -> dict:
 def _identity(ring: SymRing, k: int):
     return [[ring.const(1) if i == j else ring.zero() for j in range(k)]
             for i in range(k)]
-
-
-def _zero_block(ring: SymRing, k: int):
-    return [[ring.zero() for _ in range(k)] for _ in range(k)]
-
-
-def _pad(ring: SymRing, m, big: int):
-    out = [[ring.zero() for _ in range(big)] for _ in range(big)]
-    for i in range(len(m)):
-        for j in range(len(m)):
-            out[i][j] = m[i][j]
-    return out
 
 
 def _block_rotation(ring: SymRing, k: int):
@@ -465,8 +429,8 @@ def gamma_and_stability_checks() -> dict:
     # structural map M -> diag(M, 0) respects products
     m = ring.matrix([["m"]])
     m2 = ring.matrix([["m2"]])
-    up = _pad(ring, mat_mul(m, m2), 2)
-    up2 = mat_mul(_pad(ring, m, 2), _pad(ring, m2, 2))
+    up = _block_diag(ring, [mat_mul(m, m2)], 2)
+    up2 = mat_mul(_block_diag(ring, [m], 2), _block_diag(ring, [m2], 2))
     structural_mult = mat_is_zero(mat_sub(up, up2))
 
     swap_cert = permutation_homotopy([1, 0], [1, 1])

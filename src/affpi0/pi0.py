@@ -19,7 +19,7 @@ from .derham import derham_h0
 from .errors import (HypothesisError, PropertyViolationError,
                      UnsupportedFieldError)
 from .mapspace import MapSpacePresentation, mapspace_presentation
-from .matrix_homotopy import NCPoly, nc_mat_is_zero, nc_mat_mul, nc_mat_sub
+from .matrix_homotopy import NCPoly, mat_is_zero, mat_mul, mat_sub
 from .polyring import BlockOrder, Polynomial, elimination_ideal, normal_form
 from .solve import SolveResult, solve_system
 
@@ -86,7 +86,6 @@ class EqualizerSubspace:
     degree: int
     tower: int
     basis: list[ElementRep]
-    degenerate_levels: tuple[int, ...] = (0,)
 
     @property
     def dimension(self) -> int:
@@ -112,7 +111,7 @@ def equalizer_subspace(a: AlgebraPresentation, degree: int, tower: int
             break
     basis = [a.element(Polynomial.combination(a.arity, a.field, slice_monos,
                                               row))
-             for row in _rref_basis(current, a.field)]
+             for row in linalg.row_basis(current, a.field)]
     return EqualizerSubspace(a, degree, tower, basis)
 
 
@@ -124,35 +123,12 @@ def _equalizer_cut(m: MapSpacePresentation, slice_monos: Sequence,
     # upsilon images of generators are linear in the coordinates, so the
     # difference of a degree-<=D slice element has coordinate degree <= D
     level_monos = m.algebra.standard_monomials(max(degree, 1))
-    coords = {mm: k for k, mm in enumerate(level_monos)}
     rows = []
     for vec in current:
         poly = Polynomial.combination(m.a.arity, field, slice_monos, vec)
-        diff = _evaluation_difference(m, poly)
-        row = [field.zero()] * len(level_monos)
-        for mm, c in diff.terms.items():
-            row[coords[mm]] = c
-        rows.append(row)
+        rows.append(_evaluation_difference(m, poly).coefficients(level_monos))
     # kernel of the linear map current -> level algebra slice
-    null = linalg.nullspace(
-        [[rows[j][i] for j in range(len(rows))]
-         for i in range(len(level_monos))], len(rows), field)
-    return [_vec_combine(null_vec, current, field) for null_vec in null]
-
-
-def _rref_basis(vectors: list[list], field) -> list[list]:
-    """The nonzero rows of the reduced row echelon form of `vectors`."""
-    reduced, pivots = linalg.rref(vectors, field)
-    return reduced[:len(pivots)]
-
-
-def _vec_combine(weights, vectors, field):
-    out = [field.zero()] * len(vectors[0])
-    for w, vec in zip(weights, vectors):
-        if w == field.zero():
-            continue
-        out = [field.add(o, field.mul(w, v)) for o, v in zip(out, vec)]
-    return out
+    return linalg.mat_mul(linalg.left_nullspace(rows, field), current, field)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +163,8 @@ def _root_solutions(a: AlgebraPresentation, k: int, degree: int,
     if level1 is None:
         level1 = mapspace_presentation(a, _line_algebra(field), 1)
     identity = linalg.identity_matrix(len(slice_monos), field)
-    cut = _rref_basis(_equalizer_cut(level1, slice_monos, identity, degree),
-                      field)
+    cut = linalg.row_basis(
+        _equalizer_cut(level1, slice_monos, identity, degree), field)
     r = len(cut)
     # generic element over the cut's coordinates, in the ring (A-vars | u-vars)
     big = a.arity + r
@@ -205,8 +181,7 @@ def _root_solutions(a: AlgebraPresentation, k: int, degree: int,
     system = list(normal_form(constraint, lift, order).split(a.arity).values())
     result: SolveResult = solve_system(system, r, field)
     # slice coordinates, sorted as the solver sorts them
-    vectors = sorted(tuple(_vec_combine(sol, cut, field)) if cut else ()
-                     for sol in result.solutions)
+    vectors = sorted(map(tuple, linalg.mat_mul(result.solutions, cut, field)))
     elems = [a.element(Polynomial.combination(a.arity, field, slice_monos, v))
              for v in vectors]
     for e in elems:
@@ -361,10 +336,10 @@ def pnc_zero_witness() -> dict:
     def image(sym: NCPoly):
         return [[sym, sym * x], [zero, zero]]
 
-    prod = nc_mat_mul(image(a), image(b))
+    prod = mat_mul(image(a), image(b))
     expected = image(a * b)
-    multiplicative = nc_mat_is_zero(nc_mat_sub(prod, expected))
-    lin = nc_mat_is_zero(nc_mat_sub(
+    multiplicative = mat_is_zero(mat_sub(prod, expected))
+    lin = mat_is_zero(mat_sub(
         image(a + b.scale(3)),
         [[a + b.scale(3), (a + b.scale(3)) * x], [zero, zero]]))
     x_coeff = image(a)[0][1].x_coefficient(1)
@@ -425,9 +400,6 @@ def functor_property_checks(which: str, a: AlgebraPresentation,
 
 def _in_elem_span(elem: ElementRep, basis: Sequence[ElementRep],
                   a: AlgebraPresentation) -> bool:
-    monos = sorted({m for e in basis for m in e.poly.terms}
-                   | set(elem.poly.terms))
-    rows = [[e.poly.terms.get(m, a.field.zero()) for m in monos]
-            for e in basis]
-    target = [elem.poly.terms.get(m, a.field.zero()) for m in monos]
-    return linalg.in_span(rows, target, a.field)
+    monos = sorted({m for e in [*basis, elem] for m in e.poly.terms})
+    return linalg.in_span([e.poly.coefficients(monos) for e in basis],
+                          elem.poly.coefficients(monos), a.field)

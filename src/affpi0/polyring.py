@@ -330,6 +330,17 @@ class Polynomial:
         return Polynomial(arity, field,
                           {m: c for m, c in zip(monomials, coeffs) if c})
 
+    def coefficients(self, monomials: Sequence[Monomial]) -> list | None:
+        """The coefficient vector in the basis `monomials` (distinct), the
+        inverse of `combination`; None when a term lies outside the list."""
+        zero = self.field.zero()
+        vec = [self.terms.get(m, zero) for m in monomials]
+        # terms hold no zero coefficient, so the nonzero entries are the
+        # terms found in the list
+        if len(vec) - vec.count(zero) != len(self.terms):
+            return None
+        return vec
+
     # -- basic queries ---------------------------------------------------------
 
     @property
@@ -597,10 +608,21 @@ class Polynomial:
 # base   := nat | nat'/'nat | name | '(' expr ')'
 
 
-_TOKEN_SPEC = (("nat", r"\d+"), ("name", r"[A-Za-z_][A-Za-z0-9_]*"),
+_NAME_RE = _re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+_TOKEN_SPEC = (("nat", r"\d+"), ("name", _NAME_RE.pattern),
                ("op", r"[-+*^/()]"), ("ws", r"\s+"))
 
 _TOKEN_RE = _re.compile("|".join(f"(?P<{n}>{p})" for n, p in _TOKEN_SPEC))
+
+# each parenthesis level costs four frames of the recursive descent, so the
+# nesting is bounded well inside the interpreter's recursion limit
+_MAX_NESTING = 100
+
+
+def is_name(text: str) -> bool:
+    """Whether `text` is one `name` token of the expression grammar."""
+    return _NAME_RE.fullmatch(text) is not None
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -625,6 +647,7 @@ class _Parser:
         self.index = {n: i for i, n in enumerate(names)}
         self.field = field
         self.arity = len(self.names)
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -673,7 +696,7 @@ class _Parser:
             kind, text = self.take()
             if kind != "nat":
                 raise ParseError("exponent must be a non-negative integer")
-            p = p ** int(text)
+            p = p ** _nat(text)
         return p
 
     def base(self) -> Polynomial:
@@ -685,23 +708,37 @@ class _Parser:
                 if kind2 != "nat":
                     raise ParseError("denominator of a rational literal must "
                                      "be a non-negative integer")
-                if int(text2) == 0:
+                den = _nat(text2)
+                if den == 0:
                     raise ParseError("zero denominator in rational literal")
-                value = Fraction(int(text), int(text2))
+                value = Fraction(_nat(text), den)
                 return Polynomial.constant(self.field.scalar(value),
                                            self.arity, self.field)
-            return Polynomial.constant(int(text), self.arity, self.field)
+            return Polynomial.constant(_nat(text), self.arity, self.field)
         if kind == "name":
             if text not in self.index:
                 raise ParseError(f"unknown identifier {text!r}")
             return Polynomial.variable(self.index[text], self.arity, self.field)
         if (kind, text) == ("op", "("):
+            if self.depth == _MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {_MAX_NESTING} levels")
+            self.depth += 1
             p = self.expr()
+            self.depth -= 1
             self.expect(")")
             return p
         if (kind, text) == ("op", "/"):
             raise ParseError("division only allowed inside a rational literal")
         raise ParseError(f"unexpected token {text!r}")
+
+
+def _nat(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:      # more digits than the interpreter converts
+        raise ParseError(f"integer literal of {len(text)} digits is too long"
+                         ) from None
 
 
 def poly_parse(text: str, names: Sequence[str], field: FieldDescriptor) -> Polynomial:
@@ -719,7 +756,6 @@ class GroebnerBasis:
 
     polys: tuple[Polynomial, ...]
     order: MonomialOrder
-    reduced: bool = True
 
     @property
     def leading_monomials(self) -> tuple[Monomial, ...]:

@@ -184,23 +184,17 @@ class CosimplicialSpace:
 
     def matrix_of(self, morphism: AlgebraMorphism, src_level: int,
                   dst_level: int) -> list[list]:
-        src = self.levels[src_level]
-        dst = self.levels[dst_level]
-        index = {m: k for k, m in enumerate(dst.basis)}
-        zero = self.field.zero()
+        dst = self.levels[dst_level].basis
         cols = []
-        for mono in src.basis:
+        for mono in self.levels[src_level].basis:
             img = morphism.apply_poly(Polynomial.monomial(mono, self.field))
-            col = [zero] * len(dst.basis)
-            for mm, c in img.terms.items():
-                if mm not in index:
-                    raise PropertyViolationError(
-                        "image leaves the degree slice; raise the degree bound",
-                        witness=mm)
-                col[index[mm]] = c
+            col = img.coefficients(dst)
+            if col is None:
+                raise PropertyViolationError(
+                    "image leaves the degree slice; raise the degree bound",
+                    witness=next(mm for mm in img.terms if mm not in dst))
             cols.append(col)
-        return [[cols[j][i] for j in range(len(cols))]
-                for i in range(len(dst.basis))]
+        return [list(row) for row in zip(*cols)]
 
     def coface_matrix(self, n: int, i: int) -> list[list]:
         return self.matrix_of(self.cofaces[n][i], n - 1, n)
@@ -307,14 +301,9 @@ def moore_complex(a: AlgebraPresentation, tower: int, degree: int,
     h1 = None
     if levels >= 2:
         # ker(delta^1) ∩ N^1 modulo the image of delta^0
-        stacked = [row for i in range(1)
-                   for row in space.codegen_matrix(0, i)]
-        stacked.extend(diffs[1])
+        stacked = space.codegen_matrix(0, 0) + diffs[1]
         kernel = linalg.nullspace(stacked, space.levels[1].dimension, field)
-        image_rank = linalg.rank(
-            [[diffs[0][i][j] for i in range(len(diffs[0]))]
-             for j in range(space.levels[0].dimension)], field)
-        h1 = len(kernel) - image_rank
+        h1 = len(kernel) - linalg.rank(diffs[0], field)
     return MooreComplex(space, normalized, diffs, dd_zero, h0, h1)
 
 
@@ -351,11 +340,10 @@ def sing_h0(a: AlgebraPresentation, tower: int, degree: int) -> SingH0Result:
         diff = [[field.sub(x, y) for x, y in zip(r0, r1)]
                 for r0, r1 in zip(d0, d1)]
         kernel = linalg.nullspace(diff, space.levels[0].dimension, field)
-        reduced, pivots = linalg.rref(kernel, field) if kernel else ([], [])
         # level-0 coordinates mirror the generators of A
         basis = [a.element(Polynomial.combination(
             a.arity, field, space.levels[0].basis, row))
-            for row in reduced[:len(pivots)]]
+            for row in linalg.row_basis(kernel, field)]
         out.append(SingLevel(d, basis))
     return SingH0Result(a, degree, out)
 

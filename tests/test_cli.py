@@ -206,10 +206,35 @@ def test_morphism_without_source_is_an_input_error(files, capsys):
     {"field": {"p": 3.7}, "vars": ["x"], "relations": ["x^3 - x"]},
     {"field": {"p": "7"}, "vars": ["x"], "relations": ["x^3 - x"]},
     {"field": {"p": True}, "vars": ["x"], "relations": ["x^3 - x"]},
+    {"field": {"p": 3}, "vars": ["x*y"], "relations": []},
+    {"field": {"p": 3}, "vars": ["1x"], "relations": []},
+    {"field": {"p": 3}, "vars": [""], "relations": []},
+    {"field": "Q", "vars": ["x"], "relations": ["(" * 3000 + "x" + ")" * 3000]},
 ])
 def test_malformed_algebra_document_is_an_input_error(files, capsys, doc):
     path = files["tmp"] / "malformed.json"
     path.write_text(json.dumps(doc))
+    code, rep = run_json(["alg", "gb", str(path)], capsys)
+    assert code == 2 and rep["kind"] == "input"
+
+
+def test_deeply_nested_polynomial_option_is_an_input_error(files, capsys):
+    deep = "(" * 3000 + "x" + ")" * 3000
+    code, rep = run_json(["alg", "nf", files["cubic"], "--poly", deep], capsys)
+    assert code == 2 and rep["kind"] == "input"
+
+
+@pytest.mark.parametrize("content", [
+    b'{"field": "Q", "vars": ["\xff"]}',
+    b"[" * 100000 + b"]" * 100000,
+    None,
+], ids=["bad-utf8", "nested-json", "directory"])
+def test_unreadable_document_is_an_input_error(files, capsys, content):
+    path = files["tmp"] / "unreadable.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
     code, rep = run_json(["alg", "gb", str(path)], capsys)
     assert code == 2 and rep["kind"] == "input"
 

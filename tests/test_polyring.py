@@ -80,6 +80,16 @@ def test_parse_unknown_identifier_and_syntax():
         P("x y", ["x", "y"])  # no implicit multiplication
 
 
+def test_parse_deep_nesting_and_long_literals_are_parse_errors():
+    assert P("(" * 100 + "x" + ")" * 100, ["x"]) == P("x", ["x"])
+    with pytest.raises(ParseError):
+        P("(" * 3000 + "x" + ")" * 3000, ["x"])
+    long = "1" + "0" * 5000
+    for text in (long, f"x^{long}", f"1/{long}"):
+        with pytest.raises(ParseError):
+            P(text, ["x"])
+
+
 def test_parse_unary_minus_placement():
     assert P("-x + 1", ["x"]) == P("1 - x", ["x"])
     assert P("(-x)^2", ["x"]) == P("x^2", ["x"])
