@@ -18,8 +18,7 @@ from .errors import (MorphismError, ParseError, ResourceLimitError,
 from .polyring import (DEGREVLEX, FieldDescriptor, GroebnerBasis, Monomial,
                        Polynomial, groebner, ideal_membership, is_name,
                        normal_form, poly_parse, standard_monomials)
-
-POINT_GUARD = 200_000
+from .solve import SOLVE_GUARD, solve_system
 
 
 class AlgebraPresentation:
@@ -457,27 +456,20 @@ def polynomial_extension(a: AlgebraPresentation, var_name: str = "x"
 # enumeration over prime fields
 
 
-def enumerate_points(a: AlgebraPresentation, guard: int = POINT_GUARD
-                     ) -> list[AlgebraMorphism]:
-    """All unital morphisms A -> F_p by exhaustive assignment, in lex order."""
+def enumerate_points(a: AlgebraPresentation) -> list[AlgebraMorphism]:
+    """All unital morphisms A -> F_p, the F_p-solutions of A's relations, in
+    lex order."""
     if a.field.is_rational:
         raise UnsupportedFieldError("points over Q are not enumerable")
-    p = a.field.p
-    if p ** a.arity > guard:
-        raise ResourceLimitError(
-            f"point search space {p}^{a.arity} exceeds guard {guard}")
     fld = field_algebra(a.field)
-    points = []
-    for assignment in itertools.product(range(p), repeat=a.arity):
-        if all(r.evaluate(assignment) == 0 for r in a.relations):
-            images = [Polynomial.constant(v, 0, a.field) for v in assignment]
-            points.append(AlgebraMorphism(a, fld, images, check=False))
-    return points
+    return [AlgebraMorphism(a, fld, [Polynomial.constant(v, 0, a.field)
+                                     for v in assignment], check=False)
+            for assignment in solve_system(a.relations, a.arity,
+                                           a.field).solutions]
 
 
 def enumerate_hom(a: AlgebraPresentation, b: AlgebraPresentation,
-                  imagedeg: int, guard: int = POINT_GUARD
-                  ) -> list[AlgebraMorphism]:
+                  imagedeg: int) -> list[AlgebraMorphism]:
     """All morphisms A -> B with images supported on standard monomials of
     degree <= imagedeg, by exhaustive coefficient search (prime fields)."""
     if a.field != b.field:
@@ -487,9 +479,9 @@ def enumerate_hom(a: AlgebraPresentation, b: AlgebraPresentation,
     p = a.field.p
     basis = b.standard_monomials(imagedeg)
     n_coef = len(basis) * a.arity
-    if p ** n_coef > guard:
+    if p ** n_coef > SOLVE_GUARD:
         raise ResourceLimitError(
-            f"hom search space {p}^{n_coef} exceeds guard {guard}")
+            f"hom search space {p}^{n_coef} exceeds guard {SOLVE_GUARD}")
     homs = []
     for coeffs in itertools.product(range(p), repeat=n_coef):
         images = []

@@ -355,7 +355,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_env_limits() -> None:
     def read(name):
         value = os.environ.get(name)
-        return int(value) if value else None
+        if not value:
+            return None
+        try:
+            limit = int(value)
+            if limit >= 0:
+                return limit
+        except ValueError:
+            pass
+        raise ParseError(f"{name} must be a non-negative integer, "
+                         f"got {value!r}")
 
     set_limits(max_basis=read("AFFPI0_MAX_BASIS"),
                max_degree=read("AFFPI0_MAX_DEGREE"),
@@ -370,7 +379,6 @@ HANDLERS = {"alg": cmd_alg, "hom": cmd_hom, "map": cmd_map,
 def run(argv: list[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_env_limits()
     started = time.monotonic()
     paths = [getattr(args, name) for name in
              ("algebra", "target", "f", "g", "h")
@@ -383,6 +391,7 @@ def run(argv: list[str]) -> int:
               ("deg", "tower", "trunc", "levels", "xdeg", "bdeg")
               if getattr(args, k, None) is not None}
     try:
+        _apply_env_limits()
         for name, value in bounds.items():
             if value < 0:
                 raise ParseError(f"--{name} must be non-negative, got {value}")

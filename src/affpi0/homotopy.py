@@ -2,9 +2,9 @@
 
 An elementary homotopy from f to g (both A -> B) is a morphism H: A -> B[x]
 with H(x=0) = f and H(x=1) = g.  Verification is exact; the bounded search
-solves for unknown coefficients of H over the standard monomials of B times
-powers of x.  Over a prime field the search is complete within its bounds;
-over the rationals it is sound and may return "undecided".
+solves for a point of the map space M(A, B[x]) truncated to the standard
+monomials of B times powers of x.  Over a prime field the search is complete
+within its bounds; over the rationals it is sound and may return "undecided".
 """
 
 from __future__ import annotations
@@ -13,10 +13,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import (AlgebraMorphism, AlgebraPresentation, ElementRep,
-                      PolynomialExtension, polynomial_extension)
+                      PolynomialExtension, field_algebra, polynomial_extension)
 from .errors import HypothesisError, MorphismError, PropertyViolationError
-from .polyring import BlockOrder, Polynomial, normal_form
-from .solve import SOLVE_GUARD, solve_system
+from .mapspace import (MapSpacePresentation, Truncation, mapspace_presentation,
+                       morphism_from_point)
+from .polyring import Polynomial
+from .solve import solve_system
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,9 @@ def homotopy_verify(f: AlgebraMorphism, g: AlgebraMorphism,
 
 def _extension_of(bx: AlgebraPresentation) -> PolynomialExtension:
     """Rebuild the extension structure of a presentation shaped like B[x]."""
+    if not bx.vars:
+        raise MorphismError("target has no variables, so it is not a "
+                            "polynomial extension B[x]")
     base = AlgebraPresentation(bx.field, bx.vars[:-1],
                                [r.restrict_arity(list(range(bx.arity - 1)))
                                 for r in bx.relations])
@@ -96,15 +101,15 @@ class SearchResult:
 
 
 def homotopy_search(f: AlgebraMorphism, g: AlgebraMorphism,
-                    bounds: SearchBounds, guard: int = SOLVE_GUARD
-                    ) -> SearchResult:
+                    bounds: SearchBounds) -> SearchResult:
     """Decide f ≈ g by an elementary homotopy within the degree bounds.
 
-    Unknown coefficients of H(generator) range over (standard monomials of B
-    of degree <= bdeg) x (powers of x <= xdeg).  The endpoint equations are
-    linear, the relation equations polynomial; the combined system is solved
-    exactly.  Over F_p a "none-within-bounds" answer is exhaustive; over Q it
-    is certified by 1 lying in the constraint ideal.
+    H is a point of the map space M(A, B[x]) truncated to the slots w·x^k,
+    w a standard monomial of B of degree <= bdeg and k <= xdeg, that meets
+    the two endpoint conditions.  The endpoint equations are linear in the
+    coordinates, the map-space relations polynomial; the combined system is
+    solved exactly.  Over F_p a "none-within-bounds" answer is exhaustive;
+    over Q it is certified by 1 lying in the constraint ideal.
     """
     if f.source != g.source or f.target != g.target:
         raise MorphismError("endpoints must share source and target")
@@ -112,72 +117,48 @@ def homotopy_search(f: AlgebraMorphism, g: AlgebraMorphism,
         return SearchResult("found", constant_homotopy(f))
     a, b = f.source, f.target
     ext = polynomial_extension(b)
-    basis = b.standard_monomials(bounds.bdeg)
-    slots = [(w, k) for w in basis for k in range(bounds.xdeg + 1)]
-    n_unknown = a.arity * len(slots)
-    if n_unknown == 0:
-        if f == g:
-            return SearchResult("found", constant_homotopy(f))
+    slots = [tuple(w) + (k,) for w in b.standard_monomials(bounds.bdeg)
+             for k in range(bounds.xdeg + 1)]
+    if not (a.arity and slots):
         return SearchResult("none-within-bounds",
                             detail="no unknowns available")
-
-    # combined ring: B[x] variables first (block), then unknown coefficients
-    nbx = b.arity + 1
-    big = nbx + n_unknown
-    order = BlockOrder(nbx)
-    fieldd = b.field
-    b_lift = [p.extend_arity(big, list(range(b.arity))) for p in b.gb()]
-
-    h_images_big = []
+    m = mapspace_presentation(a, ext.algebra, Truncation.explicit(a, slots))
+    # linear equations first: the F_p search tests the equations in order,
+    # and most candidates already fail an endpoint equation
+    constraints = []
     for gi in range(a.arity):
-        img = Polynomial.zero(big, fieldd)
-        for si, (w, k) in enumerate(slots):
-            exps = list(w) + [k] + [0] * n_unknown
-            exps[nbx + gi * len(slots) + si] = 1
-            img = img + Polynomial(big, fieldd, {tuple(exps): fieldd.one()})
-        h_images_big.append(img)
-
-    constraints: list[Polynomial] = []
-
-    def collect(poly_big: Polynomial) -> None:
-        constraints.extend(
-            normal_form(poly_big, b_lift, order).split(nbx).values())
-
-    # relations of the source must map to zero in B[x]
-    for r in a.relations:
-        collect(r.substitute(h_images_big))
-    # endpoint equations: x -> 0 matches f, x -> 1 matches g
-    for gi in range(a.arity):
-        at0 = Polynomial.zero(big, fieldd)
-        at1 = Polynomial.zero(big, fieldd)
-        for si, (w, k) in enumerate(slots):
-            exps = list(w) + [0] + [0] * n_unknown
-            exps[nbx + gi * len(slots) + si] = 1
-            term = Polynomial(big, fieldd, {tuple(exps): fieldd.one()})
-            if k == 0:
-                at0 = at0 + term
-            at1 = at1 + term
-        f_img = f.images[gi].extend_arity(big, list(range(b.arity)))
-        g_img = g.images[gi].extend_arity(big, list(range(b.arity)))
-        collect(at0 - f_img)
-        collect(at1 - g_img)
-
-    result = solve_system(constraints, n_unknown, fieldd, guard)
+        constraints += _endpoint_equations(m, gi, f.images[gi], at_one=False)
+        constraints += _endpoint_equations(m, gi, g.images[gi], at_one=True)
+    constraints += m.algebra.relations
+    result = solve_system(constraints, m.n_z, m.field)
     if result.solutions:
-        sol = result.solutions[0]
-        slot_monos = [tuple(w) + (k,) for w, k in slots]
-        images = [Polynomial.combination(
-            nbx, fieldd, slot_monos,
-            sol[gi * len(slots):(gi + 1) * len(slots)])
-            for gi in range(a.arity)]
-        h = AlgebraMorphism(a, ext.algebra, images, check=True)
+        point = AlgebraMorphism(
+            m.algebra, field_algebra(m.field),
+            [Polynomial.constant(c, 0, m.field) for c in result.solutions[0]],
+            check=False)
+        h = morphism_from_point(m, point)
         return SearchResult("found", ElementaryHomotopy(f, g, h, ext))
     if result.complete:
         return SearchResult("none-within-bounds",
                             detail=f"{len(constraints)} constraints, "
-                                   f"{n_unknown} unknowns")
+                                   f"{m.n_z} unknowns")
     return SearchResult("undecided",
                         detail="rational solver could not certify emptiness")
+
+
+def _endpoint_equations(m: MapSpacePresentation, gi: int, image: Polynomial,
+                        at_one: bool) -> list[Polynomial]:
+    """The linear equations on the coordinates of m saying that H(a_gi) at
+    x = 1 (or x = 0) equals `image`, one per monomial of B; a monomial of
+    `image` outside the slots gives a constant equation."""
+    eqs = {w: -Polynomial.constant(c, m.n_z, m.field)
+           for w, c in image.terms.items()}
+    for v in m.trunc.deltas[gi]:
+        if at_one or v[-1] == 0:
+            w = v[:-1]
+            z = Polynomial.variable(m.z_index[(gi, v)], m.n_z, m.field)
+            eqs[w] = eqs[w] + z if w in eqs else z
+    return list(eqs.values())
 
 
 # ---------------------------------------------------------------------------

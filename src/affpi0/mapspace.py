@@ -16,7 +16,7 @@ tower-stability reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .algebra import (AlgebraMorphism, AlgebraPresentation, ElementRep,
                       TensorPresentation, direct_sum, enumerate_hom,
@@ -388,21 +388,26 @@ def coassociativity_check(a: AlgebraPresentation, b: AlgebraPresentation,
                             m_ab.algebra)
     inner = triple.factor_a  # M(C,D) ⊗ M(B,C)
 
+    def cd_part(q):
+        return triple.embed_a(inner.embed_a(q))
+
+    def bc_part(q):
+        return triple.embed_a(inner.embed_b(q))
+
     # left route: Phi_ACD then (id_MCD ⊗ Phi_ABC)
+    abc_sub = _tensor_embedding(t_abc, bc_part, triple.embed_b)
     lift_left = AlgebraMorphism(
         t_acd, triple,
-        [triple.embed_a(inner.embed_a(
-            Polynomial.variable(i, m_cd.algebra.arity, m_cd.field)))
+        [cd_part(Polynomial.variable(i, m_cd.algebra.arity, m_cd.field))
          for i in range(m_cd.algebra.arity)]
-        + [_expand_tensor(phi_abc.images[i], t_abc, triple)
-           for i in range(m_ac.algebra.arity)], check=True)
+        + [im.substitute(abc_sub) for im in phi_abc.images], check=True)
     left = lift_left.compose(phi_acd)
 
     # right route: Phi_ABD then (Phi_BCD ⊗ id_MAB)
+    bcd_sub = _tensor_embedding(t_bcd, cd_part, bc_part)
     lift_right = AlgebraMorphism(
         t_abd, triple,
-        [_expand_bcd(phi_bcd.images[i], t_bcd, triple)
-         for i in range(m_bd.algebra.arity)]
+        [im.substitute(bcd_sub) for im in phi_bcd.images]
         + [triple.embed_b(Polynomial.variable(i, m_ab.algebra.arity, m_ab.field))
            for i in range(m_ab.algebra.arity)], check=True)
     right = lift_right.compose(phi_abd)
@@ -414,31 +419,16 @@ def coassociativity_check(a: AlgebraPresentation, b: AlgebraPresentation,
     return {"ok": True, "generators": len(left.images), "degree": degree}
 
 
-def _expand_tensor(p: Polynomial, t_src: TensorPresentation,
-                   triple: TensorPresentation) -> Polynomial:
-    """Embed M(B,C) ⊗ M(A,B) into (M(C,D) ⊗ M(B,C)) ⊗ M(A,B)."""
-    inner = triple.factor_a
-    n_bc = t_src.factor_a.arity
-    images = [triple.embed_a(inner.embed_b(
-        Polynomial.variable(i, t_src.factor_a.arity, t_src.field)))
-        for i in range(n_bc)]
-    images += [triple.embed_b(Polynomial.variable(i, t_src.factor_b.arity,
-                                                  t_src.field))
-               for i in range(t_src.factor_b.arity)]
-    return p.substitute(images)
-
-
-def _expand_bcd(p: Polynomial, t_src: TensorPresentation,
-                triple: TensorPresentation) -> Polynomial:
-    """Embed M(C,D) ⊗ M(B,C) into the triple product (as the inner factor)."""
-    inner = triple.factor_a
-    images = [triple.embed_a(inner.embed_a(
-        Polynomial.variable(i, t_src.factor_a.arity, t_src.field)))
-        for i in range(t_src.factor_a.arity)]
-    images += [triple.embed_a(inner.embed_b(
-        Polynomial.variable(i, t_src.factor_b.arity, t_src.field)))
-        for i in range(t_src.factor_b.arity)]
-    return p.substitute(images)
+def _tensor_embedding(t: TensorPresentation,
+                      embed_a: Callable[[Polynomial], Polynomial],
+                      embed_b: Callable[[Polynomial], Polynomial]
+                      ) -> list[Polynomial]:
+    """Images of the variables of t = X ⊗ Y: X's under embed_a, Y's under
+    embed_b, as a substitution."""
+    return ([embed_a(Polynomial.variable(i, t.factor_a.arity, t.field))
+             for i in range(t.factor_a.arity)]
+            + [embed_b(Polynomial.variable(i, t.factor_b.arity, t.field))
+               for i in range(t.factor_b.arity)])
 
 
 # ---------------------------------------------------------------------------

@@ -99,8 +99,12 @@ def equalizer_subspace(a: AlgebraPresentation, degree: int, tower: int
     Level 0 is degenerate (the image of every element is x-free there) and is
     excluded from the cut; the verdict is monotone in the level, so the
     constraint at the top level subsumes the lower ones, but each level is
-    still applied as a cross-check.
+    still applied as a cross-check.  With tower < 1 no level would be
+    checked, so that is a HypothesisError.
     """
+    if tower < 1:
+        raise HypothesisError(f"the equalizer needs tower >= 1 (level 0 is "
+                              f"degenerate), got {tower}")
     line = _line_algebra(a.field)
     slice_monos = a.standard_monomials(degree)
     current = linalg.identity_matrix(len(slice_monos), a.field)

@@ -757,6 +757,12 @@ class GroebnerBasis:
     polys: tuple[Polynomial, ...]
     order: MonomialOrder
 
+    def __post_init__(self):
+        rings = {(g.arity, g.field) for g in self.polys}
+        if len(rings) > 1:
+            raise RingMismatchError("Gröbner basis elements live in different "
+                                    "rings")
+
     @property
     def leading_monomials(self) -> tuple[Monomial, ...]:
         return tuple(g.leading_monomial(self.order) for g in self.polys)
@@ -777,12 +783,14 @@ def normal_form(p: Polynomial, basis: Iterable[Polynomial] | GroebnerBasis,
     if isinstance(basis, GroebnerBasis):
         order = order or basis.order
         divisors = basis.polys
+        checked = divisors[:1]       # __post_init__ checked the rest
     else:
         order = order or DEGREVLEX
         divisors = tuple(g for g in basis if not g.is_zero)
+        checked = divisors
     if not divisors:
         return p
-    for g in divisors:
+    for g in checked:
         if g.arity != p.arity or g.field != p.field:
             raise RingMismatchError("normal form: basis lives in another ring")
     f = p.field

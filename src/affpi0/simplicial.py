@@ -372,32 +372,6 @@ def sing_h1_truncated(a: AlgebraPresentation, tower: int, degree: int) -> dict:
 # cup product
 
 
-def front_face(n: int, m: int, field: FieldDescriptor) -> AlgebraMorphism:
-    """F[Delta_{n+m}] -> F[Delta_n]: keep the first n+1 vertex classes."""
-    src = delta_algebra(n + m, field)
-    dst = delta_algebra(n, field)
-    images = []
-    for k in range(1, n + m + 1):
-        images.append(dst.vertex_class(k) if k <= n
-                      else Polynomial.zero(dst.n, field))
-    return AlgebraMorphism(src.presentation, dst.presentation, images,
-                           check=False)
-
-
-def back_face(n: int, m: int, field: FieldDescriptor) -> AlgebraMorphism:
-    """F[Delta_{n+m}] -> F[Delta_m]: shift the last m+1 vertex classes down."""
-    src = delta_algebra(n + m, field)
-    dst = delta_algebra(m, field)
-    images = []
-    for k in range(1, n + m + 1):
-        if k < n:
-            images.append(Polynomial.zero(dst.n, field))
-        else:
-            images.append(dst.vertex_class(k - n))
-    return AlgebraMorphism(src.presentation, dst.presentation, images,
-                           check=False)
-
-
 def cup_product(space: CosimplicialSpace, cn: tuple[int, Polynomial],
                 cm: tuple[int, Polynomial]) -> tuple[int, Polynomial]:
     """Front/back pullbacks multiplied in the level-(n+m) algebra."""
@@ -406,10 +380,14 @@ def cup_product(space: CosimplicialSpace, cn: tuple[int, Polynomial],
     if n + m > space.n_levels:
         raise PropertyViolationError("cup product needs level n+m in the space")
     ident = AlgebraMorphism.identity(space.a)
-    pull_n = functor_action(ident, front_face(n, m, space.field),
+    # the front face keeps vertices 0..n, the back face n..n+m
+    pull_n = functor_action(ident,
+                            simplicial_map(range(n + 1), n + m, space.field),
                             space.levels[n].mspace,
                             space.levels[n + m].mspace)
-    pull_m = functor_action(ident, back_face(n, m, space.field),
+    pull_m = functor_action(ident,
+                            simplicial_map(range(n, n + m + 1), n + m,
+                                           space.field),
                             space.levels[m].mspace,
                             space.levels[n + m].mspace)
     prod = space.levels[n + m].mspace.algebra.nf(

@@ -27,8 +27,7 @@ class SolveResult:
 
 
 def solve_system(gens: Sequence[Polynomial], nvars: int,
-                 field: FieldDescriptor, guard: int = SOLVE_GUARD
-                 ) -> SolveResult:
+                 field: FieldDescriptor) -> SolveResult:
     """Field-rational common zeros of the generators.
 
     The `complete` flag certifies that every solution was enumerated; an
@@ -43,9 +42,9 @@ def solve_system(gens: Sequence[Polynomial], nvars: int,
         complete = _solve_rational(gens, nvars, {}, list(range(nvars)), sols)
         return SolveResult(sorted(sols), complete)
     p = field.p
-    if p ** nvars > guard:
+    if p ** nvars > SOLVE_GUARD:
         raise ResourceLimitError(
-            f"solution search space {p}^{nvars} exceeds guard {guard}")
+            f"solution search space {p}^{nvars} exceeds guard {SOLVE_GUARD}")
     sols = [assign for assign in itertools.product(range(p), repeat=nvars)
             if all(g.evaluate(assign) == 0 for g in gens)]
     return SolveResult(sols, True)

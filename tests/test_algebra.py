@@ -243,3 +243,10 @@ def test_compose_with_zero_images_point():
     point = morphism_check(b, field_algebra(QQ), ["0"])
     comp = point.compose(f)
     assert comp.images[0].is_zero
+
+
+def test_enumerate_points_of_a_zero_algebra_beyond_the_guard():
+    # 7^8 candidates exceed the search guard, but the solver sees the
+    # constant relation first
+    big_zero = A_of(GF(7), list("abcdefgh"), ["1"])
+    assert enumerate_points(big_zero) == []

@@ -248,6 +248,31 @@ def test_negative_bounds_are_input_errors(files, capsys, argv):
     assert code == 2 and rep["kind"] == "input"
 
 
+def test_pi0_equalizer_at_tower_zero_is_an_input_error(files, capsys):
+    code, rep = run_json(["pi0", files["cubic"], "--method", "equalizer",
+                          "--deg", "2", "--tower", "0"], capsys)
+    assert code == 2 and rep["kind"] == "input"
+    assert "tower >= 1" in rep["error"]
+
+
+def test_homotopy_verify_into_a_target_without_variables(files, capsys):
+    h = files["tmp"] / "h.json"
+    h.write_text(json.dumps({"source": "idem.json", "target": "rat.json",
+                             "images": ["0"]}))
+    code, rep = run_json(["homotopy", "verify", files["f0"], files["g1"],
+                          str(h)], capsys)
+    assert code == 2 and rep["kind"] == "input"
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
+def test_malformed_limit_in_the_environment_is_an_input_error(
+        files, capsys, monkeypatch, value):
+    monkeypatch.setenv("AFFPI0_MAX_DEGREE", value)
+    code, rep = run_json(["alg", "gb", files["cubic"]], capsys)
+    assert code == 2 and rep["kind"] == "input"
+    assert "AFFPI0_MAX_DEGREE" in rep["error"]
+
+
 def test_resource_guard_exit_code(files, capsys, monkeypatch):
     monkeypatch.setenv("AFFPI0_MAX_DEGREE", "2")
     try:

@@ -255,3 +255,72 @@ def test_search_underdetermined_linear_system_still_finds_certificate():
     ext = res.certificate.ext
     assert ext.p0.compose(res.certificate.h) == f
     assert ext.p1.compose(res.certificate.h) == g
+
+
+def test_search_is_a_point_search_on_the_map_space(monkeypatch):
+    """The unknowns are the coordinates of one map space M(A, B[x]),
+    truncated to the slots w·x^k in B-monomial-major order."""
+    from affpi0 import homotopy
+    from affpi0.mapspace import Truncation, mapspace_presentation
+    calls = []
+
+    def spy(a, b, trunc):
+        calls.append((a, b, trunc))
+        return mapspace_presentation(a, b, trunc)
+
+    monkeypatch.setattr(homotopy, "mapspace_presentation", spy)
+    a = A_of(QQ, ["t"], ["t^2"])
+    b = A_of(QQ, ["u"], ["u^2"])
+    f = AlgebraMorphism(a, b, ["0"])
+    g = AlgebraMorphism(a, b, ["u"])
+    res = homotopy_search(f, g, SearchBounds(2, 1))
+    assert res.status == "found"
+    ext = polynomial_extension(b)
+    slots = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+    assert calls == [(a, ext.algebra, Truncation.explicit(a, slots))]
+
+
+def _brute_force_homotopy_exists(f, g, bounds):
+    """Try every coefficient vector of H over the search slots."""
+    import itertools
+    from affpi0.polyring import Polynomial
+    a, b = f.source, f.target
+    ext = polynomial_extension(b)
+    slots = [tuple(w) + (k,) for w in b.standard_monomials(bounds.bdeg)
+             for k in range(bounds.xdeg + 1)]
+    for coeffs in itertools.product(range(a.field.p),
+                                    repeat=a.arity * len(slots)):
+        images = [Polynomial.combination(
+            ext.algebra.arity, a.field, slots,
+            coeffs[gi * len(slots):(gi + 1) * len(slots)])
+            for gi in range(a.arity)]
+        try:
+            h = AlgebraMorphism(a, ext.algebra, images)
+        except MorphismError:
+            continue
+        if ext.p0.compose(h) == f and ext.p1.compose(h) == g:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("p, src, tgt, f_img, g_img, bounds", [
+    (2, (["t"], ["t^2 - t"]), ([], []), "0", "1", (2, 0)),
+    (2, (["t"], []), (["u"], ["u^2 - u"]), "0", "u", (1, 1)),
+    (2, (["t"], ["t^2 - t"]), (["u"], ["u^2 - u"]), "0", "u", (1, 1)),
+    (3, (["t"], ["t^2"]), (["u"], ["u^2"]), "0", "u", (1, 1)),
+    (3, (["t"], ["t^2"]), (["u"], ["u^2"]), "u", "2*u", (0, 1)),
+    (3, (["t"], ["t^2 - t"]), (["u"], ["u^2 - u"]), "u", "1 - u", (1, 1)),
+    (3, (["t"], []), (["u"], ["u^3 - u"]), "1", "u^2", (1, 1)),
+    (3, (["t"], []), (["u"], ["u^3 - u"]), "1", "u^2", (1, 2)),
+])
+def test_search_agrees_with_brute_force_over_prime_fields(p, src, tgt,
+                                                          f_img, g_img,
+                                                          bounds):
+    a = A_of(GF(p), *src)
+    b = A_of(GF(p), *tgt)
+    f = AlgebraMorphism(a, b, [f_img])
+    g = AlgebraMorphism(a, b, [g_img])
+    bounds = SearchBounds(*bounds)
+    expected = ("found" if _brute_force_homotopy_exists(f, g, bounds)
+                else "none-within-bounds")
+    assert homotopy_search(f, g, bounds).status == expected

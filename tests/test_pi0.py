@@ -63,6 +63,13 @@ def test_equalizer_subspace_connected_circle():
     assert eq.dimension == 1
 
 
+def test_equalizer_subspace_needs_a_checked_level():
+    # level 0 is degenerate, so tower 0 would return the whole slice
+    a = A_of(QQ, ["x", "y"], ["x^2 + y^2 - 1"])
+    with pytest.raises(HypothesisError, match="tower >= 1"):
+        equalizer_subspace(a, 2, 0)
+
+
 # ---------------------------------------------------------------------------
 # idempotents and k-th roots
 

@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 
 from affpi0.errors import ParseError, ResourceLimitError, RingMismatchError
-from affpi0.polyring import (FieldDescriptor, GF, QQ, Polynomial,
-                             elimination_ideal, groebner, ideal_membership,
-                             monomials_up_to, normal_form, poly_parse,
-                             set_limits, standard_monomials)
+from affpi0.polyring import (FieldDescriptor, GF, GroebnerBasis, QQ,
+                             Polynomial, elimination_ideal, groebner,
+                             ideal_membership, monomials_up_to, normal_form,
+                             poly_parse, set_limits, standard_monomials)
 
 
 def P(text, names, field=QQ):
@@ -138,6 +138,16 @@ def test_ring_mismatch_detected():
         P("x", ["x"]) + P("x", ["x", "y"])
     with pytest.raises(RingMismatchError):
         P("x", ["x"]) * P("x", ["x"], GF(5))
+
+
+def test_normal_form_against_a_basis_from_another_ring():
+    basis = groebner([P("x^2 - y", ["x", "y"])])
+    with pytest.raises(RingMismatchError):
+        normal_form(P("x^3", ["x"]), basis)
+    with pytest.raises(RingMismatchError):
+        normal_form(P("x^3", ["x", "y"], GF(5)), basis)
+    with pytest.raises(RingMismatchError):
+        GroebnerBasis((P("x", ["x"]), P("x", ["x", "y"])), basis.order)
 
 
 def test_derivative_and_substitute():
