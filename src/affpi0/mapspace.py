@@ -23,8 +23,8 @@ from .algebra import (AlgebraMorphism, AlgebraPresentation, ElementRep,
                       enumerate_points, field_algebra, tensor_product)
 from .errors import (PropertyViolationError, RingMismatchError,
                      TruncationError)
-from .polyring import (BlockOrder, Monomial, Polynomial, monomial_divides,
-                       normal_form)
+from .polyring import (BlockOrder, GroebnerBasis, Monomial, Polynomial,
+                       monomial_divides, normal_form)
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,10 @@ class MapSpacePresentation:
         self.n_z = len(self.zvars)
         self.big_arity = self.n_b + self.n_z
         self.big_order = BlockOrder(self.n_b)
-        self._b_lift = [g.extend_arity(self.big_arity, list(range(self.n_b)))
-                        for g in b_gb]
+        # B's basis in the B block is a Gröbner basis of the big ring too
+        self._b_lift = GroebnerBasis(
+            tuple(g.extend_arity(self.big_arity, list(range(self.n_b)))
+                  for g in b_gb), self.big_order)
         # the universal substitution: generator -> sum_v v * z[a,v]
         self.upsilon_images: list[Polynomial] = []
         for gi in range(a.arity):
@@ -116,16 +118,19 @@ class MapSpacePresentation:
                     j_gens.append(coeff)
         j_gens.sort(key=lambda p: p.key())
         self.algebra = AlgebraPresentation(self.field, self.z_names, j_gens)
-        self._j_lift: list[Polynomial] | None = None
+        self._j_lift: GroebnerBasis | None = None
 
     # -- internals ------------------------------------------------------------
 
-    def _combined_basis(self) -> list[Polynomial]:
+    def _combined_basis(self) -> GroebnerBasis:
+        """B's basis and J's, side by side: their leading monomials lie in
+        disjoint variable blocks, so together they are a Gröbner basis."""
         if self._j_lift is None:
-            lifted = [g.extend_arity(self.big_arity,
-                                     list(range(self.n_b, self.big_arity)))
-                      for g in self.algebra.gb()]
-            self._j_lift = self._b_lift + lifted
+            lifted = tuple(g.extend_arity(self.big_arity,
+                                          list(range(self.n_b, self.big_arity)))
+                           for g in self.algebra.gb())
+            self._j_lift = GroebnerBasis(self._b_lift.polys + lifted,
+                                         self.big_order)
         return self._j_lift
 
     # -- the universal map -------------------------------------------------------

@@ -20,7 +20,8 @@ from .errors import (HypothesisError, PropertyViolationError,
                      UnsupportedFieldError)
 from .mapspace import MapSpacePresentation, mapspace_presentation
 from .matrix_homotopy import NCPoly, mat_is_zero, mat_mul, mat_sub
-from .polyring import BlockOrder, Polynomial, elimination_ideal, normal_form
+from .polyring import (BlockOrder, GroebnerBasis, Polynomial,
+                       elimination_ideal, normal_form)
 from .solve import SolveResult, solve_system
 
 
@@ -173,7 +174,9 @@ def _root_solutions(a: AlgebraPresentation, k: int, degree: int,
     # generic element over the cut's coordinates, in the ring (A-vars | u-vars)
     big = a.arity + r
     order = BlockOrder(a.arity)
-    lift = [g.extend_arity(big, list(range(a.arity))) for g in a.gb()]
+    # A's basis in the A block is a Gröbner basis of the big ring too
+    lift = GroebnerBasis(tuple(g.extend_arity(big, list(range(a.arity)))
+                               for g in a.gb()), order)
     terms = {}
     for j, row in enumerate(cut):
         unknown = (0,) * j + (1,) + (0,) * (r - j - 1)

@@ -4,10 +4,12 @@ Coefficients are exact: `fractions.Fraction` over the rationals, reduced
 residues in ``[0, p)`` over a prime field.  Monomials are exponent tuples,
 polynomials sparse term maps.  All values are immutable after construction and
 every operation is a pure function, so concurrent use on distinct values is
-safe.  The one write after construction is a polynomial's memo of its leading
-data under the last order asked about: a cache of a value derived from the
-immutable terms, replaced whole, so concurrent writers store equal values and
-a reader never sees a half-written entry.
+safe.  The writes after construction are two memos under the last order
+asked about: a polynomial's leading data, with the support mask of its leading
+monomial, and a `GroebnerBasis`'s table of reducer records built from them.
+Each caches a value derived from immutable data and is replaced whole, so
+concurrent writers store equal values and a reader never sees a half-written
+entry.
 """
 
 from __future__ import annotations
@@ -246,6 +248,13 @@ def monomial_divides(a: Monomial, b: Monomial) -> bool:
     return all(map(_le, a, b))
 
 
+def _support_mask(m: Monomial) -> int:
+    """Bit i set when variable i occurs in m.  If a divides b, then
+    mask(a) is a subset of mask(b), so a failed subset test rules a divisor
+    out with one integer operation."""
+    return sum(1 << i for i, e in enumerate(m) if e)
+
+
 def monomial_div(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(_sub, a, b))
 
@@ -355,7 +364,8 @@ class Polynomial:
         return self.terms.get((0,) * self.arity, self.field.zero())
 
     def _leading(self, order: MonomialOrder):
-        """(order, leading monomial, leading coefficient, tail terms).
+        """(order, leading monomial, leading coefficient, tail terms, support
+        mask of the leading monomial); the last four are a reducer record.
 
         The terms never change once a polynomial is handed out (`split`
         fills its parts before returning them), so the memo only has to match
@@ -368,7 +378,8 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading monomial")
         lm = max(self.terms, key=order.key)
         lead = self._lead = (order, lm, self.terms[lm], tuple(
-            (m, c) for m, c in self.terms.items() if m != lm))
+            (m, c) for m, c in self.terms.items() if m != lm),
+            _support_mask(lm))
         return lead
 
     def leading_monomial(self, order: MonomialOrder = DEGREVLEX) -> Monomial:
@@ -752,7 +763,12 @@ def poly_parse(text: str, names: Sequence[str], field: FieldDescriptor) -> Polyn
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A deterministic reduced Gröbner basis (monic, auto-reduced, sorted)."""
+    """A Gröbner basis under `order`; `groebner` returns it reduced, monic
+    and sorted.
+
+    `_table` memoizes the reducer records of `polys` for the last order
+    asked about, replaced whole like a polynomial's `_lead`.
+    """
 
     polys: tuple[Polynomial, ...]
     order: MonomialOrder
@@ -762,6 +778,14 @@ class GroebnerBasis:
         if len(rings) > 1:
             raise RingMismatchError("Gröbner basis elements live in different "
                                     "rings")
+        object.__setattr__(self, "_table", None)
+
+    def _reducers(self, order: MonomialOrder) -> list[tuple]:
+        table = self._table
+        if table is None or not (table[0] is order or table[0] == order):
+            table = (order, [g._leading(order)[1:] for g in self.polys])
+            object.__setattr__(self, "_table", table)
+        return table[1]
 
     @property
     def leading_monomials(self) -> tuple[Monomial, ...]:
@@ -782,19 +806,29 @@ def normal_form(p: Polynomial, basis: Iterable[Polynomial] | GroebnerBasis,
     """Full remainder of multivariate division: no term divisible by any LT."""
     if isinstance(basis, GroebnerBasis):
         order = order or basis.order
-        divisors = basis.polys
-        checked = divisors[:1]       # __post_init__ checked the rest
+        reducers = basis._reducers(order)
+        checked = basis.polys[:1]       # __post_init__ checked the rest
     else:
         order = order or DEGREVLEX
-        divisors = tuple(g for g in basis if not g.is_zero)
-        checked = divisors
-    if not divisors:
-        return p
+        checked = [g for g in basis if not g.is_zero]
+        reducers = [g._leading(order)[1:] for g in checked]
     for g in checked:
         if g.arity != p.arity or g.field != p.field:
             raise RingMismatchError("normal form: basis lives in another ring")
-    f = p.field
-    lts = [g._leading(order)[1:] for g in divisors]
+    return _reduce(p, reducers, order)
+
+
+def _reduce(p: Polynomial, reducers: Sequence[tuple],
+            order: MonomialOrder) -> Polynomial:
+    """The reduction kernel: the remainder of p by reducer records
+    (lm, lc, tail, mask) of its own ring; p itself when there are none.
+
+    Each term is reduced by the first record, in list order, whose leading
+    monomial divides it; the mask test skips most others unexamined.
+    """
+    if not reducers:
+        return p
+    modulus = p.field.p
     work = dict(p.terms)
     # terms are popped largest first; a popped monomial missing from `work`
     # was cancelled after it was queued
@@ -802,41 +836,56 @@ def normal_form(p: Polynomial, basis: Iterable[Polynomial] | GroebnerBasis,
     queue = [(heap_key(m), m) for m in work]
     heapify(queue)
     result: dict[Monomial, Scalar] = {}
-    zero = f.zero()
     while queue:
         m = heappop(queue)[1]
         c = work.pop(m, None)
         if c is None:
             continue
-        for lm, lc, tail in lts:
-            if monomial_divides(lm, m):
-                q = monomial_div(m, lm)
-                factor = f.div(c, lc)
+        mask = _support_mask(m)
+        for lm, lc, tail, lmask in reducers:
+            if lmask & mask == lmask and all(map(_le, lm, m)):
+                q = tuple(map(_sub, m, lm))
+                if lc != 1:     # c becomes the quotient term's coefficient
+                    c = (c / lc if modulus is None
+                         else c * pow(lc, -1, modulus) % modulus)
                 for gm, gc in tail:
-                    mm = monomial_mul(gm, q)
+                    mm = tuple(map(_add, gm, q))
                     old = work.get(mm)
-                    v = f.sub(zero if old is None else old, f.mul(factor, gc))
-                    if v == zero:
-                        if old is not None:
-                            del work[mm]
-                    else:
+                    v = -c * gc if old is None else old - c * gc
+                    if modulus is not None:
+                        v %= modulus
+                    if v:
                         if old is None:
                             heappush(queue, (heap_key(mm), mm))
                         work[mm] = v
+                    elif old is not None:
+                        del work[mm]
                 _check_terms(len(work))
                 break
         else:
             result[m] = c
-    return Polynomial(p.arity, f, result)
+    return Polynomial(p.arity, p.field, result)
 
 
 def _s_polynomial(g1: Polynomial, g2: Polynomial, order: MonomialOrder) -> Polynomial:
-    lm1, lm2 = g1.leading_monomial(order), g2.leading_monomial(order)
+    """S-polynomial of two monic polynomials: q1·tail1 − q2·tail2, where
+    q_i·lm_i is the lcm of the leading monomials."""
+    _, lm1, _, tail1, _ = g1._leading(order)
+    _, lm2, _, tail2, _ = g2._leading(order)
     lcm = monomial_lcm(lm1, lm2)
-    f = g1.field
-    a = g1.mul_monomial(monomial_div(lcm, lm1), f.inv(g1.leading_coeff(order)))
-    b = g2.mul_monomial(monomial_div(lcm, lm2), f.inv(g2.leading_coeff(order)))
-    return a - b
+    q1, q2 = monomial_div(lcm, lm1), monomial_div(lcm, lm2)
+    modulus = g1.field.p
+    terms = {monomial_mul(m, q1): c for m, c in tail1}
+    for m, c in tail2:
+        m = monomial_mul(m, q2)
+        v = terms.get(m, 0) - c
+        if modulus is not None:
+            v %= modulus
+        if v:
+            terms[m] = v
+        else:
+            del terms[m]
+    return Polynomial(g1.arity, g1.field, terms)
 
 
 def _update_pairs(G: list[Polynomial], lmG: list[Monomial],
@@ -880,7 +929,9 @@ def groebner(gens: Iterable[Polynomial],
     """Reduced Gröbner basis by Buchberger with Gebauer-Möller elimination.
 
     Output is deterministic: monic, auto-reduced, sorted by leading monomial.
-    Pairs are drawn smallest lcm first, ties broken by their indices.
+    Pairs are drawn smallest lcm first, ties broken by their indices.  Every
+    reduction goes through one reducer table, parallel to G, so the ring is
+    checked once, on entry.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -891,38 +942,42 @@ def groebner(gens: Iterable[Polynomial],
             raise RingMismatchError("generators live in different rings")
     G: list[Polynomial] = []
     lmG: list[Monomial] = []
+    reducers: list[tuple] = []
     P: dict[tuple[int, int], Monomial] = {}
     queue: list = []
+
+    def insert(h: Polynomial) -> None:
+        h = h.monic(order)
+        _update_pairs(G, lmG, P, queue, h, order)
+        reducers.append(h._leading(order)[1:])
+
     for g in sorted(gens, key=lambda q: order.key(q.leading_monomial(order))):
-        h = normal_form(g, G, order)
+        h = _reduce(g, reducers, order)
         if not h.is_zero:
-            _update_pairs(G, lmG, P, queue, h.monic(order), order)
+            insert(h)
     while P:
         pair = heappop(queue)[1]
         if P.pop(pair, None) is None:
             continue
         i, j = pair
         s = _s_polynomial(G[i], G[j], order)
-        h = normal_form(s, G, order)
+        h = _reduce(s, reducers, order)
         if h.is_zero:
             continue
         _check_degree(h.total_degree())
         if len(G) >= LIMITS.max_basis:
             raise ResourceLimitError(
                 f"basis size exceeds guard {LIMITS.max_basis}")
-        _update_pairs(G, lmG, P, queue, h.monic(order), order)
+        insert(h)
     # minimalize: drop elements whose LT is divisible by another LT
-    minimal: list[Polynomial] = []
-    for g in sorted(G, key=lambda q: order.key(q.leading_monomial(order))):
-        lm = g.leading_monomial(order)
-        if all(not monomial_divides(h.leading_monomial(order), lm)
-               for h in minimal):
-            minimal.append(g)
+    minimal: list[int] = []
+    for k in sorted(range(len(G)), key=lambda k: order.key(lmG[k])):
+        if all(not monomial_divides(lmG[i], lmG[k]) for i in minimal):
+            minimal.append(k)
     # interreduce tails
-    reduced: list[Polynomial] = []
-    for k, g in enumerate(minimal):
-        others = minimal[:k] + minimal[k + 1:]
-        reduced.append(normal_form(g, others, order).monic(order))
+    table = [reducers[k] for k in minimal]
+    reduced = [_reduce(G[k], table[:n] + table[n + 1:], order).monic(order)
+               for n, k in enumerate(minimal)]
     reduced.sort(key=lambda q: order.key(q.leading_monomial(order)))
     return GroebnerBasis(tuple(reduced), order)
 

@@ -7,7 +7,7 @@ import pytest
 from affpi0.algebra import (AlgebraMorphism, AlgebraPresentation,
                             enumerate_hom, enumerate_points, field_algebra,
                             tensor_product)
-from affpi0.errors import TruncationError
+from affpi0.errors import RingMismatchError, TruncationError
 from affpi0.mapspace import (Truncation,
                              associated_morphism, coassociativity_check,
                              comultiplication, functor_action,
@@ -16,7 +16,7 @@ from affpi0.mapspace import (Truncation,
                              structural_morphism, tower,
                              verify_directsum_law, verify_exponential_law,
                              verify_tensor_law)
-from affpi0.polyring import GF, QQ, Polynomial
+from affpi0.polyring import GF, QQ, Polynomial, _s_polynomial, normal_form
 
 
 def A_of(field, names, rels):
@@ -105,6 +105,33 @@ def test_upsilon_is_multiplicative_modulo_relations():
     reduced = {v: m.algebra.nf(c) for v, c in flat.items()}
     reduced = {v: c for v, c in reduced.items() if not c.is_zero}
     assert reduced == m.upsilon_poly(a.parse("t^3"))
+
+
+def test_upsilon_poly_rejects_a_polynomial_of_another_ring():
+    a = A_of(QQ, ["t"], ["t^3 - t"])
+    m = mapspace_presentation(a, A_of(QQ, ["x"], ["x^2 - x"]), 1)
+    m.upsilon_poly(a.parse("t"))        # the combined basis is built
+    for p in (Polynomial.variable(0, 1, GF(5)), Polynomial.variable(0, 2, QQ),
+              Polynomial.variable(0, m.big_arity, QQ)):
+        with pytest.raises(RingMismatchError):
+            m.upsilon_poly(p)
+
+
+@pytest.mark.parametrize("names, target", [(["x"], ["x^2 - x"]),
+                                           (["x", "y"], ["x^2 + y^2 - 1"])])
+def test_lifted_bases_are_groebner_bases_of_the_big_ring(names, target):
+    """B's basis and J's live in disjoint variable blocks, so every
+    S-polynomial of the combined basis reduces to zero."""
+    a = A_of(QQ, ["t"], ["t^3 - t"])
+    m = mapspace_presentation(a, A_of(QQ, names, target), 1)
+    assert len(m._combined_basis()) > len(m._b_lift) > 0
+    for basis in (m._b_lift, m._combined_basis()):
+        assert basis.order == m.big_order
+        polys = basis.polys
+        for i in range(len(polys)):
+            for j in range(i):
+                s = _s_polynomial(polys[i], polys[j], basis.order)
+                assert normal_form(s, basis).is_zero
 
 
 # ---------------------------------------------------------------------------

@@ -137,3 +137,23 @@ def test_heap_key_ascends_as_the_order_descends(order):
     random.Random(2).shuffle(monos)
     assert (sorted(monos, key=order._heap_key)
             == sorted(monos, key=order.key, reverse=True))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("relation", ["x^2 + y^2 - 1", "y^2 - x^3"],
+                         ids=["circle", "cusp"])
+def test_level_two_map_space_bases_match_sympy(relation, field):
+    """The 6-variable bases of M_2(A, F[t]) that the map-space routes read."""
+    from affpi0.algebra import AlgebraPresentation
+    from affpi0.mapspace import mapspace_presentation
+
+    a = AlgebraPresentation(field, ["x", "y"], [relation])
+    level = mapspace_presentation(
+        a, AlgebraPresentation(field, ["t"], []), 2).algebra
+    z = sympy.symbols(f"z0:{len(level.vars)}")
+    assert len(z) == 6
+    theirs = sympy_basis([to_sympy(r, z) for r in level.relations], field,
+                         "grevlex", z)
+    expected = sorted((from_sympy(e, field, z).monic() for e in theirs),
+                      key=lambda q: DEGREVLEX.key(q.leading_monomial()))
+    assert list(level.gb().polys) == expected
