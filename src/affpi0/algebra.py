@@ -15,9 +15,9 @@ from typing import Iterable, Sequence
 
 from .errors import (MorphismError, ParseError, ResourceLimitError,
                      RingMismatchError, UnsupportedFieldError)
-from .polyring import (DEGREVLEX, FieldDescriptor, GroebnerBasis, Monomial,
-                       Polynomial, groebner, ideal_membership, is_name,
-                       normal_form, poly_parse, standard_monomials)
+from .polyring import (DEGREVLEX, BlockOrder, FieldDescriptor, GroebnerBasis,
+                       Monomial, Polynomial, groebner, ideal_membership,
+                       is_name, normal_form, poly_parse, standard_monomials)
 from .solve import SOLVE_GUARD, solve_system
 
 
@@ -76,11 +76,23 @@ class AlgebraPresentation:
     def standard_monomials(self, maxdeg: int) -> list[Monomial]:
         return standard_monomials(self.gb(), self.arity, maxdeg)
 
-    def dimension(self, probe: int = 32) -> int | None:
-        """Vector-space dimension if it stabilizes within the probe degree."""
-        lo = self.standard_monomials(probe)
-        hi = self.standard_monomials(probe + 1)
-        return len(lo) if len(lo) == len(hi) else None
+    def finite_basis(self) -> list[Monomial] | None:
+        """All standard monomials when A is finite-dimensional, else None.
+
+        A is finite-dimensional exactly when 1 ∈ I or every variable x_i has
+        a pure power x_i^e_i among the leading monomials; then no standard
+        monomial has degree above the sum of the e_i − 1.
+        """
+        pure = {i: e for lt in self.gb().leading_monomials
+                for i, e in enumerate(lt) if e and e == sum(lt)}
+        if len(pure) < self.arity and not self.is_zero_algebra():
+            return None
+        return self.standard_monomials(sum(e - 1 for e in pure.values()))
+
+    def dimension(self) -> int | None:
+        """The vector-space dimension; None when A is infinite-dimensional."""
+        basis = self.finite_basis()
+        return None if basis is None else len(basis)
 
     def contains_ideal(self, p: Polynomial) -> bool:
         return ideal_membership(p, self.gb())
@@ -333,7 +345,45 @@ def _fresh_name(base: str, used: Iterable[str]) -> str:
     return f"{base}_{k}"
 
 
-class TensorPresentation(AlgebraPresentation):
+class _BlockPresentation(AlgebraPresentation):
+    """F[first's variables, then second's]/(I_first + I_second) on `names`.
+
+    The basis is the factors' reduced bases lifted side by side under
+    BlockOrder(first.arity), or {1} when a factor is zero: no Buchberger
+    run.  It is reduced, since each basis element of the package lies in one
+    variable block on which its order is degrevlex, and the blocks of the
+    two factors are disjoint.
+    """
+
+    def __init__(self, names: Sequence[str], first: AlgebraPresentation,
+                 second: AlgebraPresentation):
+        if first.field != second.field:
+            raise RingMismatchError("tensor factors over different fields")
+        super().__init__(first.field, names)
+        self.factor_a = first
+        self.factor_b = second
+        self.relations = (tuple(map(self.embed_a, first.relations))
+                          + tuple(map(self.embed_b, second.relations)))
+
+    def embed_a(self, p: Polynomial) -> Polynomial:
+        return p.extend_arity(self.arity, range(self.factor_a.arity))
+
+    def embed_b(self, p: Polynomial) -> Polynomial:
+        return p.extend_arity(self.arity, range(self.factor_a.arity,
+                                                self.arity))
+
+    def gb(self) -> GroebnerBasis:
+        if self._gb is None:
+            a, b = self.factor_a, self.factor_b
+            polys = ((Polynomial.one(self.arity, self.field),)
+                     if a.is_zero_algebra() or b.is_zero_algebra() else
+                     tuple(map(self.embed_a, a.gb()))
+                     + tuple(map(self.embed_b, b.gb())))
+            self._gb = GroebnerBasis(polys, BlockOrder(a.arity))
+        return self._gb
+
+
+class TensorPresentation(_BlockPresentation):
     """A ⊗ B presented on the disjoint (suffix-renamed) variable union.
 
     Remembers the factor split so normal forms can be read as sums
@@ -341,22 +391,8 @@ class TensorPresentation(AlgebraPresentation):
     """
 
     def __init__(self, a: AlgebraPresentation, b: AlgebraPresentation):
-        if a.field != b.field:
-            raise RingMismatchError("tensor factors over different fields")
-        names = [v + "_1" for v in a.vars] + [v + "_2" for v in b.vars]
-        n, m = a.arity, b.arity
-        rels = [r.extend_arity(n + m, list(range(n))) for r in a.relations]
-        rels += [r.extend_arity(n + m, list(range(n, n + m))) for r in b.relations]
-        super().__init__(a.field, names, rels)
-        self.factor_a = a
-        self.factor_b = b
-
-    def embed_a(self, p: Polynomial) -> Polynomial:
-        return p.extend_arity(self.arity, list(range(self.factor_a.arity)))
-
-    def embed_b(self, p: Polynomial) -> Polynomial:
-        n = self.factor_a.arity
-        return p.extend_arity(self.arity, list(range(n, n + self.factor_b.arity)))
+        super().__init__([v + "_1" for v in a.vars]
+                         + [v + "_2" for v in b.vars], a, b)
 
 
 def tensor_product(a: AlgebraPresentation, b: AlgebraPresentation
@@ -421,11 +457,10 @@ class PolynomialExtension:
     def __init__(self, a: AlgebraPresentation, var_name: str = "x"):
         field = a.field
         x_name = _fresh_name(var_name, a.vars)
-        names = list(a.vars) + [x_name]
         total = a.arity + 1
-        rels = [r.extend_arity(total, list(range(a.arity))) for r in a.relations]
         self.base = a
-        self.algebra = AlgebraPresentation(field, names, rels)
+        self.algebra = _BlockPresentation(
+            list(a.vars) + [x_name], a, AlgebraPresentation(field, [x_name]))
         self.x_index = total - 1
         self.x_name = x_name
         base_vars = [Polynomial.variable(i, total, field) for i in range(a.arity)]
@@ -437,8 +472,7 @@ class PolynomialExtension:
         self.p1 = AlgebraMorphism(self.algebra, a,
                                   proj + [Polynomial.one(a.arity, field)],
                                   check=False)
-        ext_vars = base_vars + [Polynomial.one(total, field)
-                                - Polynomial.variable(total - 1, total, field)]
+        ext_vars = base_vars + [Polynomial.one(total, field) - self.x_poly()]
         self.flip = AlgebraMorphism(self.algebra, self.algebra, ext_vars,
                                     check=False)
 

@@ -28,7 +28,7 @@ from .homotopy import SearchBounds, homotopy_search, homotopy_verify
 from .mapspace import (mapspace_presentation, points_crosscheck,
                        verify_directsum_law, verify_exponential_law,
                        verify_tensor_law)
-from .polyring import GF, QQ, Polynomial, set_limits
+from .polyring import GF, QQ, Polynomial, ResourceLimits, set_limits
 
 SCHEMA = 1
 
@@ -366,6 +366,8 @@ def _apply_env_limits() -> None:
         raise ParseError(f"{name} must be a non-negative integer, "
                          f"got {value!r}")
 
+    # a guard whose variable is unset has its default, whatever ran before
+    set_limits(**vars(ResourceLimits()))
     set_limits(max_basis=read("AFFPI0_MAX_BASIS"),
                max_degree=read("AFFPI0_MAX_DEGREE"),
                max_terms=read("AFFPI0_MAX_TERMS"))

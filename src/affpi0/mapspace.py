@@ -16,6 +16,7 @@ tower-stability reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .algebra import (AlgebraMorphism, AlgebraPresentation, ElementRep,
@@ -23,8 +24,7 @@ from .algebra import (AlgebraMorphism, AlgebraPresentation, ElementRep,
                       enumerate_points, field_algebra, tensor_product)
 from .errors import (PropertyViolationError, RingMismatchError,
                      TruncationError)
-from .polyring import (BlockOrder, GroebnerBasis, Monomial, Polynomial,
-                       monomial_divides, normal_form)
+from .polyring import Monomial, Polynomial, monomial_divides
 
 
 @dataclass(frozen=True)
@@ -69,48 +69,35 @@ class MapSpacePresentation:
         self.b = b
         self.trunc = trunc
         self.field = a.field
-        b_gb = b.gb()
-        lts = b_gb.leading_monomials
+        lts = b.gb().leading_monomials
         for gen, delta in zip(a.vars, trunc.deltas):
             for v in delta:
                 if any(monomial_divides(lt, v) for lt in lts):
                     raise TruncationError(
                         f"delta for {gen} contains the non-standard monomial {v}")
         # z coordinates: generator-major, monomials in given (standard) order
-        self.zvars: list[tuple[int, Monomial]] = []
-        for gi in range(a.arity):
-            for v in trunc.deltas[gi]:
-                self.zvars.append((gi, v))
+        self.zvars = [(gi, v) for gi, delta in enumerate(trunc.deltas)
+                      for v in delta]
         self.z_names = tuple(z_name(a.vars[gi], v) for gi, v in self.zvars)
         self.z_index = {pair: k for k, pair in enumerate(self.zvars)}
-        # combined ring: B variables first (eliminated block), then z variables
         self.n_b = b.arity
         self.n_z = len(self.zvars)
-        self.big_arity = self.n_b + self.n_z
-        self.big_order = BlockOrder(self.n_b)
-        # B's basis in the B block is a Gröbner basis of the big ring too
-        self._b_lift = GroebnerBasis(
-            tuple(g.extend_arity(self.big_arity, list(range(self.n_b)))
-                  for g in b_gb), self.big_order)
+        # the relation ring B ⊗ F[z]: B's variables first, then the z's
+        self.relation_ring = tensor_product(
+            b, AlgebraPresentation(self.field, self.z_names))
+        arity = self.relation_ring.arity
         # the universal substitution: generator -> sum_v v * z[a,v]
-        self.upsilon_images: list[Polynomial] = []
-        for gi in range(a.arity):
-            img = Polynomial.zero(self.big_arity, self.field)
-            for v in trunc.deltas[gi]:
-                zk = self.n_b + self.z_index[(gi, v)]
-                exps = list(v) + [0] * self.n_z
-                exps[zk] = 1
-                img = img + Polynomial(self.big_arity, self.field,
-                                       {tuple(exps): self.field.one()})
-            self.upsilon_images.append(img)
+        images: list[dict] = [{} for _ in a.vars]
+        for k, (gi, v) in enumerate(self.zvars):
+            unknown = (0,) * k + (1,) + (0,) * (self.n_z - k - 1)
+            images[gi][v + unknown] = self.field.one()
+        self.upsilon_images = [Polynomial(arity, self.field, terms)
+                               for terms in images]
         # relation ideal: coefficients of standard B-monomials
         j_gens: list[Polynomial] = []
         seen = set()
         for r in a.relations:
-            image = (r.substitute(self.upsilon_images) if a.arity
-                     else Polynomial.constant(r.constant_term(),
-                                              self.big_arity, self.field))
-            reduced = normal_form(image, self._b_lift, self.big_order)
+            reduced = self.relation_ring.nf(self._substitute(r))
             for coeff in reduced.split(self.n_b).values():
                 key = coeff.key()
                 if key and key not in seen:
@@ -118,22 +105,21 @@ class MapSpacePresentation:
                     j_gens.append(coeff)
         j_gens.sort(key=lambda p: p.key())
         self.algebra = AlgebraPresentation(self.field, self.z_names, j_gens)
-        self._j_lift: GroebnerBasis | None = None
-
-    # -- internals ------------------------------------------------------------
-
-    def _combined_basis(self) -> GroebnerBasis:
-        """B's basis and J's, side by side: their leading monomials lie in
-        disjoint variable blocks, so together they are a Gröbner basis."""
-        if self._j_lift is None:
-            lifted = tuple(g.extend_arity(self.big_arity,
-                                          list(range(self.n_b, self.big_arity)))
-                           for g in self.algebra.gb())
-            self._j_lift = GroebnerBasis(self._b_lift.polys + lifted,
-                                         self.big_order)
-        return self._j_lift
 
     # -- the universal map -------------------------------------------------------
+
+    @cached_property
+    def universal_ring(self) -> TensorPresentation:
+        """B ⊗ (this level), where the universal map lands; built at the
+        first `upsilon_poly`."""
+        return tensor_product(self.b, self.algebra)
+
+    def _substitute(self, p: Polynomial) -> Polynomial:
+        """The universal substitution of a polynomial of A's ring."""
+        if not self.a.arity:    # no images to carry the target ring
+            return Polynomial.constant(p.constant_term(),
+                                       self.relation_ring.arity, self.field)
+        return p.substitute(self.upsilon_images)
 
     def upsilon_poly(self, p: Polynomial) -> dict[Monomial, Polynomial]:
         """Image of an element of A in B ⊗ (this level), as {v: z-coefficient}.
@@ -143,11 +129,7 @@ class MapSpacePresentation:
         """
         if p.arity != self.a.arity or p.field != self.field:
             raise RingMismatchError("element lives outside the source algebra")
-        image = (p.substitute(self.upsilon_images) if self.a.arity
-                 else Polynomial.constant(p.constant_term(),
-                                          self.big_arity, self.field))
-        reduced = normal_form(image, self._combined_basis(), self.big_order)
-        return reduced.split(self.n_b)
+        return self.universal_ring.nf(self._substitute(p)).split(self.n_b)
 
     def upsilon(self, a: ElementRep) -> dict[Monomial, Polynomial]:
         if a.algebra != self.a:
@@ -529,17 +511,15 @@ def verify_directsum_law(a: AlgebraPresentation, b: AlgebraPresentation,
     morphisms through the two projections, and through the split embedding
     v ↦ v·e, v' ↦ v'·(1-e)) and checked to be mutually inverse on generators.
     """
-    dim_b, dim_b2 = b.dimension(), b2.dimension()
-    if dim_b is None or dim_b2 is None:
+    basis_b, basis_b2 = b.finite_basis(), b2.finite_basis()
+    if basis_b is None or basis_b2 is None:
         raise TruncationError("direct-sum law witness needs finite-dimensional "
                               "summands")
-    deg_b = max((sum(m) for m in b.standard_monomials(64)), default=0)
-    deg_b2 = max((sum(m) for m in b2.standard_monomials(64)), default=0)
     ds, p1, p2 = direct_sum(b, b2)
-    deg_ds = max((sum(m) for m in ds.standard_monomials(64)), default=0)
-    m_ds = mapspace_presentation(a, ds, deg_ds)
-    m1 = mapspace_presentation(a, b, deg_b)
-    m2 = mapspace_presentation(a, b2, deg_b2)
+    m_ds = mapspace_presentation(a, ds,
+                                 Truncation.explicit(a, ds.finite_basis()))
+    m1 = mapspace_presentation(a, b, Truncation.explicit(a, basis_b))
+    m2 = mapspace_presentation(a, b2, Truncation.explicit(a, basis_b2))
     right = tensor_product(m1.algebra, m2.algebra)
     field = a.field
 
@@ -589,4 +569,4 @@ def verify_directsum_law(a: AlgebraPresentation, b: AlgebraPresentation,
                                      "inverse", witness=(ok_fb, ok_bf))
     return {"ok": True, "law": "directsum",
             "left_coords": m_ds.n_z, "right_coords": right.arity,
-            "dim_b": dim_b, "dim_b2": dim_b2}
+            "dim_b": len(basis_b), "dim_b2": len(basis_b2)}

@@ -14,14 +14,14 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from . import linalg
-from .algebra import AlgebraMorphism, AlgebraPresentation, ElementRep
+from .algebra import (AlgebraMorphism, AlgebraPresentation, ElementRep,
+                      direct_sum, tensor_product)
 from .derham import derham_h0
 from .errors import (HypothesisError, PropertyViolationError,
                      UnsupportedFieldError)
 from .mapspace import MapSpacePresentation, mapspace_presentation
 from .matrix_homotopy import NCPoly, mat_is_zero, mat_mul, mat_sub
-from .polyring import (BlockOrder, GroebnerBasis, Polynomial,
-                       elimination_ideal, normal_form)
+from .polyring import Polynomial, elimination_ideal
 from .solve import SolveResult, solve_system
 
 
@@ -171,21 +171,18 @@ def _root_solutions(a: AlgebraPresentation, k: int, degree: int,
     cut = linalg.row_basis(
         _equalizer_cut(level1, slice_monos, identity, degree), field)
     r = len(cut)
-    # generic element over the cut's coordinates, in the ring (A-vars | u-vars)
-    big = a.arity + r
-    order = BlockOrder(a.arity)
-    # A's basis in the A block is a Gröbner basis of the big ring too
-    lift = GroebnerBasis(tuple(g.extend_arity(big, list(range(a.arity)))
-                               for g in a.gb()), order)
+    # generic element over the cut's coordinates u, in A ⊗ F[u]
+    ring = tensor_product(a, AlgebraPresentation(
+        field, [f"u{j}" for j in range(r)]))
     terms = {}
     for j, row in enumerate(cut):
         unknown = (0,) * j + (1,) + (0,) * (r - j - 1)
         for m, c in zip(slice_monos, row):
             if c:
                 terms[m + unknown] = c
-    generic = Polynomial(big, field, terms)
+    generic = Polynomial(ring.arity, field, terms)
     constraint = generic ** k - generic
-    system = list(normal_form(constraint, lift, order).split(a.arity).values())
+    system = list(ring.nf(constraint).split(a.arity).values())
     result: SolveResult = solve_system(system, r, field)
     # slice coordinates, sorted as the solver sorts them
     vectors = sorted(map(tuple, linalg.mat_mul(result.solutions, cut, field)))
@@ -297,15 +294,13 @@ def _subalgebra_presentation(a: AlgebraPresentation,
                              ) -> tuple[AlgebraPresentation, AlgebraMorphism]:
     """Present the subalgebra spanned by `basis` via an elimination ideal."""
     field = a.field
-    r = len(basis)
-    y_names = [f"y{i}" for i in range(r)]
-    big = a.arity + r
-    gens = [rel.extend_arity(big, list(range(a.arity))) for rel in a.relations]
-    for i, b in enumerate(basis):
-        gens.append(Polynomial.variable(a.arity + i, big, field)
-                    - b.poly.extend_arity(big, list(range(a.arity))))
+    t = tensor_product(a, AlgebraPresentation(
+        field, [f"y{i}" for i in range(len(basis))]))
+    gens = list(t.relations) + [
+        Polynomial.variable(a.arity + i, t.arity, field) - t.embed_a(b.poly)
+        for i, b in enumerate(basis)]
     kernel_gens = elimination_ideal(gens, list(range(a.arity)))
-    pres = AlgebraPresentation(field, y_names, kernel_gens)
+    pres = AlgebraPresentation(field, t.factor_b.vars, kernel_gens)
     incl = AlgebraMorphism(pres, a, [b.poly for b in basis], check=True)
     return pres, incl
 
@@ -372,8 +367,6 @@ def functor_property_checks(which: str, a: AlgebraPresentation,
     checks the computable consequence of the c/cu comparison: the equalizer
     route agrees with the de Rham kernel.
     """
-    from .algebra import direct_sum, tensor_product
-
     if which == "directsum":
         assert b is not None
         ds, _, _ = direct_sum(a, b)

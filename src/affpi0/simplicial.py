@@ -204,17 +204,11 @@ class CosimplicialSpace:
 
     def differential_matrix(self, n: int) -> list[list]:
         """Alternating coface sum X^n -> X^{n+1} on the slices."""
-        rows = len(self.levels[n + 1].basis)
-        cols = len(self.levels[n].basis)
-        field = self.field
-        total = [[field.zero()] * cols for _ in range(rows)]
-        for i in range(n + 2):
-            mat = self.coface_matrix(n + 1, i)
-            sign = field.one() if i % 2 == 0 else field.neg(field.one())
-            for r in range(rows):
-                for c in range(cols):
-                    total[r][c] = field.add(total[r][c],
-                                            field.mul(sign, mat[r][c]))
+        total = self.coface_matrix(n + 1, 0)
+        for i in range(1, n + 2):
+            op = self.field.add if i % 2 == 0 else self.field.sub
+            total = [list(map(op, row, other)) for row, other
+                     in zip(total, self.coface_matrix(n + 1, i))]
         return total
 
 
@@ -335,11 +329,8 @@ def sing_h0(a: AlgebraPresentation, tower: int, degree: int) -> SingH0Result:
     for d in range(1, tower + 1):
         space = CosimplicialSpace(a, d, degree, 1)
         field = a.field
-        d0 = space.coface_matrix(1, 0)
-        d1 = space.coface_matrix(1, 1)
-        diff = [[field.sub(x, y) for x, y in zip(r0, r1)]
-                for r0, r1 in zip(d0, d1)]
-        kernel = linalg.nullspace(diff, space.levels[0].dimension, field)
+        kernel = linalg.nullspace(space.differential_matrix(0),
+                                  space.levels[0].dimension, field)
         # level-0 coordinates mirror the generators of A
         basis = [a.element(Polynomial.combination(
             a.arity, field, space.levels[0].basis, row))
@@ -473,8 +464,7 @@ def prism_identities_check(n: int, field: FieldDescriptor) -> dict:
         src = tensor_product(delta_algebra(level, field).presentation, line)
         dst = tensor_product(delta_algebra(level - 1, field).presentation, line)
         base = face_map(j, level, field)
-        images = [base.images[k].extend_arity(dst.arity, list(range(level - 1)))
-                  for k in range(level)]
+        images = [dst.embed_a(im) for im in base.images]
         images.append(Polynomial.variable(dst.arity - 1, dst.arity, field))
         return AlgebraMorphism(src, dst, images, check=False)
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from affpi0 import algebra, polyring
 from affpi0.algebra import (AlgebraMorphism, AlgebraPresentation,
                             direct_sum, enumerate_hom, enumerate_points,
                             field_algebra, load_algebra, load_morphism,
@@ -11,7 +14,7 @@ from affpi0.algebra import (AlgebraMorphism, AlgebraPresentation,
                             tensor_product)
 from affpi0.errors import (MorphismError, RingMismatchError,
                            UnsupportedFieldError)
-from affpi0.polyring import GF, QQ
+from affpi0.polyring import GF, QQ, Polynomial, groebner, normal_form
 
 
 def A_of(field, names, rels):
@@ -118,6 +121,62 @@ def test_direct_sum_projections_surjective():
         assert p2.apply_poly(r).is_zero
 
 
+def _tensor_battery(field):
+    """Tensor products of every ordered pair of small factors, a zero
+    algebra, a free ring and the 0-variable ring among them, plus nested
+    tensors on either side."""
+    circle = A_of(field, ["x", "y"], ["x^2 + y^2 - 1"])
+    pieces = [circle, A_of(field, ["x"], ["x^3 - x"]),
+              A_of(field, ["x", "y"], ["y^2 - x^3 - x^2", "x*y^2 - y"]),
+              A_of(field, ["u"], ["u^2", "u - 1"]),
+              A_of(field, ["s", "t"], []), field_algebra(field)]
+    for a in pieces:
+        for b in pieces:
+            yield tensor_product(a, b)
+    for a in pieces:
+        inner = tensor_product(a, circle)
+        yield tensor_product(inner, pieces[1])
+        yield tensor_product(pieces[2], inner)
+
+
+def _sample_polys(arity, field, rng):
+    for _ in range(4):
+        terms = {tuple(rng.randrange(4) for _ in range(arity)):
+                 field.scalar(rng.randrange(1, 6)) for _ in range(5)}
+        yield Polynomial(arity, field, terms)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_tensor_basis_is_the_reduced_basis_of_its_relations(field):
+    """The factors' bases side by side equal Buchberger's reduced basis of
+    the tensor's relations, as a set, and give the same normal forms."""
+    rng = random.Random(9)
+    for t in _tensor_battery(field):
+        reference = groebner(t.relations)
+        assert set(t.gb()) == set(reference)
+        for p in _sample_polys(t.arity, field, rng):
+            assert t.nf(p) == normal_form(p, reference)
+
+
+def test_tensor_and_extension_bases_run_no_buchberger(monkeypatch):
+    a = A_of(QQ, ["x", "y"], ["x^2 + y^2 - 1"])
+    b = A_of(QQ, ["t"], ["t^3 - t"])
+    a.gb(), b.gb()
+    calls = []
+    real = polyring.groebner
+
+    def spy(gens, *args):
+        gens = list(gens)
+        calls.append(gens)
+        return real(gens, *args)
+
+    monkeypatch.setattr(polyring, "groebner", spy)
+    monkeypatch.setattr(algebra, "groebner", spy)
+    assert len(tensor_product(tensor_product(a, b), a).gb()) == 3
+    assert len(polynomial_extension(b).algebra.gb()) == 1
+    assert not any(g for gens in calls for g in gens if not g.is_zero)
+
+
 # ---------------------------------------------------------------------------
 # polynomial extension
 
@@ -162,6 +221,16 @@ def test_standard_monomials_examples():
     assert len(two_pts.standard_monomials(6)) == 2
     free = A_of(QQ, ["x"], [])
     assert free.standard_monomials(2) == [(0,), (1,), (2,)]
+
+
+def test_dimension_is_exact_beyond_any_probe_degree():
+    assert A_of(QQ, ["x"], ["x^40 - 1"]).dimension() == 40
+    assert A_of(QQ, ["x"], ["x^40 - 1"]).finite_basis() == [
+        (i,) for i in range(40)]
+    assert A_of(QQ, list("abcde"), ["a*b - c*d - e"]).dimension() is None
+    assert A_of(QQ, ["x", "y"], ["x^2", "y^3", "x*y"]).dimension() == 4
+    assert A_of(QQ, ["x"], ["x", "x - 1"]).dimension() == 0
+    assert field_algebra(GF(5)).dimension() == 1
 
 
 def test_enumerate_points_examples():

@@ -286,6 +286,31 @@ def test_resource_guard_exit_code(files, capsys, monkeypatch):
         set_limits(max_degree=64)
 
 
+def test_unset_limit_goes_back_to_its_default(files, capsys, monkeypatch):
+    """A guard set through the environment lasts one run, not the process."""
+    doc = files["tmp"] / "quintic.json"
+    doc.write_text(json.dumps({"field": "Q", "vars": ["x"],
+                               "relations": ["x^5 - 1"]}))
+    monkeypatch.setenv("AFFPI0_MAX_DEGREE", "3")
+    code, rep = run_json(["alg", "gb", str(doc)], capsys)
+    assert code == 3 and rep["kind"] == "resource-limit"
+    monkeypatch.delenv("AFFPI0_MAX_DEGREE")
+    code, rep = run_json(["alg", "gb", str(doc)], capsys)
+    assert code == 0 and rep["result"]["basis"] == ["x^5 - 1"]
+
+
+def test_pi0_of_an_infinite_algebra_in_five_variables(files, capsys):
+    """Finiteness is read off the leading monomials, so no standard
+    monomials of high degree are counted."""
+    doc = files["tmp"] / "five.json"
+    doc.write_text(json.dumps({"field": "Q", "vars": list("abcde"),
+                               "relations": ["a*b - c*d - e"]}))
+    code, rep = run_json(["pi0", str(doc), "--method", "derham", "--deg", "1",
+                          "--tower", "1"], capsys)
+    assert code == 0
+    assert rep["result"]["derham"]["component_count"] == 1
+
+
 def test_large_constant_power_is_a_resource_limit(files, capsys):
     doc = files["tmp"] / "power.json"
     doc.write_text(json.dumps({"field": "Q", "vars": ["x"],

@@ -88,9 +88,14 @@ morphism_docs = st.one_of(
 
 
 @pytest.fixture(autouse=True)
-def low_guards():
+def low_guards(monkeypatch):
+    """Low guards for the library calls and, through the environment (each
+    CLI run sets its guards from there), for the CLI requests."""
+    low = {"max_basis": 200, "max_degree": 12, "max_terms": 2000}
+    for name, value in low.items():
+        monkeypatch.setenv(f"AFFPI0_{name.upper()}", str(value))
     saved = (LIMITS.max_basis, LIMITS.max_degree, LIMITS.max_terms)
-    set_limits(max_basis=200, max_degree=12, max_terms=2000)
+    set_limits(**low)
     yield
     set_limits(*saved)
 

@@ -16,7 +16,8 @@ from affpi0.mapspace import (Truncation,
                              structural_morphism, tower,
                              verify_directsum_law, verify_exponential_law,
                              verify_tensor_law)
-from affpi0.polyring import GF, QQ, Polynomial, _s_polynomial, normal_form
+from affpi0.polyring import (GF, QQ, BlockOrder, Polynomial, _s_polynomial,
+                             normal_form)
 
 
 def A_of(field, names, rels):
@@ -110,9 +111,9 @@ def test_upsilon_is_multiplicative_modulo_relations():
 def test_upsilon_poly_rejects_a_polynomial_of_another_ring():
     a = A_of(QQ, ["t"], ["t^3 - t"])
     m = mapspace_presentation(a, A_of(QQ, ["x"], ["x^2 - x"]), 1)
-    m.upsilon_poly(a.parse("t"))        # the combined basis is built
+    m.upsilon_poly(a.parse("t"))        # the universal ring is built
     for p in (Polynomial.variable(0, 1, GF(5)), Polynomial.variable(0, 2, QQ),
-              Polynomial.variable(0, m.big_arity, QQ)):
+              Polynomial.variable(0, m.universal_ring.arity, QQ)):
         with pytest.raises(RingMismatchError):
             m.upsilon_poly(p)
 
@@ -121,12 +122,14 @@ def test_upsilon_poly_rejects_a_polynomial_of_another_ring():
                                            (["x", "y"], ["x^2 + y^2 - 1"])])
 def test_lifted_bases_are_groebner_bases_of_the_big_ring(names, target):
     """B's basis and J's live in disjoint variable blocks, so every
-    S-polynomial of the combined basis reduces to zero."""
+    S-polynomial of the relation ring's and the universal ring's bases
+    reduces to zero."""
     a = A_of(QQ, ["t"], ["t^3 - t"])
     m = mapspace_presentation(a, A_of(QQ, names, target), 1)
-    assert len(m._combined_basis()) > len(m._b_lift) > 0
-    for basis in (m._b_lift, m._combined_basis()):
-        assert basis.order == m.big_order
+    small, big = m.relation_ring.gb(), m.universal_ring.gb()
+    assert len(big) > len(small) > 0
+    for basis in (small, big):
+        assert basis.order == BlockOrder(m.n_b)
         polys = basis.polys
         for i in range(len(polys)):
             for j in range(i):
