@@ -138,6 +138,9 @@ def cmd_homotopy(args) -> dict:
     f = load_morphism(args.f)
     g = load_morphism(args.g)
     if args.action == "verify":
+        if args.h is None:
+            raise ParseError("homotopy verify needs the homotopy "
+                             "certificate file h")
         h = load_morphism(args.h)
         cert = homotopy_verify(f, g, h)
         return {"verified": True,

@@ -199,12 +199,13 @@ def derham_h0(a: AlgebraPresentation, degree: int) -> TruncatedKernel:
 
     Every basis element is certified by exact membership of its differential
     in the Jacobian submodule (with multiplier slack D+2); the stabilization
-    flag compares with the slice one degree lower.
+    flag compares with the slice one degree lower.  That kernel is the part
+    of this one with no term of degree D, so the two agree exactly when no
+    basis element has degree D.
     """
     span = _span_rows(a, degree + 2)
     basis = _kernel_basis(a, degree, span)
-    prev = _kernel_basis(a, degree - 1, span) if degree > 0 else []
-    stabilized = len(prev) == len(basis)
+    stabilized = all(e.poly.total_degree() < degree for e in basis)
     for elem in basis:
         omega = universal_derivation(elem)
         ok = omega.is_zero or _in_jacobian_span(omega, span)

@@ -9,6 +9,7 @@ need it.  Reports are pass/fail with the offending residual on fail.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import PropertyViolationError
@@ -48,14 +49,6 @@ def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     return [[sum((a[i][t] * b[t][j] for t in range(k)),
                  start=a[0][0].scale(0)) for j in range(m)] for i in range(n)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_is_zero(a) -> bool:
-    return all(e.is_zero for row in a for e in row)
 
 
 def mat_eval_x(a, ring: SymRing, value: int):
@@ -183,12 +176,11 @@ def rotation_matrix_checks() -> dict:
     r1 = mat_eval_x(r, ring, 1)
     antidiag = ring.matrix([["0", "-1"], ["1", "0"]])
     rinv = rotation_inverse(ring)
-    inv_ok = mat_is_zero(mat_sub(mat_mul(r, rinv), ident)) \
-        and mat_is_zero(mat_sub(mat_mul(rinv, r), ident))
+    inv_ok = mat_mul(r, rinv) == ident and mat_mul(rinv, r) == ident
     report = {
         "det_is_one": det_ok,
-        "at_zero_is_identity": mat_is_zero(mat_sub(r0, ident)),
-        "at_one_is_antidiagonal": mat_is_zero(mat_sub(r1, antidiag)),
+        "at_zero_is_identity": r0 == ident,
+        "at_one_is_antidiagonal": r1 == antidiag,
         "inverse_ok": inv_ok,
     }
     report["ok"] = all(report.values())
@@ -209,11 +201,11 @@ def conjugation_homotopy_check() -> dict:
     n = ring.matrix([["e", "f"], ["g", "h"]])
     conj_n = mat_mul(rinv, mat_mul(n, r))
     conj_mn = mat_mul(rinv, mat_mul(mat_mul(m, n), r))
-    multiplicative = mat_is_zero(mat_sub(conj_mn, mat_mul(conj, conj_n)))
+    multiplicative = conj_mn == mat_mul(conj, conj_n)
     trace = conj[0][0] + conj[1][1]
     report = {
-        "endpoint_zero": mat_is_zero(mat_sub(at0, m)),
-        "endpoint_one": mat_is_zero(mat_sub(at1, swapped)),
+        "endpoint_zero": at0 == m,
+        "endpoint_one": at1 == swapped,
         "multiplicative": multiplicative,
         "trace_preserved": trace == ring.parse("a + d"),
     }
@@ -230,10 +222,9 @@ def block_lemma_checks() -> dict:
     at0 = mat_eval_x(conj, ring, 0)
     at1 = mat_eval_x(conj, ring, 1)
     swapped = ring.matrix([["be", "0"], ["0", "al"]])
-    degenerate = mat_is_zero(mat_sub(
-        mat_eval_x(mat_mul(rinv, mat_mul(
-            ring.matrix([["al", "0"], ["0", "al"]]), r)), ring, 1),
-        ring.matrix([["al", "0"], ["0", "al"]])))
+    scalar = ring.matrix([["al", "0"], ["0", "al"]])
+    degenerate = mat_eval_x(mat_mul(rinv, mat_mul(scalar, r)), ring, 1) \
+        == scalar
 
     inv = frozenset({("c", "c_inv")})
     al = NCPoly.sym("al_nc", inv)
@@ -244,12 +235,11 @@ def block_lemma_checks() -> dict:
     left = mat_mul([[one, zero], [zero, c]],
                    mat_mul([[zero, zero], [zero, al]],
                            [[one, zero], [zero, c_inv]]))
-    corner = mat_is_zero(mat_sub(
-        left, [[zero, zero], [zero, c * al * c_inv]]))
+    corner = left == [[zero, zero], [zero, c * al * c_inv]]
 
     report = {
-        "swap_endpoint_zero": mat_is_zero(mat_sub(at0, m)),
-        "swap_endpoint_one": mat_is_zero(mat_sub(at1, swapped)),
+        "swap_endpoint_zero": at0 == m,
+        "swap_endpoint_one": at1 == swapped,
         "degenerate_equal_blocks": degenerate,
         "corner_conjugation": corner,
     }
@@ -261,16 +251,19 @@ def block_lemma_checks() -> dict:
 # permutations of diagonal blocks
 
 
-def _block_diag(ring: SymRing, blocks: list[list[list[Polynomial]]], size: int):
+def _place(ring: SymRing, size: int, blocks):
+    """The size x size zero matrix with each (row, column, block) of `blocks`
+    written with the block's top-left entry at (row, column)."""
     out = [[ring.zero() for _ in range(size)] for _ in range(size)]
-    pos = 0
-    for blk in blocks:
-        k = len(blk)
-        for i in range(k):
-            for j in range(k):
-                out[pos + i][pos + j] = blk[i][j]
-        pos += k
+    for top, left, blk in blocks:
+        for i, row in enumerate(blk):
+            out[top + i][left:left + len(row)] = row
     return out
+
+
+def _block_diag(ring: SymRing, blocks: list[list[list[Polynomial]]], size: int):
+    offsets = accumulate((len(blk) for blk in blocks), initial=0)
+    return _place(ring, size, [(p, p, blk) for p, blk in zip(offsets, blocks)])
 
 
 def _generic_block(ring: SymRing, prefix: str, k: int):
@@ -290,16 +283,14 @@ def _block_symbols(sizes: Sequence[int]) -> list[str]:
 def _permutation_matrix(ring: SymRing, sigma: Sequence[int],
                         sizes: Sequence[int]):
     """Rows of the permuted layout against columns of the original layout."""
-    k = sum(sizes)
-    out = [[ring.zero() for _ in range(k)] for _ in range(k)]
-    starts = [sum(sizes[:i]) for i in range(len(sizes))]
-    new_pos = 0
-    for target in sigma:
-        base = starts[target]
-        for off in range(sizes[target]):
-            out[new_pos + off][base + off] = ring.const(1)
-        new_pos += sizes[target]
-    return out
+    starts = list(accumulate(sizes, initial=0))
+    cols = [starts[t] + off for t in sigma for off in range(sizes[t])]
+    one = [[ring.const(1)]]
+    return _place(ring, len(cols), [(i, c, one) for i, c in enumerate(cols)])
+
+
+def _transpose(m):
+    return [list(col) for col in zip(*m)]
 
 
 def adjacent_transpositions(sigma: Sequence[int]) -> list[int]:
@@ -338,18 +329,17 @@ def permutation_homotopy(sigma: Sequence[int], sizes: Sequence[int]) -> dict:
     perm_blocks = [blocks[sigma[i]] for i in range(n)]
     end = _block_diag(ring, perm_blocks, k)
 
-    links = []
     if len(swaps) == 1 and sizes[swaps[0]] == sizes[swaps[0] + 1]:
-        # direct window swap, no padding
+        # direct window swap, no padding: the conjugated window replaces
+        # the two blocks it swaps
         i = swaps[0]
         s = sizes[i]
         r, rinv = _block_rotation(ring, s)
         window = _block_diag(ring, [blocks[i], blocks[i + 1]], 2 * s)
         conj = mat_mul(rinv, mat_mul(window, r))
-        ambient = _embed_window(ring, start, conj, sum(sizes[:i]), 2 * s, k)
-        ok = (mat_is_zero(mat_sub(mat_eval_x(ambient, ring, 0), start))
-              and mat_is_zero(mat_sub(mat_eval_x(ambient, ring, 1), end)))
-        links.append({"kind": "window-rotation", "position": i, "ok": ok})
+        ambient = _block_diag(ring, blocks[:i] + [conj] + blocks[i + 2:], k)
+        ok = (mat_eval_x(ambient, ring, 0) == start
+              and mat_eval_x(ambient, ring, 1) == end)
         return {"ok": ok, "links": 1, "transpositions": swaps}
 
     # general route: pad to 2k and go through diag(0, P D P^{-1})
@@ -358,17 +348,16 @@ def permutation_homotopy(sigma: Sequence[int], sizes: Sequence[int]) -> dict:
     padded = _block_diag(ring, [start], big)
     conj1 = mat_mul(rinv, mat_mul(padded, r))
     p = _permutation_matrix(ring, sigma, sizes)
-    p_inv = [[p[j][i] for j in range(k)] for i in range(k)]
-    big_p = _block_diag(ring, [_identity(ring, k), p], big)
-    big_p_inv = _block_diag(ring, [_identity(ring, k), p_inv], big)
-    link1 = mat_mul(big_p, mat_mul(conj1, big_p_inv))
+    p_inv = _transpose(p)
+    # diag(I_k, P): the padding block stays, the others are permuted
+    big_p = _permutation_matrix(ring, [0] + [1 + t for t in sigma],
+                                [k, *sizes])
+    link1 = mat_mul(big_p, mat_mul(conj1, _transpose(big_p)))
     l1_start = mat_eval_x(link1, ring, 0)
     l1_end = mat_eval_x(link1, ring, 1)
     conjugated = mat_mul(p, mat_mul(start, p_inv))
-    expect_mid = _block_diag(ring, [_block_diag(ring, [], k), conjugated], big)
-    ok1 = (mat_is_zero(mat_sub(l1_start, padded))
-           and mat_is_zero(mat_sub(l1_end, expect_mid)))
-    links.append({"kind": "pad-conjugate", "ok": ok1})
+    expect_mid = _place(ring, big, [(k, k, conjugated)])
+    ok1 = l1_start == padded and l1_end == expect_mid
 
     padded_end = _block_diag(ring, [end], big)
     conj2 = mat_mul(rinv, mat_mul(padded_end, r))
@@ -376,41 +365,18 @@ def permutation_homotopy(sigma: Sequence[int], sizes: Sequence[int]) -> dict:
     l2_end = mat_eval_x(conj2, ring, 1)
     # the second link runs from diag(PDP^{-1}, 0) to diag(0, PDP^{-1});
     # reversed it glues onto link 1 (conjugated layout equals the permuted one)
-    ok_layout = mat_is_zero(mat_sub(conjugated, end))
-    ok2 = (mat_is_zero(mat_sub(l2_start, padded_end))
-           and mat_is_zero(mat_sub(l2_end, expect_mid))
-           and ok_layout)
-    links.append({"kind": "unpad-rotation", "ok": ok2})
+    ok_layout = conjugated == end
+    ok2 = l2_start == padded_end and l2_end == expect_mid and ok_layout
     return {"ok": ok1 and ok2, "links": 2, "transpositions": swaps}
 
 
-def _identity(ring: SymRing, k: int):
-    return [[ring.const(1) if i == j else ring.zero() for j in range(k)]
-            for i in range(k)]
-
-
 def _block_rotation(ring: SymRing, k: int):
-    """The rotation matrix with k x k scalar blocks."""
-    r2, rinv2 = rotation(ring), rotation_inverse(ring)
-    big = 2 * k
-    r = [[ring.zero() for _ in range(big)] for _ in range(big)]
-    rinv = [[ring.zero() for _ in range(big)] for _ in range(big)]
-    for bi in range(2):
-        for bj in range(2):
-            for t in range(k):
-                r[bi * k + t][bj * k + t] = r2[bi][bj]
-                rinv[bi * k + t][bj * k + t] = rinv2[bi][bj]
-    return r, rinv
-
-
-def _embed_window(ring: SymRing, full, window_conj, offset: int,
-                  wsize: int, total: int):
-    """Splice a window homotopy into the ambient diagonal matrix."""
-    out = [[full[i][j] for j in range(total)] for i in range(total)]
-    for i in range(wsize):
-        for j in range(wsize):
-            out[offset + i][offset + j] = window_conj[i][j]
-    return out
+    """The rotation matrix and its inverse with k x k scalar blocks."""
+    def spread(m):
+        return _place(ring, 2 * k, [(bi * k + t, bj * k + t, [[m[bi][bj]]])
+                                    for bi in range(2) for bj in range(2)
+                                    for t in range(k)])
+    return spread(rotation(ring)), spread(rotation_inverse(ring))
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +390,14 @@ def gamma_and_stability_checks() -> dict:
     gamma2 = ring.matrix([["m2", "0"], ["0", "n2"]])
     prod = mat_mul(gamma, gamma2)
     expect = ring.matrix([["m*m2", "0"], ["0", "n*n2"]])
-    gamma_mult = mat_is_zero(mat_sub(prod, expect))
+    gamma_mult = prod == expect
 
     # structural map M -> diag(M, 0) respects products
     m = ring.matrix([["m"]])
     m2 = ring.matrix([["m2"]])
     up = _block_diag(ring, [mat_mul(m, m2)], 2)
     up2 = mat_mul(_block_diag(ring, [m], 2), _block_diag(ring, [m2], 2))
-    structural_mult = mat_is_zero(mat_sub(up, up2))
+    structural_mult = up == up2
 
     swap_cert = permutation_homotopy([1, 0], [1, 1])
     report = {

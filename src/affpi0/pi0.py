@@ -20,7 +20,7 @@ from .derham import derham_h0
 from .errors import (HypothesisError, PropertyViolationError,
                      UnsupportedFieldError)
 from .mapspace import MapSpacePresentation, mapspace_presentation
-from .matrix_homotopy import NCPoly, mat_is_zero, mat_mul, mat_sub
+from .matrix_homotopy import NCPoly, mat_mul
 from .polyring import Polynomial, elimination_ideal
 from .solve import SolveResult, solve_system
 
@@ -44,7 +44,7 @@ def equalizer_membership(a: AlgebraPresentation, elem: ElementRep,
                          towerdepth: int) -> EqualizerVerdict:
     """Test the two evaluations of the universal line family on one element.
 
-    At each level d = 0..towerdepth the image of the element in
+    At each level d = 1..towerdepth the image of the element in
     F[x] ⊗ M_d(A, F[x]) is evaluated at x=0 and x=1; the difference must lie
     in the level ideal.  Returns the first failing level with its residual.
     """
@@ -55,15 +55,20 @@ def equalizer_membership(a: AlgebraPresentation, elem: ElementRep,
 
 def _line_levels(a: AlgebraPresentation, towerdepth: int
                  ) -> Iterator[MapSpacePresentation]:
-    """Levels 0..towerdepth of M(A, F[x]), built as they are consumed."""
+    """Levels 1..towerdepth of M(A, F[x]), built as they are consumed.
+
+    Level 0 is degenerate: the image of every element is x-free there, so
+    the equalizer test never fails on it.
+    """
     line = _line_algebra(a.field)
-    return (mapspace_presentation(a, line, d) for d in range(towerdepth + 1))
+    return (mapspace_presentation(a, line, d)
+            for d in range(1, towerdepth + 1))
 
 
 def _verdict(levels: Iterable[MapSpacePresentation], poly: Polynomial,
              towerdepth: int) -> EqualizerVerdict:
-    """The equalizer test of one element on levels 0..towerdepth, in order."""
-    for d, m in enumerate(levels):
+    """The equalizer test of one element on levels 1..towerdepth, in order."""
+    for d, m in enumerate(levels, start=1):
         diff = _evaluation_difference(m, poly)
         if not diff.is_zero:
             return EqualizerVerdict(False, d, diff)
@@ -97,21 +102,18 @@ def equalizer_subspace(a: AlgebraPresentation, degree: int, tower: int
                        ) -> EqualizerSubspace:
     """Slice elements passing the equalizer test at levels 1..tower.
 
-    Level 0 is degenerate (the image of every element is x-free there) and is
-    excluded from the cut; the verdict is monotone in the level, so the
-    constraint at the top level subsumes the lower ones, but each level is
-    still applied as a cross-check.  With tower < 1 no level would be
+    Level 0 is degenerate and is excluded from the cut; the verdict is
+    monotone in the level, so the constraint at the top level subsumes the
+    lower ones, but each level is still applied as a cross-check.  With tower < 1 no level would be
     checked, so that is a HypothesisError.
     """
     if tower < 1:
         raise HypothesisError(f"the equalizer needs tower >= 1 (level 0 is "
                               f"degenerate), got {tower}")
-    line = _line_algebra(a.field)
     slice_monos = a.standard_monomials(degree)
     current = linalg.identity_matrix(len(slice_monos), a.field)
-    for d in range(1, tower + 1):
-        current = _equalizer_cut(mapspace_presentation(a, line, d),
-                                 slice_monos, current, degree)
+    for m in _line_levels(a, tower):
+        current = _equalizer_cut(m, slice_monos, current, degree)
         if not current:
             break
     basis = [a.element(Polynomial.combination(a.arity, a.field, slice_monos,
@@ -259,8 +261,9 @@ def pi0_presentation(a: AlgebraPresentation, degree: int,
     Characteristic zero only: the de Rham kernel is the subalgebra (the
     equalizer route cross-checks it), presented on fresh variables through an
     elimination ideal.  The component count is emitted only when the
-    idempotent lattice is certified complete and the algebra looks reduced on
-    the computed slice.
+    idempotent search is certified complete, and either A is
+    finite-dimensional (the search then covers all of A, beyond the slice if
+    need be) or A looks reduced on the computed slice.
     """
     if not a.field.is_rational:
         raise UnsupportedFieldError(
@@ -277,15 +280,19 @@ def pi0_presentation(a: AlgebraPresentation, degree: int,
                 witness=(elem, verdict.level))
     basis = kernel.basis
     pres, incl = _subalgebra_presentation(a, basis)
-    idem = IdempotentReport(*_root_solutions(a, 2, degree,
-                                             levels[1] if depth else None))
+    level1 = levels[0] if levels else None
+    idem = IdempotentReport(*_root_solutions(a, 2, degree, level1))
+    search = idem
+    whole = a.finite_basis()
+    if whole is not None:
+        top = max(map(sum, whole), default=0)
+        if top > degree:
+            search = IdempotentReport(*_root_solutions(a, 2, top, level1))
     count = None
-    if idem.complete:
-        prims = primitive_idempotents(idem)
-        finite = a.dimension() is not None
-        nilfree = _no_nilpotents_on_slice(a, degree)
-        if finite or nilfree:
-            count = len(prims) if prims else (0 if a.is_zero_algebra() else 1)
+    if search.complete and (whole is not None
+                            or _no_nilpotents_on_slice(a, degree)):
+        prims = primitive_idempotents(search)
+        count = len(prims) if prims else (0 if a.is_zero_algebra() else 1)
     return Pi0Result("derham", basis, pres, incl, idem, count, degree, tower)
 
 
@@ -338,12 +345,9 @@ def pnc_zero_witness() -> dict:
     def image(sym: NCPoly):
         return [[sym, sym * x], [zero, zero]]
 
-    prod = mat_mul(image(a), image(b))
-    expected = image(a * b)
-    multiplicative = mat_is_zero(mat_sub(prod, expected))
-    lin = mat_is_zero(mat_sub(
-        image(a + b.scale(3)),
-        [[a + b.scale(3), (a + b.scale(3)) * x], [zero, zero]]))
+    multiplicative = mat_mul(image(a), image(b)) == image(a * b)
+    lin = image(a + b.scale(3)) == [[a + b.scale(3), (a + b.scale(3)) * x],
+                                    [zero, zero]]
     x_coeff = image(a)[0][1].x_coefficient(1)
     nonconstant = (not x_coeff.is_zero) and x_coeff == a
     report = {"multiplicative": multiplicative, "linear": lin,

@@ -82,20 +82,28 @@ def simplicial_map(alpha: Sequence[int], target_level: int,
                            check=False)
 
 
-def face_map(i: int, n: int, field: FieldDescriptor) -> AlgebraMorphism:
-    """d_i: F[Delta_n] -> F[Delta_{n-1}] induced by the injection skipping i."""
+def _face_alpha(i: int, n: int) -> tuple[int, ...]:
+    """The injection {0..n-1} -> {0..n} skipping i."""
     if not 0 <= i <= n or n < 1:
         raise ValueError("face index out of range")
-    alpha = [j for j in range(n + 1) if j != i]
-    return simplicial_map(alpha, n, field)
+    return tuple(j for j in range(n + 1) if j != i)
+
+
+def _degeneracy_alpha(i: int, n: int) -> tuple[int, ...]:
+    """The surjection {0..n+1} -> {0..n} doubling i."""
+    if not 0 <= i <= n:
+        raise ValueError("degeneracy index out of range")
+    return tuple(min(j, i) if j <= i + 1 else j - 1 for j in range(n + 2))
+
+
+def face_map(i: int, n: int, field: FieldDescriptor) -> AlgebraMorphism:
+    """d_i: F[Delta_n] -> F[Delta_{n-1}] induced by the injection skipping i."""
+    return simplicial_map(_face_alpha(i, n), n, field)
 
 
 def degeneracy_map(i: int, n: int, field: FieldDescriptor) -> AlgebraMorphism:
     """s_i: F[Delta_n] -> F[Delta_{n+1}] induced by the surjection doubling i."""
-    if not 0 <= i <= n:
-        raise ValueError("degeneracy index out of range")
-    alpha = [min(j, i) if j <= i + 1 else j - 1 for j in range(n + 2)]
-    return simplicial_map(alpha, n, field)
+    return simplicial_map(_degeneracy_alpha(i, n), n, field)
 
 
 def check_simplicial_functoriality(field: FieldDescriptor, max_level: int = 3
@@ -141,9 +149,10 @@ class LevelSlice:
 class CosimplicialSpace:
     """Levels 0..N of the map space into the simplicial algebra, sliced.
 
-    Coface maps go up a level, codegeneracies down, both induced through the
-    functorial action; their matrices act on the degree-bounded slices of
-    standard monomials.
+    A monotone map alpha: {0..a} -> {0..b} acts as M(A, -) of its structure
+    map F[Delta_b] -> F[Delta_a], a morphism from level a to level b that is
+    built on first read, as is its matrix on the degree-bounded slices of
+    standard monomials.  Cofaces go up a level, codegeneracies down.
     """
 
     def __init__(self, a: AlgebraPresentation, tower: int, degree: int,
@@ -158,96 +167,88 @@ class CosimplicialSpace:
         for n in range(levels + 1):
             m = mapspace_presentation(a, self.deltas[n].presentation, tower)
             self.levels.append(LevelSlice(m, m.algebra.standard_monomials(degree)))
-        ident = AlgebraMorphism.identity(a)
-        # cofaces[n][i]: level n-1 -> level n, i = 0..n
-        self.cofaces: list[list[AlgebraMorphism]] = [[]]
-        for n in range(1, levels + 1):
-            row = []
-            for i in range(n + 1):
-                g = face_map(i, n, a.field)
-                row.append(functor_action(ident, g,
-                                          self.levels[n - 1].mspace,
-                                          self.levels[n].mspace))
-            self.cofaces.append(row)
-        # codegens[n][i]: level n+1 -> level n, i = 0..n
-        self.codegens: list[list[AlgebraMorphism]] = []
-        for n in range(levels):
-            row = []
-            for i in range(n + 1):
-                g = degeneracy_map(i, n, a.field)
-                row.append(functor_action(ident, g,
-                                          self.levels[n + 1].mspace,
-                                          self.levels[n].mspace))
-            self.codegens.append(row)
+        self.ident = AlgebraMorphism.identity(a)
+        self._maps: dict[tuple, AlgebraMorphism] = {}
+        self._matrices: dict[tuple, list[list]] = {}
 
-    # -- matrices on slices ----------------------------------------------------
+    def structure_map(self, alpha: Sequence[int], level: int
+                      ) -> AlgebraMorphism:
+        """M(A, -) of simplicial_map(alpha, level): level len(alpha) - 1 ->
+        `level`."""
+        key = (tuple(alpha), level)
+        if key not in self._maps:
+            self._maps[key] = functor_action(
+                self.ident, simplicial_map(alpha, level, self.field),
+                self.levels[len(alpha) - 1].mspace, self.levels[level].mspace)
+        return self._maps[key]
 
-    def matrix_of(self, morphism: AlgebraMorphism, src_level: int,
-                  dst_level: int) -> list[list]:
-        dst = self.levels[dst_level].basis
-        cols = []
-        for mono in self.levels[src_level].basis:
-            img = morphism.apply_poly(Polynomial.monomial(mono, self.field))
-            col = img.coefficients(dst)
-            if col is None:
-                raise PropertyViolationError(
-                    "image leaves the degree slice; raise the degree bound",
-                    witness=next(mm for mm in img.terms if mm not in dst))
-            cols.append(col)
-        return [list(row) for row in zip(*cols)]
-
-    def coface_matrix(self, n: int, i: int) -> list[list]:
-        return self.matrix_of(self.cofaces[n][i], n - 1, n)
-
-    def codegen_matrix(self, n: int, i: int) -> list[list]:
-        return self.matrix_of(self.codegens[n][i], n + 1, n)
+    def structure_matrix(self, alpha: Sequence[int], level: int
+                         ) -> list[list]:
+        """The matrix of structure_map(alpha, level) on the slices."""
+        key = (tuple(alpha), level)
+        if key not in self._matrices:
+            morphism = self.structure_map(alpha, level)
+            dst = self.levels[level].basis
+            cols = []
+            for mono in self.levels[len(alpha) - 1].basis:
+                img = morphism.apply_poly(Polynomial.monomial(mono, self.field))
+                col = img.coefficients(dst)
+                if col is None:
+                    raise PropertyViolationError(
+                        "image leaves the degree slice; raise the degree bound",
+                        witness=next(mm for mm in img.terms if mm not in dst))
+                cols.append(col)
+            self._matrices[key] = [list(row) for row in zip(*cols)]
+        return self._matrices[key]
 
     def differential_matrix(self, n: int) -> list[list]:
         """Alternating coface sum X^n -> X^{n+1} on the slices."""
-        total = self.coface_matrix(n + 1, 0)
+        total = self.structure_matrix(_face_alpha(0, n + 1), n + 1)
         for i in range(1, n + 2):
             op = self.field.add if i % 2 == 0 else self.field.sub
-            total = [list(map(op, row, other)) for row, other
-                     in zip(total, self.coface_matrix(n + 1, i))]
+            total = [list(map(op, row, other)) for row, other in zip(
+                total, self.structure_matrix(_face_alpha(i, n + 1), n + 1))]
         return total
 
 
 def check_cosimplicial_identities(space: CosimplicialSpace) -> dict:
     """All five identity families, as exact morphism equalities."""
+    def d(n: int, i: int) -> AlgebraMorphism:     # level n-1 -> n
+        return space.structure_map(_face_alpha(i, n), n)
+
+    def s(n: int, i: int) -> AlgebraMorphism:     # level n+1 -> n
+        return space.structure_map(_degeneracy_alpha(i, n), n)
+
     failures = []
     n_max = space.n_levels
-    cofaces, codegens = space.cofaces, space.codegens
     # d^j d^i = d^i d^{j-1} for i < j (composites level n-1 -> n+1)
     for n in range(1, n_max):
         for j in range(n + 2):
             for i in range(j):
-                lhs = cofaces[n + 1][j].compose(cofaces[n][i])
-                rhs = cofaces[n + 1][i].compose(cofaces[n][j - 1])
-                if lhs != rhs:
+                if d(n + 1, j).compose(d(n, i)) \
+                        != d(n + 1, i).compose(d(n, j - 1)):
                     failures.append(("dd", n, i, j))
-    # codegeneracy vs coface families (composites level n -> n)
+    # codegeneracy vs coface families (composites level n -> n); at n = 1
+    # only the identity case occurs
     for n in range(1, n_max + 1):
         for j in range(n):
             for i in range(n + 1):
-                lhs = codegens[n - 1][j].compose(cofaces[n][i])
+                lhs = s(n - 1, j).compose(d(n, i))
                 if i < j:
-                    rhs = cofaces[n - 1][i].compose(codegens[n - 2][j - 1]) \
-                        if n >= 2 else None
+                    rhs = d(n - 1, i).compose(s(n - 2, j - 1))
                 elif i in (j, j + 1):
                     rhs = AlgebraMorphism.identity(
                         space.levels[n - 1].mspace.algebra)
                 else:
-                    rhs = cofaces[n - 1][i - 1].compose(codegens[n - 2][j]) \
-                        if n >= 2 else None
-                if rhs is not None and lhs != rhs:
+                    rhs = d(n - 1, i - 1).compose(s(n - 2, j))
+                if lhs != rhs:
                     failures.append(("sd", n, i, j))
     # s^j s^i = s^i s^{j+1} for i <= j (composites level n+2 -> n)
     for n in range(n_max - 1):
         for j in range(n + 1):
             for i in range(j + 1):
-                lhs = codegens[n][j].compose(codegens[n + 1][i])
-                rhs = codegens[n][i].compose(codegens[n + 1][j + 1])
-                if lhs != rhs:
+                if s(n, j).compose(s(n + 1, i)) \
+                        != s(n, i).compose(s(n + 1, j + 1)):
                     failures.append(("ss", n, i, j))
     return {"ok": not failures, "failures": failures}
 
@@ -286,16 +287,16 @@ def moore_complex(a: AlgebraPresentation, tower: int, degree: int,
         if n == 0:
             normalized.append(linalg.identity_matrix(dim, field))
             continue
-        stacked = []
-        for i in range(n):
-            stacked.extend(space.codegen_matrix(n - 1, i))
+        stacked = [row for i in range(n) for row in
+                   space.structure_matrix(_degeneracy_alpha(i, n - 1), n - 1)]
         normalized.append(linalg.nullspace(stacked, dim, field))
     h0 = len(linalg.nullspace(diffs[0], space.levels[0].dimension, field)) \
         if levels >= 1 else space.levels[0].dimension
     h1 = None
     if levels >= 2:
         # ker(delta^1) ∩ N^1 modulo the image of delta^0
-        stacked = space.codegen_matrix(0, 0) + diffs[1]
+        stacked = space.structure_matrix(_degeneracy_alpha(0, 0), 0) \
+            + diffs[1]
         kernel = linalg.nullspace(stacked, space.levels[1].dimension, field)
         h1 = len(kernel) - linalg.rank(diffs[0], field)
     return MooreComplex(space, normalized, diffs, dd_zero, h0, h1)
@@ -324,7 +325,7 @@ class SingH0Result:
 
 
 def sing_h0(a: AlgebraPresentation, tower: int, degree: int) -> SingH0Result:
-    """Equalizer of the two cofaces A -> level-1 slice, per tower level 1..T."""
+    """Kernel of d^0 - d^1 on the level-0 slice, per tower level 1..T."""
     out = []
     for d in range(1, tower + 1):
         space = CosimplicialSpace(a, d, degree, 1)
@@ -370,17 +371,9 @@ def cup_product(space: CosimplicialSpace, cn: tuple[int, Polynomial],
     m, pm = cm
     if n + m > space.n_levels:
         raise PropertyViolationError("cup product needs level n+m in the space")
-    ident = AlgebraMorphism.identity(space.a)
     # the front face keeps vertices 0..n, the back face n..n+m
-    pull_n = functor_action(ident,
-                            simplicial_map(range(n + 1), n + m, space.field),
-                            space.levels[n].mspace,
-                            space.levels[n + m].mspace)
-    pull_m = functor_action(ident,
-                            simplicial_map(range(n, n + m + 1), n + m,
-                                           space.field),
-                            space.levels[m].mspace,
-                            space.levels[n + m].mspace)
+    pull_n = space.structure_map(range(n + 1), n + m)
+    pull_m = space.structure_map(range(n, n + m + 1), n + m)
     prod = space.levels[n + m].mspace.algebra.nf(
         pull_n.apply_poly(pn) * pull_m.apply_poly(pm))
     return (n + m, prod)
@@ -393,7 +386,8 @@ def alternating_sum(space: CosimplicialSpace, level: int,
     target = space.levels[level + 1].mspace.algebra
     acc = Polynomial.zero(target.arity, field)
     for i in range(level + 2):
-        img = space.cofaces[level + 1][i].apply_poly(poly)
+        img = space.structure_map(_face_alpha(i, level + 1),
+                                  level + 1).apply_poly(poly)
         acc = acc + (img if i % 2 == 0 else -img)
     return target.nf(acc)
 

@@ -264,6 +264,14 @@ def test_homotopy_verify_into_a_target_without_variables(files, capsys):
     assert code == 2 and rep["kind"] == "input"
 
 
+def test_homotopy_verify_without_a_certificate_is_an_input_error(files,
+                                                                 capsys):
+    code, rep = run_json(["homotopy", "verify", files["f0"], files["g1"]],
+                         capsys)
+    assert code == 2 and rep["kind"] == "input"
+    assert "certificate file h" in rep["error"]
+
+
 @pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
 def test_malformed_limit_in_the_environment_is_an_input_error(
         files, capsys, monkeypatch, value):

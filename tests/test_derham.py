@@ -7,7 +7,8 @@ import random
 import pytest
 
 from affpi0.algebra import AlgebraPresentation, polynomial_extension
-from affpi0.derham import (DifferentialForm, derham_h0, exterior_derivative,
+from affpi0.derham import (DifferentialForm, _kernel_basis, _span_rows,
+                           derham_h0, exterior_derivative,
                            form_is_zero, integral_phi1,
                            integration_homotopy_check, jacobian_rows,
                            subalgebra_closure_check, universal_derivation)
@@ -206,3 +207,26 @@ def test_kernel_over_prime_field_flagged_not_pi0():
     # the Jacobian row is the unit -1, so the whole slice is in the kernel
     assert k.dimension == 5
     assert not k.char_zero
+
+
+STABILIZATION_ALGEBRAS = [
+    (["x"], ["x^3 - x"]), (["x", "y"], ["x^2 + y^2 - 1"]),
+    (["x", "y"], ["y^2 - x^2 - x^3"]), (["x", "y"], ["y^2 - x^3"]),
+    (["e"], ["e^2"]), (["t"], []), (["x", "y"], ["y^2 - y"]),
+    (["x", "y"], ["x*y"]), (["x", "y"], ["x*y - 1"]), (["x"], ["x^5"]),
+    (["x"], ["x^2 - x"]), (["x", "y"], ["x^2", "y^2"]),
+    (["x", "y"], ["x^2 - x", "y^2 - y"]), (["x", "y", "z"], ["x*y - z"]),
+    (["x"], ["x^4 - 1"]),
+]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=str)
+@pytest.mark.parametrize("names, rels", STABILIZATION_ALGEBRAS)
+def test_stabilized_flag_compares_with_the_kernel_one_degree_lower(
+        field, names, rels):
+    a = A_of(field, names, rels)
+    for degree in range(5):
+        kernel = derham_h0(a, degree)
+        span = _span_rows(a, degree + 2)
+        lower = len(_kernel_basis(a, degree - 1, span)) if degree else 0
+        assert kernel.stabilized == (lower == kernel.dimension), degree

@@ -8,7 +8,8 @@ import pytest
 
 from affpi0 import pi0 as pi0_mod
 from affpi0.algebra import AlgebraPresentation, field_algebra
-from affpi0.errors import HypothesisError, UnsupportedFieldError
+from affpi0.errors import (HypothesisError, ResourceLimitError,
+                           UnsupportedFieldError)
 from affpi0.pi0 import (equalizer_membership, equalizer_subspace,
                         functor_property_checks, idempotent_search,
                         iskp_subalgebra, pi0_presentation, pnc_zero_witness,
@@ -215,6 +216,50 @@ def test_pi0_refuses_prime_fields():
 def test_pi0_of_ground_field():
     res = pi0_presentation(field_algebra(QQ), 2)
     assert res.dimension == 1 and res.component_count == 1
+
+
+@pytest.mark.parametrize("names, rels, degrees, count", [
+    (["x"], ["x^3 - x"], (0, 1, 2), 3),
+    (["x", "y"], ["x^2 - x", "y^2 - y"], (0, 1, 2), 4),
+    (["x"], ["(x - 1)*(x + 2)*(x^2 - 3)"], (1,), 3),
+])
+def test_pi0_counts_components_of_a_finite_algebra_beyond_the_slice(
+        names, rels, degrees, count):
+    # the slice misses idempotents; the count comes from all of A
+    a = A_of(QQ, names, rels)
+    for degree in degrees:
+        assert pi0_presentation(a, degree, 2).component_count == count
+
+
+def test_pi0_whole_algebra_search_reports_its_guard():
+    a = A_of(QQ, ["x"], ["(x - 1)*(x + 2)*(x - 4)*(x + 5)"])
+    with pytest.raises(ResourceLimitError):
+        pi0_presentation(a, 1, 2)
+
+
+def _record_line_levels(monkeypatch) -> list:
+    levels = []
+    present = pi0_mod.mapspace_presentation
+
+    def spy(a, b, d):
+        levels.append(d)
+        return present(a, b, d)
+
+    monkeypatch.setattr(pi0_mod, "mapspace_presentation", spy)
+    return levels
+
+
+def test_pi0_presentation_never_builds_level_zero(monkeypatch):
+    levels = _record_line_levels(monkeypatch)
+    pi0_presentation(CUBIC, 2, 3)
+    assert levels == [1, 2]
+
+
+def test_equalizer_routes_never_build_level_zero(monkeypatch):
+    levels = _record_line_levels(monkeypatch)
+    assert equalizer_membership(IDEMP, IDEMP.element("e"), 2).passed
+    equalizer_subspace(IDEMP, 2, 2)
+    assert levels == [1, 2, 1, 2]
 
 
 # ---------------------------------------------------------------------------

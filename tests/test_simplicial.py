@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from affpi0 import simplicial
 from affpi0.algebra import AlgebraPresentation, field_algebra
 from affpi0.polyring import GF, QQ, Polynomial
 from affpi0.simplicial import (CosimplicialSpace,
@@ -184,6 +185,44 @@ def test_cup_commutative_on_h0():
     left = cup_product(space, (0, c), (0, c2))
     right = cup_product(space, (0, c2), (0, c))
     assert left == right
+
+
+def _count_functor_actions(monkeypatch) -> list:
+    calls = []
+    action = simplicial.functor_action
+
+    def spy(*args):
+        calls.append(args)
+        return action(*args)
+
+    monkeypatch.setattr(simplicial, "functor_action", spy)
+    return calls
+
+
+@pytest.mark.parametrize("tower", [1, 2, 3])
+def test_sing_h0_builds_two_structure_maps_per_tower_level(monkeypatch,
+                                                           tower):
+    calls = _count_functor_actions(monkeypatch)
+    sing_h0(IDEMP, tower, 2)
+    assert len(calls) == 2 * tower
+
+
+def test_structure_maps_are_built_once_per_space(monkeypatch):
+    calls = _count_functor_actions(monkeypatch)
+    space = CosimplicialSpace(A_of(QQ, ["t"], ["t^2 - 1"]), 1, 2, 2)
+    alg0 = space.levels[0].mspace.algebra
+    c = alg0.parse(alg0.vars[0])
+    one = space.levels[1].mspace.algebra.parse("1")
+    first = cup_product(space, (0, c), (1, one))
+    built = len(calls)
+    assert built > 0
+    assert cup_product(space, (0, c), (1, one)) == first
+    assert len(calls) == built
+    check_cosimplicial_identities(space)
+    read = len(calls)
+    check_cosimplicial_identities(space)
+    space.differential_matrix(1)
+    assert len(calls) == read
 
 
 # ---------------------------------------------------------------------------
