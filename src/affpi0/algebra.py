@@ -518,11 +518,10 @@ def enumerate_hom(a: AlgebraPresentation, b: AlgebraPresentation,
             f"hom search space {p}^{n_coef} exceeds guard {SOLVE_GUARD}")
     homs = []
     for coeffs in itertools.product(range(p), repeat=n_coef):
-        images = []
-        for i in range(a.arity):
-            chunk = coeffs[i * len(basis):(i + 1) * len(basis)]
-            terms = {m: c for m, c in zip(basis, chunk) if c != 0}
-            images.append(Polynomial(b.arity, b.field, terms))
-        if all(b.contains_ideal(r.substitute(images)) for r in a.relations):
-            homs.append(AlgebraMorphism(a, b, images, check=False))
+        hom = AlgebraMorphism(a, b, [
+            Polynomial.combination(b.arity, b.field, basis,
+                                   coeffs[i * len(basis):(i + 1) * len(basis)])
+            for i in range(a.arity)], check=False)
+        if all(hom.apply_poly(r).is_zero for r in a.relations):
+            homs.append(hom)
     return homs

@@ -16,9 +16,9 @@ import sys
 import time
 
 from . import matrix_homotopy, pi0 as pi0_mod, simplicial
-from .algebra import (AlgebraPresentation, enumerate_hom, enumerate_points,
-                      field_algebra, load_algebra, load_morphism,
-                      polynomial_extension)
+from .algebra import (AlgebraPresentation, direct_sum, enumerate_hom,
+                      enumerate_points, field_algebra, load_algebra,
+                      load_morphism, polynomial_extension)
 from .derham import (DifferentialForm, derham_h0, integration_homotopy_check)
 from .errors import (HypothesisError, MorphismError, ParseError,
                      PropertyViolationError, ResourceLimitError,
@@ -239,6 +239,11 @@ def cmd_sing(args) -> dict:
     if args.action == "complex":
         cx = simplicial.moore_complex(a, args.trunc, args.deg, args.levels)
         idents = simplicial.check_cosimplicial_identities(cx.space)
+        if not (idents["ok"] and cx.dd_zero):
+            raise PropertyViolationError(
+                "cosimplicial complex check failed",
+                witness={"identity_failures": idents["failures"],
+                         "dd_zero": cx.dd_zero})
         return {"level_dimensions": [lvl.dimension
                                      for lvl in cx.space.levels],
                 "normalized_dimensions": cx.level_dimensions(),
@@ -273,7 +278,6 @@ def cmd_verify(args) -> dict:
             rep = verify_directsum_law(a, field_algebra(QQ), field_algebra(QQ))
             f3 = GF(3)
             a3 = AlgebraPresentation(f3, ["t"], ["t^2 - 1"])
-            from .algebra import direct_sum
             ds, _, _ = direct_sum(field_algebra(f3), field_algebra(f3))
             m_ds = mapspace_presentation(a3, ds, 1)
             m1 = mapspace_presentation(a3, field_algebra(f3), 0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import derham, pi0, simplicial
 from .algebra import (AlgebraMorphism, AlgebraPresentation, ElementRep,
                       PolynomialExtension, field_algebra, polynomial_extension)
 from .errors import HypothesisError, MorphismError, PropertyViolationError
@@ -257,8 +258,6 @@ def p0p1_invariance_harness(a: AlgebraPresentation, hook: str,
                             degree: int = 2, tower_depth: int = 2) -> dict:
     """Check that the two evaluations of A[x] induce the same map on a
     computed invariant (named hook: pi0 | derham_h0 | sing_h0)."""
-    from . import derham, pi0, simplicial   # local imports avoid cycles
-
     ext = polynomial_extension(a)
     ax = ext.algebra
     if hook == "derham_h0":

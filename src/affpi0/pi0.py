@@ -240,7 +240,6 @@ def iskp_subalgebra(a: AlgebraPresentation, k: int, degree: int
 
 @dataclass
 class Pi0Result:
-    route: str
     basis: list[ElementRep]
     presentation: AlgebraPresentation | None
     inclusion: AlgebraMorphism | None
@@ -293,7 +292,7 @@ def pi0_presentation(a: AlgebraPresentation, degree: int,
                             or _no_nilpotents_on_slice(a, degree)):
         prims = primitive_idempotents(search)
         count = len(prims) if prims else (0 if a.is_zero_algebra() else 1)
-    return Pi0Result("derham", basis, pres, incl, idem, count, degree, tower)
+    return Pi0Result(basis, pres, incl, idem, count, degree, tower)
 
 
 def _subalgebra_presentation(a: AlgebraPresentation,
@@ -346,8 +345,9 @@ def pnc_zero_witness() -> dict:
         return [[sym, sym * x], [zero, zero]]
 
     multiplicative = mat_mul(image(a), image(b)) == image(a * b)
-    lin = image(a + b.scale(3)) == [[a + b.scale(3), (a + b.scale(3)) * x],
-                                    [zero, zero]]
+    lin = all(s == u + v.scale(3)
+              for rows in zip(image(a + b.scale(3)), image(a), image(b))
+              for s, u, v in zip(*rows))
     x_coeff = image(a)[0][1].x_coefficient(1)
     nonconstant = (not x_coeff.is_zero) and x_coeff == a
     report = {"multiplicative": multiplicative, "linear": lin,

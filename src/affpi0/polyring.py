@@ -1014,12 +1014,25 @@ def elimination_ideal(gens: Iterable[Polynomial], eliminate: Sequence[int]
 
 def standard_monomials(gb: GroebnerBasis, arity: int, maxdeg: int
                        ) -> list[Monomial]:
-    """Monomials of degree <= maxdeg outside the leading-term ideal."""
+    """Monomials of degree <= maxdeg outside the leading-term ideal, by
+    degree then degrevlex.
+
+    Walks the staircase: every divisor of a standard monomial is standard,
+    so each degree is built from x_i·m for the standard monomials m one
+    degree lower.
+    """
     lts = gb.leading_monomials
     out = []
-    for m in monomials_up_to(arity, maxdeg):
-        if not any(monomial_divides(lt, m) for lt in lts):
-            out.append(m)
+    level = [(0,) * arity]
+    for _ in range(maxdeg + 1):
+        level = sorted((m for m in level
+                        if not any(monomial_divides(lt, m) for lt in lts)),
+                       key=_drl_key, reverse=True)
+        if not level:
+            break
+        out += level
         if len(out) > LIMITS.max_terms:
             raise ResourceLimitError("standard monomial count exceeds guard")
+        level = {m[:i] + (m[i] + 1,) + m[i + 1:]
+                 for m in level for i in range(arity)}
     return out

@@ -11,6 +11,7 @@ level and degree slice.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -109,8 +110,6 @@ def degeneracy_map(i: int, n: int, field: FieldDescriptor) -> AlgebraMorphism:
 def check_simplicial_functoriality(field: FieldDescriptor, max_level: int = 3
                                    ) -> dict:
     """(beta after alpha)* = alpha* after beta* on a grid of monotone maps."""
-    import itertools
-
     failures = []
     for b in range(max_level + 1):
         for mid in range(max_level + 1):
@@ -504,7 +503,6 @@ def prism_identities_check(n: int, field: FieldDescriptor) -> dict:
     for i in range(n + 1):
         degeneracy = degeneracy_map(i, n, field)
         for k in range(n):
-            gen = Polynomial.variable(k, n, field)
             restricted = prisms[i].images[k]
             if restricted != degeneracy.images[k]:
                 failures.append(("collapse", i, k))

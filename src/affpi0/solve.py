@@ -12,9 +12,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from .errors import ResourceLimitError
+from .linalg import rref
 from .polyring import LEX, QQ as QQ_FIELD, FieldDescriptor, Polynomial, groebner
 
 SOLVE_GUARD = 200_000
@@ -38,9 +40,8 @@ def solve_system(gens: Sequence[Polynomial], nvars: int,
     if any(g.total_degree() == 0 for g in gens):
         return SolveResult([], True)
     if field.is_rational:
-        sols = set()
-        complete = _solve_rational(gens, nvars, {}, list(range(nvars)), sols)
-        return SolveResult(sorted(sols), complete)
+        points, complete = _solve_rational(gens, nvars)
+        return SolveResult(sorted(set(points)), complete)
     p = field.p
     if p ** nvars > SOLVE_GUARD:
         raise ResourceLimitError(
@@ -50,87 +51,53 @@ def solve_system(gens: Sequence[Polynomial], nvars: int,
     return SolveResult(sols, True)
 
 
-def _record(out: set, assignment: dict, nvars: int) -> None:
-    out.add(tuple(assignment[i] for i in range(nvars)))
+def _solve_rational(gens: list[Polynomial], n: int
+                    ) -> tuple[list[tuple], bool]:
+    """Rational zeros in n variables and their completeness flag.
 
-
-def _solve_rational(gens: list[Polynomial], total_vars: int,
-                    assignment: dict, positions: list[int], out: set) -> bool:
-    """Branch on any variable with a univariate eliminant; returns completeness.
-
-    `positions` maps the current (shrunken) ring back to original variable
-    indices.  When no eliminant exists the remaining system is solved exactly
-    if it is linear (one particular rational point, flagged incomplete when
-    underdetermined); otherwise the branch is abandoned as incomplete.
+    Branches on the last variable with a univariate eliminant and splices
+    each rational root into the points found below it.  When no eliminant
+    exists the system is solved exactly if it is linear (one particular
+    rational point, flagged incomplete when underdetermined); otherwise the
+    branch is abandoned as incomplete.
     """
-    if not positions:
-        if all(g.constant_term() == 0 for g in gens):
-            _record(out, assignment, total_vars)
-        return True
+    if n == 0:
+        return ([()] if all(g.constant_term() == 0 for g in gens) else []), True
     if not gens:
         # positive-dimensional: pick the origin of this branch, incomplete
-        for pos in positions:
-            assignment[pos] = Fraction(0)
-        _record(out, assignment, total_vars)
-        return False
+        return [(Fraction(0),) * n], False
     gb = groebner(gens, LEX)
     if gb.contains_one():
-        return True
-    n = len(positions)
-    pick = None
-    for var in range(n - 1, -1, -1):
-        for g in gb:
-            if all(all(e == 0 for i, e in enumerate(m) if i != var)
-                   for m in g.terms):
-                pick = (var, g)
-                break
-        if pick:
-            break
+        return [], True
+    pick = next(((var, g) for var in range(n - 1, -1, -1) for g in gb
+                 if all(not any(m[:var] + m[var + 1:]) for m in g.terms)),
+                None)
     if pick is None:
         if all(g.total_degree() <= 1 for g in gb):
-            return _solve_linear_branch(list(gb), total_vars, assignment,
-                                        positions, out)
-        return False
+            return _solve_linear(list(gb), n)
+        return [], False
     var, eliminant = pick
-    complete = True
+    points, complete = [], True
     for root in rational_roots(_univariate_coeffs(eliminant, var)):
-        substituted = []
-        for g in gb:
-            h = _plug_var(g, var, root)
-            if not h.is_zero:
-                substituted.append(h)
-        sub_positions = positions[:var] + positions[var + 1:]
-        assignment[positions[var]] = root
-        complete &= _solve_rational(substituted, total_vars, assignment,
-                                    sub_positions, out)
-    return complete
+        substituted = [h for h in (_plug_var(g, var, root) for g in gb)
+                       if not h.is_zero]
+        below, below_complete = _solve_rational(substituted, n - 1)
+        points += [s[:var] + (root,) + s[var:] for s in below]
+        complete &= below_complete
+    return points, complete
 
 
-def _solve_linear_branch(gens: list[Polynomial], total_vars: int,
-                         assignment: dict, positions: list[int],
-                         out: set) -> bool:
-    from .linalg import rref
-
-    n = len(positions)
-    rows = []
-    for g in gens:
-        row = [Fraction(0)] * (n + 1)
-        for m, c in g.terms.items():
-            if sum(m) == 0:
-                row[n] = -c
-            else:
-                row[m.index(1)] = c
-        rows.append(row)
-    reduced, pivots = rref(rows, QQ_FIELD)
+def _solve_linear(gens: list[Polynomial], n: int) -> tuple[list[tuple], bool]:
+    """A linear system: one particular point, complete when it is unique."""
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    reduced, pivots = rref([g.coefficients(units + [(0,) * n]) for g in gens],
+                           QQ_FIELD)
     if n in pivots:
-        return True        # inconsistent: certified empty branch
+        return [], True        # inconsistent: certified empty branch
     particular = [Fraction(0)] * n
     for r, c in enumerate(pivots):
-        particular[c] = reduced[r][n]
-    for pos, value in zip(positions, particular):
-        assignment[pos] = value
-    _record(out, assignment, total_vars)
-    return len(pivots) == n
+        particular[c] = -reduced[r][n]
+    return [tuple(particular)], len(pivots) == n
 
 
 def _univariate_coeffs(g: Polynomial, var: int) -> list[Fraction]:
@@ -171,7 +138,6 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     if len(coeffs) == 1:
         return sorted(roots)
     # clear denominators to an integer polynomial
-    from math import gcd, isqrt, lcm
     den = lcm(*[c.denominator for c in coeffs])
     ints = [int(c * den) for c in coeffs]
     g = gcd(*ints)

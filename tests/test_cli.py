@@ -86,6 +86,19 @@ def test_map_points_crosscheck(files, capsys):
     assert rep["result"]["hom_count"] == rep["result"]["point_count"] == 4
 
 
+@pytest.mark.parametrize("relations,count", [(["1"], 0), ([], 1)],
+                         ids=["zero-algebra", "ground-field"])
+def test_source_without_variables(files, capsys, relations, count):
+    src = files["tmp"] / "novars.json"
+    src.write_text(json.dumps({"field": {"p": 3}, "vars": [],
+                               "relations": relations}))
+    code, rep = run_json(["hom", "enum", str(src), files["f3t"]], capsys)
+    assert code == 0 and rep["result"]["count"] == count
+    code, rep = run_json(["map", "points", str(src), files["f3t"]], capsys)
+    assert code == 0
+    assert rep["result"]["hom_count"] == rep["result"]["point_count"] == count
+
+
 def test_homotopy_search_negative(files, capsys):
     code, rep = run_json(["homotopy", "search", files["f0"], files["g1"],
                           "--xdeg", "3", "--bdeg", "3"], capsys)
@@ -150,6 +163,35 @@ def test_sing_h0_and_complex(files, capsys):
     res = rep["result"]
     assert res["dd_zero"] and res["cosimplicial_identities"]
     assert res["h0_dimension"] == 2 and res["h1_dimension"] == 0
+
+
+def sing_complex(path):
+    return ["sing", "complex", path, "--levels", "2", "--trunc", "1",
+            "--deg", "2"]
+
+
+def test_sing_complex_failing_identities_exit_1(files, capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli.simplicial, "check_cosimplicial_identities",
+        lambda space: {"ok": False, "failures": [("dd", 1, 0, 1)]})
+    code, rep = run_json(sing_complex(files["idem"]), capsys)
+    assert code == 1 and rep["kind"] == "property"
+    assert "('dd', 1, 0, 1)" in rep["witness"]
+
+
+def test_sing_complex_failing_dd_zero_exit_1(files, capsys, monkeypatch):
+    """Summing the cofaces without signs gives a d with d∘d != 0."""
+    space_cls = cli.simplicial.CosimplicialSpace
+
+    def unsigned(self, n):
+        mats = [self.structure_matrix(cli.simplicial._face_alpha(i, n + 1),
+                                      n + 1) for i in range(n + 2)]
+        return [[sum(col) for col in zip(*rows)] for rows in zip(*mats)]
+
+    monkeypatch.setattr(space_cls, "differential_matrix", unsigned)
+    code, rep = run_json(sing_complex(files["idem"]), capsys)
+    assert code == 1 and rep["kind"] == "property"
+    assert "'dd_zero': False" in rep["witness"]
 
 
 def test_verify_lemmas_and_only(files, capsys):

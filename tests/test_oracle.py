@@ -15,6 +15,7 @@ import pytest
 from affpi0.polyring import (DEGREVLEX, GF, LEX, QQ, BlockOrder, Polynomial,
                              elimination_ideal, groebner, monomials_up_to,
                              normal_form)
+from affpi0.solve import solve_system
 
 sympy = pytest.importorskip("sympy")
 
@@ -157,3 +158,34 @@ def test_level_two_map_space_bases_match_sympy(relation, field):
     expected = sorted((from_sympy(e, field, z).monic() for e in theirs),
                       key=lambda q: DEGREVLEX.key(q.leading_monomial()))
     assert list(level.gb().polys) == expected
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_rational_zeros_match_sympy_solve_poly_system(seed):
+    """Seeded zero-dimensional systems over Q: each variable has a
+    univariate generator (rational roots times an optional quadratic with
+    irrational or complex roots), and a random generator through one grid
+    point cuts the grid."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 3)
+    gens_ = X[:n]
+    exprs, point = [], []
+    for g in gens_:
+        roots = [sympy.Rational(rng.randint(-4, 4), rng.randint(1, 2))
+                 for _ in range(rng.randint(1, 3))]
+        e = sympy.Mul(*(g - r for r in roots))
+        if rng.random() < 0.5:
+            e *= g ** 2 - rng.choice([-1, 2, 3])
+        exprs.append(sympy.expand(e))
+        point.append(rng.choice(roots))
+    monos = (*gens_, gens_[0] * gens_[-1])
+    cut = sum(rng.randint(-2, 2) * (m - m.subs(dict(zip(gens_, point))))
+              for m in monos)
+    if cut != 0 and rng.random() < 0.7:
+        exprs.append(sympy.expand(cut))
+    theirs = sorted({tuple(Fraction(int(v.p), int(v.q)) for v in sol)
+                     for sol in sympy.solve_poly_system(exprs, *gens_)
+                     if all(v.is_rational for v in sol)})
+    ours = solve_system([from_sympy(e, QQ, gens_) for e in exprs], n, QQ)
+    assert ours.complete and ours.solutions == theirs
+    assert tuple(Fraction(int(v.p), int(v.q)) for v in point) in theirs

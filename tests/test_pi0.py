@@ -10,6 +10,7 @@ from affpi0 import pi0 as pi0_mod
 from affpi0.algebra import AlgebraPresentation, field_algebra
 from affpi0.errors import (HypothesisError, ResourceLimitError,
                            UnsupportedFieldError)
+from affpi0.matrix_homotopy import NCPoly
 from affpi0.pi0 import (equalizer_membership, equalizer_subspace,
                         functor_property_checks, idempotent_search,
                         iskp_subalgebra, pi0_presentation, pnc_zero_witness,
@@ -270,6 +271,17 @@ def test_pnc_zero_witness():
     rep = pnc_zero_witness()
     assert rep["ok"]
     assert rep["multiplicative"] and rep["nonconstant_for_nonzero"]
+
+
+def test_pnc_zero_witness_linearity_fails_on_a_dropped_term(monkeypatch):
+    """A product that keeps only the left factor's first term is not linear
+    in that factor, and the witness must say so."""
+    def first_term_only(self, other):
+        return NCPoly(dict(list(self.terms.items())[:1]), self.inverses)
+
+    monkeypatch.setattr(NCPoly, "__mul__", first_term_only)
+    rep = pnc_zero_witness()
+    assert not rep["linear"] and not rep["ok"]
 
 
 def test_functor_directsum_preservation():

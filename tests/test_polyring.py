@@ -10,8 +10,9 @@ import pytest
 from affpi0.errors import ParseError, ResourceLimitError, RingMismatchError
 from affpi0.polyring import (FieldDescriptor, GF, GroebnerBasis, QQ,
                              Polynomial, elimination_ideal, groebner,
-                             ideal_membership, monomials_up_to, normal_form,
-                             poly_parse, set_limits, standard_monomials)
+                             ideal_membership, monomial_divides,
+                             monomials_up_to, normal_form, poly_parse,
+                             set_limits, standard_monomials)
 
 
 def P(text, names, field=QQ):
@@ -309,6 +310,44 @@ def test_standard_monomials_ordering():
     assert standard_monomials(gb, 1, 5) == [(0,), (1,), (2,)]
     free = groebner([])
     assert standard_monomials(free, 1, 2) == [(0,), (1,), (2,)]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_standard_monomials_match_the_filtered_degree_walk(seed):
+    """The staircase walk lists what filtering every monomial up to the
+    degree bound lists, in the same order: random bases, the zero ideal,
+    1 in I, arity 0 and maxdeg -1 included."""
+    rng = random.Random(seed)
+    n = rng.randint(0, 4)
+    field = QQ if seed % 2 else GF(3)
+    gens = []
+    for _ in range(rng.randint(0, 3)):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            m = [0] * n
+            for _ in range(rng.randint(0, 3)):
+                if n:
+                    m[rng.randrange(n)] += 1
+            terms[tuple(m)] = field.scalar(rng.randint(1, 4))
+        gens.append(Polynomial(n, field, {m: c for m, c in terms.items() if c}))
+    if seed % 10 == 0:
+        gens.append(Polynomial.one(n, field))
+    gb = groebner(gens)
+    for maxdeg in (-1, 0, 1, 3, 5):
+        walk = [m for m in monomials_up_to(n, maxdeg)
+                if not any(monomial_divides(lt, m)
+                           for lt in gb.leading_monomials)]
+        assert standard_monomials(gb, n, maxdeg) == walk
+
+
+def test_standard_monomial_guard_trips():
+    set_limits(max_terms=100)
+    try:
+        assert len(standard_monomials(groebner([]), 2, 12)) == 91
+        with pytest.raises(ResourceLimitError, match="standard monomial"):
+            standard_monomials(groebner([]), 2, 13)
+    finally:
+        set_limits(max_terms=100_000)
 
 
 def test_resource_guard_trips():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -29,3 +30,26 @@ def test_runtime_loads_only_stdlib_modules():
     assert "affpi0" in loaded
     outside = sorted(loaded - {"affpi0"} - set(sys.stdlib_module_names))
     assert not outside, f"non-stdlib modules imported: {outside}"
+
+
+def test_every_import_statement_names_stdlib_or_affpi0():
+    """Scan every import statement, function bodies included: a
+    function-local import escapes the load probe until the function runs."""
+    package = os.path.dirname(os.path.abspath(affpi0.__file__))
+    allowed = set(sys.stdlib_module_names) | {"affpi0"}
+    outside = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            outside += [f"{name}:{node.lineno} {m}" for m in modules
+                        if m.split(".")[0] not in allowed]
+    assert not outside, f"imports outside the stdlib: {outside}"
