@@ -429,7 +429,7 @@ def _renaming_correspondence(left: AlgebraPresentation,
 
     Verifies both induced substitutions map relations into the other ideal
     (ideal membership) and that the two maps are mutually inverse on
-    generators (immediate for a bijection, asserted anyway).
+    generators, which fails when the mapping is not a bijection.
     """
     field = left.field
     fwd_images = [Polynomial.variable(left_to_right[i], right.arity, field)
@@ -446,12 +446,13 @@ def _renaming_correspondence(left: AlgebraPresentation,
     for r in right.relations:
         if not left.contains_ideal(r.substitute(bwd_images)):
             failures.append(("backward", r.to_string(right.vars)))
+    for i in range(left.arity):
+        roundtrip = fwd_images[i].substitute(bwd_images)
+        if roundtrip != Polynomial.variable(i, left.arity, field):
+            failures.append(("roundtrip", left.vars[i]))
     if failures:
         raise PropertyViolationError("natural isomorphism witness failed",
                                      witness=failures)
-    for i in range(left.arity):
-        roundtrip = fwd_images[i].substitute(bwd_images)
-        assert roundtrip == Polynomial.variable(i, left.arity, field)
     return {"ok": True, "generators": left.arity,
             "relations_checked": len(left.relations) + len(right.relations)}
 

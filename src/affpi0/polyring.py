@@ -1,15 +1,18 @@
 """Exact field and sparse multivariate polynomial arithmetic with a Gröbner engine.
 
 Coefficients are exact: `fractions.Fraction` over the rationals, reduced
-residues in ``[0, p)`` over a prime field.  Monomials are exponent tuples,
-polynomials sparse term maps.  All values are immutable after construction and
-every operation is a pure function, so concurrent use on distinct values is
-safe.  The writes after construction are two memos under the last order
-asked about: a polynomial's leading data, with the support mask of its leading
-monomial, and a `GroebnerBasis`'s table of reducer records built from them.
-Each caches a value derived from immutable data and is replaced whole, so
-concurrent writers store equal values and a reader never sees a half-written
-entry.
+residues in ``[0, p)`` over a prime field.  Rational coefficients are
+`Fraction`s wherever a polynomial is handed out; inside the reduction kernel
+a rational polynomial is an integer term map over one common scale, reduced by
+integer multiples of its divisors, so no step builds a `Fraction`.  Monomials
+are exponent tuples, polynomials sparse term maps.  All values are immutable
+after construction and every operation is a pure function, so concurrent use
+on distinct values is safe.  The writes after construction are memos under
+the last order asked about: a polynomial's leading data, with the support mask
+of its leading monomial, its reducer record, and a `GroebnerBasis`'s table of
+reducer records.  Each caches a value derived from immutable data and is
+replaced whole, so concurrent writers store equal values and a reader never
+sees a half-written entry.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm as int_lcm
 from operator import add as _add, le as _le, sub as _sub
 from typing import Iterable, Iterator, Sequence
 
@@ -288,10 +292,11 @@ class Polynomial:
     """Sparse multivariate polynomial over an exact field.
 
     Treat instances as immutable; arithmetic returns fresh objects.  `_lead`
-    memoizes the leading data for the last order asked about.
+    memoizes the leading data and `_rec` the reducer record, each for the
+    last order asked about.
     """
 
-    __slots__ = ("arity", "field", "terms", "_lead")
+    __slots__ = ("arity", "field", "terms", "_lead", "_rec")
 
     def __init__(self, arity: int, field: FieldDescriptor,
                  terms: dict[Monomial, Scalar] | None = None):
@@ -299,6 +304,7 @@ class Polynomial:
         self.field = field
         self.terms = terms if terms is not None else {}
         self._lead = None
+        self._rec = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -365,7 +371,8 @@ class Polynomial:
 
     def _leading(self, order: MonomialOrder):
         """(order, leading monomial, leading coefficient, tail terms, support
-        mask of the leading monomial); the last four are a reducer record.
+        mask of the leading monomial); over F_p the last four are the
+        reducer record.
 
         The terms never change once a polynomial is handed out (`split`
         fills its parts before returning them), so the memo only has to match
@@ -381,6 +388,32 @@ class Polynomial:
             (m, c) for m, c in self.terms.items() if m != lm),
             _support_mask(lm))
         return lead
+
+    def _record(self, order: MonomialOrder) -> tuple:
+        """The reducer record (lm, lc, tail, mask) that `_reduce` divides by.
+
+        Over F_p it is the leading data.  Over Q it is the record of the
+        integer multiple D·self, where D is the lcm of the denominators,
+        signed so that the leading coefficient L = D·lc is positive: the
+        remainder modulo D·self is the remainder modulo self.  Memoized for
+        the last order asked about, replaced whole like `_lead`.
+        """
+        rec = self._rec
+        if rec is not None and (rec[0] is order or rec[0] == order):
+            return rec[1]
+        _, lm, lc, tail, mask = self._leading(order)
+        if self.field.p is None:
+            ratios = [lc.as_integer_ratio()]
+            ratios += [c.as_integer_ratio() for _, c in tail]
+            den = int_lcm(*[d for _, d in ratios])
+            if ratios[0][0] < 0:
+                den = -den
+            lc, *ints = [n * (den // d) for n, d in ratios]
+            record = (lm, lc, tuple(zip([m for m, _ in tail], ints)), mask)
+        else:
+            record = (lm, lc, tail, mask)
+        self._rec = (order, record)
+        return record
 
     def leading_monomial(self, order: MonomialOrder = DEGREVLEX) -> Monomial:
         return self._leading(order)[1]
@@ -766,7 +799,8 @@ class GroebnerBasis:
     """A Gröbner basis under `order`; `groebner` returns it reduced, monic
     and sorted.
 
-    `_table` memoizes the reducer records of `polys` for the last order
+    `_table` memoizes the reducer records of `polys` (`Polynomial._record`:
+    over Q, those of integer multiples of the elements) for the last order
     asked about, replaced whole like a polynomial's `_lead`.
     """
 
@@ -783,7 +817,7 @@ class GroebnerBasis:
     def _reducers(self, order: MonomialOrder) -> list[tuple]:
         table = self._table
         if table is None or not (table[0] is order or table[0] == order):
-            table = (order, [g._leading(order)[1:] for g in self.polys])
+            table = (order, [g._record(order) for g in self.polys])
             object.__setattr__(self, "_table", table)
         return table[1]
 
@@ -811,7 +845,7 @@ def normal_form(p: Polynomial, basis: Iterable[Polynomial] | GroebnerBasis,
     else:
         order = order or DEGREVLEX
         checked = [g for g in basis if not g.is_zero]
-        reducers = [g._leading(order)[1:] for g in checked]
+        reducers = [g._record(order) for g in checked]
     for g in checked:
         if g.arity != p.arity or g.field != p.field:
             raise RingMismatchError("normal form: basis lives in another ring")
@@ -821,15 +855,26 @@ def normal_form(p: Polynomial, basis: Iterable[Polynomial] | GroebnerBasis,
 def _reduce(p: Polynomial, reducers: Sequence[tuple],
             order: MonomialOrder) -> Polynomial:
     """The reduction kernel: the remainder of p by reducer records
-    (lm, lc, tail, mask) of its own ring; p itself when there are none.
+    (lm, lc, tail, mask) of its own ring (`Polynomial._record`); p itself
+    when there are none.
 
     Each term is reduced by the first record, in list order, whose leading
     monomial divides it; the mask test skips most others unexamined.
+
+    Over Q the records are integral.  At the first step the polynomial
+    being reduced becomes an integer term map `work` over one positive scale
+    S, standing for work / S.  To reduce the term c·m by L·lm + tail, with
+    g = gcd(c, L), the work and S are multiplied by L/g and then
+    (c/g)·q·tail is subtracted: exact, with no `Fraction` built.  A
+    remainder term becomes c/S, or keeps its original `Fraction` when
+    neither its integer nor the scale has changed.
     """
     if not reducers:
         return p
     modulus = p.field.p
     work = dict(p.terms)
+    # over Q: 0 until the first step puts the work in integers
+    scale = start_scale = 0
     # terms are popped largest first; a popped monomial missing from `work`
     # was cancelled after it was queued
     heap_key = order._heap_key
@@ -845,9 +890,28 @@ def _reduce(p: Polynomial, reducers: Sequence[tuple],
         for lm, lc, tail, lmask in reducers:
             if lmask & mask == lmask and all(map(_le, lm, m)):
                 q = tuple(map(_sub, m, lm))
-                if lc != 1:     # c becomes the quotient term's coefficient
-                    c = (c / lc if modulus is None
-                         else c * pow(lc, -1, modulus) % modulus)
+                # c becomes the quotient term's coefficient
+                if modulus is not None:
+                    if lc != 1:
+                        c = c * pow(lc, -1, modulus) % modulus
+                else:
+                    if not scale:
+                        c, cd = c.as_integer_ratio()
+                        ratios = [v.as_integer_ratio() for v in work.values()]
+                        scale = start_scale = int_lcm(
+                            cd, *[d for _, d in ratios])
+                        start = dict(zip(work, [n * (scale // d)
+                                                for n, d in ratios]))
+                        work = start.copy()
+                        c *= scale // cd
+                    if lc != 1:
+                        g = gcd(c, lc)
+                        if g != lc:
+                            a = lc // g
+                            scale *= a
+                            for k in work:
+                                work[k] *= a
+                        c //= g
                 for gm, gc in tail:
                     mm = tuple(map(_add, gm, q))
                     old = work.get(mm)
@@ -863,7 +927,12 @@ def _reduce(p: Polynomial, reducers: Sequence[tuple],
                 _check_terms(len(work))
                 break
         else:
-            result[m] = c
+            if not scale:       # c is still the polynomial's own scalar
+                result[m] = c
+            elif scale == start_scale and start.get(m) == c:
+                result[m] = p.terms[m]
+            else:
+                result[m] = Fraction(c, scale)
     return Polynomial(p.arity, p.field, result)
 
 
@@ -888,40 +957,45 @@ def _s_polynomial(g1: Polynomial, g2: Polynomial, order: MonomialOrder) -> Polyn
     return Polynomial(g1.arity, g1.field, terms)
 
 
-def _update_pairs(G: list[Polynomial], lmG: list[Monomial],
+def _update_pairs(records: list[tuple], record: tuple,
                   P: dict[tuple[int, int], Monomial], queue: list,
-                  h: Polynomial, order: MonomialOrder) -> None:
-    """Gebauer-Möller pair update on appending h to G.
+                  order: MonomialOrder) -> None:
+    """Gebauer-Möller pair update on appending h, with reducer record
+    `record`, to the basis whose reducer records are `records`.
 
     `P` maps each live pair to the lcm of its leading monomials; `queue` is
     a heap of (order key of the lcm, pair) that may still hold pruned pairs.
+    The support mask of lcm(a, b) is mask(a) | mask(b), and a mask test
+    rules out most divisibility tests.
     """
-    lmh = h.leading_monomial(order)
-    t = len(G)
+    lmh, hmask = record[0], record[3]
+    t = len(records)
+    masks = [r[3] for r in records]
+    lcms = [tuple(map(max, r[0], lmh)) for r in records]
     # drop old pairs whose lcm is strictly divisible by lm(h)
-    for (i, j), lcm_ij in list(P.items()):
-        if (monomial_divides(lmh, lcm_ij)
-                and monomial_lcm(lmG[i], lmh) != lcm_ij
-                and monomial_lcm(lmG[j], lmh) != lcm_ij):
-            del P[i, j]
-    # group candidate new pairs by lcm, keep minimal representatives
-    lcm_groups: dict[Monomial, list[int]] = {}
-    for i in range(t):
-        lcm_groups.setdefault(monomial_lcm(lmG[i], lmh), []).append(i)
-    minimal: list[Monomial] = []
-    for L in sorted(lcm_groups, key=order.key):
-        if all(not monomial_divides(L2, L) for L2 in minimal):
-            minimal.append(L)
-    for L in minimal:
-        # product (coprime) criterion
-        if any(monomial_lcm(lmG[i], lmh) == monomial_mul(lmG[i], lmh)
-               for i in lcm_groups[L]):
+    drop = [(i, j) for (i, j), L in P.items()
+            if not hmask & ~(masks[i] | masks[j]) and all(map(_le, lmh, L))
+            and lcms[i] != L and lcms[j] != L]
+    for pair in drop:
+        del P[pair]
+    # group candidate new pairs by lcm, keep minimal representatives; total
+    # degree extends strict divisibility, so a divisor is seen first
+    groups: dict[Monomial, list[int]] = {}
+    for i, L in enumerate(lcms):
+        groups.setdefault(L, []).append(i)
+    minimal: list[tuple[Monomial, int]] = []
+    for L in sorted(groups, key=sum):
+        lmask = masks[groups[L][0]] | hmask
+        if not any(not m2 & ~lmask and all(map(_le, L2, L))
+                   for L2, m2 in minimal):
+            minimal.append((L, lmask))
+    for L, _ in minimal:
+        # product (coprime) criterion: disjoint supports
+        if any(not masks[i] & hmask for i in groups[L]):
             continue
-        pair = (min(lcm_groups[L]), t)
+        pair = (groups[L][0], t)
         P[pair] = L
         heappush(queue, (order.key(L), pair))
-    G.append(h)
-    lmG.append(lmh)
 
 
 def groebner(gens: Iterable[Polynomial],
@@ -941,15 +1015,16 @@ def groebner(gens: Iterable[Polynomial],
         if g.arity != arity or g.field != field:
             raise RingMismatchError("generators live in different rings")
     G: list[Polynomial] = []
-    lmG: list[Monomial] = []
     reducers: list[tuple] = []
     P: dict[tuple[int, int], Monomial] = {}
     queue: list = []
 
     def insert(h: Polynomial) -> None:
         h = h.monic(order)
-        _update_pairs(G, lmG, P, queue, h, order)
-        reducers.append(h._leading(order)[1:])
+        record = h._record(order)
+        _update_pairs(reducers, record, P, queue, order)
+        G.append(h)
+        reducers.append(record)
 
     for g in sorted(gens, key=lambda q: order.key(q.leading_monomial(order))):
         h = _reduce(g, reducers, order)
@@ -970,14 +1045,19 @@ def groebner(gens: Iterable[Polynomial],
                 f"basis size exceeds guard {LIMITS.max_basis}")
         insert(h)
     # minimalize: drop elements whose LT is divisible by another LT
+    lms = [r[0] for r in reducers]
     minimal: list[int] = []
-    for k in sorted(range(len(G)), key=lambda k: order.key(lmG[k])):
-        if all(not monomial_divides(lmG[i], lmG[k]) for i in minimal):
+    for k in sorted(range(len(G)), key=lambda k: order.key(lms[k])):
+        if all(not monomial_divides(lms[i], lms[k]) for i in minimal):
             minimal.append(k)
-    # interreduce tails
+    # interreduce tails; an element the others leave as it was is already
+    # monic, and is kept with its memos
     table = [reducers[k] for k in minimal]
-    reduced = [_reduce(G[k], table[:n] + table[n + 1:], order).monic(order)
-               for n, k in enumerate(minimal)]
+    reduced = []
+    for n, k in enumerate(minimal):
+        r = _reduce(G[k], table[:n] + table[n + 1:], order)
+        same = list(r.terms.items()) == list(G[k].terms.items())
+        reduced.append(G[k] if same else r.monic(order))
     reduced.sort(key=lambda q: order.key(q.leading_monomial(order)))
     return GroebnerBasis(tuple(reduced), order)
 

@@ -7,8 +7,9 @@ import pytest
 from affpi0.algebra import (AlgebraMorphism, AlgebraPresentation,
                             enumerate_hom, enumerate_points, field_algebra,
                             tensor_product)
-from affpi0.errors import RingMismatchError, TruncationError
-from affpi0.mapspace import (Truncation,
+from affpi0.errors import (PropertyViolationError, RingMismatchError,
+                           TruncationError)
+from affpi0.mapspace import (Truncation, _renaming_correspondence,
                              associated_morphism, coassociativity_check,
                              comultiplication, functor_action,
                              mapspace_presentation, morphism_from_point,
@@ -391,6 +392,15 @@ def test_directsum_law_desk_example():
     a = A_of(QQ, ["t"], ["t^2 - 1"])
     rep = verify_directsum_law(a, field_algebra(QQ), field_algebra(QQ))
     assert rep["ok"]
+
+
+def test_renaming_that_is_no_bijection_is_a_property_failure():
+    # a, b both go to c: no relation fails, the round trip does
+    left = A_of(QQ, ["a", "b"], [])
+    right = A_of(QQ, ["c", "d"], [])
+    with pytest.raises(PropertyViolationError) as caught:
+        _renaming_correspondence(left, right, [0, 0])
+    assert ("roundtrip", "a") in caught.value.witness
 
 
 def test_directsum_law_point_counts_over_f3():

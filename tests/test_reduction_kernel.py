@@ -2,28 +2,40 @@
 
 `reference_remainder` is the division the kernel replaced: every divisor in
 list order is tried with `monomial_divides`, and the field arithmetic goes
-through `FieldDescriptor`.  The kernel must pick the same reducer for every
-term, so remainders agree term by term, insertion order included, and so do
-the S-polynomials and bases that `groebner` builds from them.
+through `FieldDescriptor` in `Fraction`s over Q, where the kernel computes in
+integers under one scale.  The kernel must pick the same reducer for every
+term, so remainders agree term by term, insertion order and coefficient type
+included, and so do the S-polynomials and bases that `groebner` builds from
+them.  `reference_update_pairs` is the Gebauer-Möller update the masked one
+replaced; both must give the same S-pair sequence.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 import pytest
 
 from affpi0 import polyring
+from affpi0.algebra import AlgebraPresentation
+from affpi0.mapspace import mapspace_presentation
 from affpi0.polyring import (DEGREVLEX, GF, LEX, QQ, BlockOrder, Polynomial,
                              groebner, monomial_div, monomial_divides,
                              monomial_lcm, monomial_mul, normal_form)
 
 FIELDS = (QQ, GF(32003))
 
+# fractional, negative and non-monic coefficients; denominators 2, 3, 7, 10
+FRACTIONAL = (Fraction(-7, 2), Fraction(1, 3), Fraction(-5, 7),
+              Fraction(3, 10), Fraction(-9, 10), Fraction(2, 3), -3, 4)
+
 
 def reference_remainder(p, records, order):
-    """Linear-scan division of p by records (lm, lc, tail, ...)."""
+    """Linear-scan division of p by records (lm, lc, tail, ...), whose
+    coefficients are read as field scalars: the leading data of a divisor,
+    or a kernel record, which over Q is an integer multiple of it."""
     if not records:
         return p
     f = p.field
@@ -40,11 +52,12 @@ def reference_remainder(p, records, order):
         for lm, lc, tail, *_ in records:
             if monomial_divides(lm, m):
                 q = monomial_div(m, lm)
-                factor = f.div(c, lc)
+                factor = f.div(c, f.scalar(lc))
                 for gm, gc in tail:
                     mm = monomial_mul(gm, q)
                     old = work.get(mm)
-                    v = f.sub(zero if old is None else old, f.mul(factor, gc))
+                    v = f.sub(zero if old is None else old,
+                              f.mul(factor, f.scalar(gc)))
                     if v == zero:
                         if old is not None:
                             del work[mm]
@@ -67,14 +80,51 @@ def reference_s_polynomial(g1, g2, order):
     return a - b
 
 
+def reference_update_pairs(G, lmG, P, queue, h, order):
+    """The Gebauer-Möller update before support masks: it copies the live
+    pairs and recomputes lcm(lm_i, lm_h) for each test."""
+    lmh = h.leading_monomial(order)
+    t = len(G)
+    for (i, j), lcm_ij in list(P.items()):
+        if (monomial_divides(lmh, lcm_ij)
+                and monomial_lcm(lmG[i], lmh) != lcm_ij
+                and monomial_lcm(lmG[j], lmh) != lcm_ij):
+            del P[i, j]
+    lcm_groups = {}
+    for i in range(t):
+        lcm_groups.setdefault(monomial_lcm(lmG[i], lmh), []).append(i)
+    minimal = []
+    for L in sorted(lcm_groups, key=order.key):
+        if all(not monomial_divides(L2, L) for L2 in minimal):
+            minimal.append(L)
+    for L in minimal:
+        if any(monomial_lcm(lmG[i], lmh) == monomial_mul(lmG[i], lmh)
+               for i in lcm_groups[L]):
+            continue
+        pair = (min(lcm_groups[L]), t)
+        P[pair] = L
+        heappush(queue, (order.key(L), pair))
+    G.append(h)
+    lmG.append(lmh)
+
+
 def records(basis, order):
+    """The divisors' leading data, in Fractions over Q."""
     return [g._leading(order)[1:] for g in basis if not g.is_zero]
 
 
+def typed(p):
+    """Whether every coefficient has the field's type: Fraction over Q,
+    int over F_p."""
+    kind = Fraction if p.field.is_rational else int
+    return all(type(c) is kind for c in p.terms.values())
+
+
 def same(p, q):
-    """Equal as term lists: monomials, coefficients and insertion order."""
-    return (p.arity, p.field, list(p.terms.items())) == \
-        (q.arity, q.field, list(q.terms.items()))
+    """Equal as term lists: monomials, coefficients with their types, and
+    insertion order."""
+    return (p.arity, p.field, [(m, type(c), c) for m, c in p.terms.items()]) \
+        == (q.arity, q.field, [(m, type(c), c) for m, c in q.terms.items()])
 
 
 @pytest.fixture
@@ -86,6 +136,7 @@ def checked_engine(monkeypatch):
 
     def reduce(p, reducers, order):
         out = kernel(p, reducers, order)
+        assert typed(out)
         assert same(out, reference_remainder(p, reducers, order))
         calls["reduce"] += 1
         return out
@@ -102,18 +153,18 @@ def checked_engine(monkeypatch):
 
 
 def random_poly(rng, field, arity, nterms, maxdeg, variables=None,
-                mindeg=0):
+                mindeg=0, coeffs=(-7, -3, -1, 1, 2, 5, 9)):
     variables = variables or range(arity)
     terms = {}
     for _ in range(nterms):
         m = [0] * arity
         for _ in range(rng.randint(mindeg, maxdeg)):
             m[rng.choice(variables)] += 1
-        terms[tuple(m)] = field.scalar(rng.choice([-7, -3, -1, 1, 2, 5, 9]))
+        terms[tuple(m)] = field.scalar(rng.choice(coeffs))
     return Polynomial(arity, field, terms)
 
 
-def cases(seed, count, arity, variables=None):
+def cases(seed, count, arity, variables=None, coeffs=(-7, -3, -1, 1, 2, 5, 9)):
     """Seeded (field, order, generators, polynomials to reduce)."""
     rng = random.Random(seed)
     orders = (DEGREVLEX, LEX, BlockOrder(1))
@@ -121,17 +172,26 @@ def cases(seed, count, arity, variables=None):
         field = FIELDS[k % 2]
         order = orders[k % 3]
         gens = [random_poly(rng, field, arity, rng.randint(2, 4),
-                            rng.randint(1, 3), variables, mindeg=1)
+                            rng.randint(1, 3), variables, mindeg=1,
+                            coeffs=coeffs)
                 for _ in range(rng.randint(2, 3))]
-        polys = [random_poly(rng, field, arity, 6, 5, variables)
+        polys = [random_poly(rng, field, arity, 6, 5, variables,
+                             coeffs=coeffs)
                  for _ in range(2)]
         yield field, order, gens, polys
 
 
-@pytest.mark.parametrize("arity", [2, 3, 4])
-def test_kernel_matches_linear_scan(checked_engine, arity):
-    for field, order, gens, polys in cases(arity, 60, arity):
+def all_cases():
+    """The seeded cases of the tests below, integral and fractional."""
+    for arity in (2, 3, 4):
+        yield from cases(arity, 60, arity)
+        yield from cases(100 + arity, 60, arity, coeffs=FRACTIONAL)
+
+
+def check_cases(checked_engine, seeded):
+    for field, order, gens, polys in seeded:
         gb = groebner(gens, order)
+        assert all(typed(g) for g in gb)
         for p in polys:
             # a reduced basis, and the non-monic plain list it came from
             assert same(normal_form(p, gb),
@@ -140,6 +200,18 @@ def test_kernel_matches_linear_scan(checked_engine, arity):
                         reference_remainder(p, records(gens, order), order))
     # the engine really went through the checked kernel
     assert checked_engine["reduce"] > 0 and checked_engine["s"] > 0
+
+
+@pytest.mark.parametrize("arity", [2, 3, 4])
+def test_kernel_matches_linear_scan(checked_engine, arity):
+    check_cases(checked_engine, cases(arity, 60, arity))
+
+
+@pytest.mark.parametrize("arity", [2, 3, 4])
+def test_kernel_matches_linear_scan_fractional(checked_engine, arity):
+    """Fractional, negative and non-monic leading coefficients."""
+    check_cases(checked_engine,
+                cases(100 + arity, 60, arity, coeffs=FRACTIONAL))
 
 
 def test_masks_wider_than_a_machine_word(checked_engine):
@@ -174,3 +246,48 @@ def test_basis_tables_are_kept_per_order(checked_engine):
                             reference_remainder(p, records(gb, order), order))
         assert gb._table[0] == LEX
         assert gb._reducers(LEX) is gb._table[1]
+
+
+def s_pair_sequence(monkeypatch, gens, order, update):
+    """The S-pairs `groebner` forms, in order, under a pair update."""
+    seen = []
+    s_poly = polyring._s_polynomial
+
+    def spy(g1, g2, order):
+        seen.append((g1.key(), g2.key()))
+        return s_poly(g1, g2, order)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(polyring, "_s_polynomial", spy)
+        patch.setattr(polyring, "_update_pairs", update)
+        gb = groebner(gens, order)
+    return seen, gb
+
+
+def parent_update(records, record, P, queue, order):
+    """The reference update behind the kernel's calling convention."""
+    h = Polynomial.monomial(record[0], QQ)
+    reference_update_pairs([None] * len(records), [r[0] for r in records],
+                           P, queue, h, order)
+
+
+def level_two_relations():
+    for relation in ("x^2 + y^2 - 1", "y^2 - x^3"):     # circle, cusp
+        for field in FIELDS:
+            a = AlgebraPresentation(field, ["x", "y"], [relation])
+            level = mapspace_presentation(
+                a, AlgebraPresentation(field, ["t"], []), 2).algebra
+            yield level.relations, DEGREVLEX
+
+
+def test_pair_update_keeps_the_s_pair_sequence(monkeypatch):
+    systems = [(gens, order) for _, order, gens, _ in all_cases()]
+    systems += list(level_two_relations())
+    for gens, order in systems:
+        ours, gb = s_pair_sequence(monkeypatch, gens, order,
+                                   polyring._update_pairs)
+        theirs, ref = s_pair_sequence(monkeypatch, gens, order, parent_update)
+        assert ours == theirs
+        assert [same(g, r) for g, r in zip(gb, ref)] == [True] * len(ref)
+    # the map-space rings need real pair pruning
+    assert len(ours) > 10
