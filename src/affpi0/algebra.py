@@ -401,6 +401,15 @@ def tensor_product(a: AlgebraPresentation, b: AlgebraPresentation
     return TensorPresentation(a, b)
 
 
+def tensor_morphism(f: AlgebraMorphism, g: AlgebraMorphism
+                    ) -> AlgebraMorphism:
+    """f ⊗ g: f.source ⊗ g.source -> f.target ⊗ g.target, checked."""
+    target = tensor_product(f.target, g.target)
+    return AlgebraMorphism(tensor_product(f.source, g.source), target,
+                           [*map(target.embed_a, f.images),
+                            *map(target.embed_b, g.images)])
+
+
 def direct_sum(a: AlgebraPresentation, b: AlgebraPresentation
                ) -> tuple[AlgebraPresentation, AlgebraMorphism, AlgebraMorphism]:
     """A ⊕ B as a unital presentation with a splitting idempotent.

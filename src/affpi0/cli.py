@@ -176,9 +176,7 @@ def cmd_pi0(args) -> dict:
             "component_count": res.component_count,
         }
         rep = res.idempotents
-        if rep is not None:
-            out["idempotents"] = {"count": rep.count,
-                                  "complete": rep.complete}
+        out["idempotents"] = {"count": rep.count, "complete": rep.complete}
     if args.method in ("equalizer", "all"):
         eq = pi0_mod.equalizer_subspace(a, args.deg, args.tower)
         out["equalizer"] = {"dimension": eq.dimension,

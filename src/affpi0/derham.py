@@ -15,7 +15,8 @@ from typing import Iterable, Sequence
 
 from . import linalg
 from .algebra import AlgebraPresentation, ElementRep, PolynomialExtension
-from .errors import UnsupportedFieldError
+from .errors import (PropertyViolationError, RingMismatchError,
+                     UnsupportedFieldError)
 from .polyring import Monomial, Polynomial
 
 
@@ -49,7 +50,8 @@ class DifferentialForm:
                 and self.degree == other.degree and self.coeffs == other.coeffs)
 
     def __add__(self, other: "DifferentialForm") -> "DifferentialForm":
-        assert self.degree == other.degree and self.algebra == other.algebra
+        if self.degree != other.degree or self.algebra != other.algebra:
+            raise RingMismatchError("forms of different degrees or algebras")
         out = dict(self.coeffs)
         for idx, c in other.coeffs.items():
             out[idx] = out.get(idx, Polynomial.zero(
@@ -208,9 +210,9 @@ def derham_h0(a: AlgebraPresentation, degree: int) -> TruncatedKernel:
     stabilized = all(e.poly.total_degree() < degree for e in basis)
     for elem in basis:
         omega = universal_derivation(elem)
-        ok = omega.is_zero or _in_jacobian_span(omega, span)
-        if not ok:      # pragma: no cover - the joint solve already certifies
-            raise AssertionError("kernel element failed its certificate")
+        if not (omega.is_zero or _in_jacobian_span(omega, span)):
+            raise PropertyViolationError(
+                "kernel element failed its certificate", witness=elem)
     return TruncatedKernel(a, degree, basis, stabilized, a.field.is_rational)
 
 

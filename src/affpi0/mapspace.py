@@ -4,10 +4,15 @@ For presented A and B and a truncation (a finite set of standard monomials of
 B per generator of A), the level algebra is generated by coordinates z[a,v]
 subject to the relations obtained by substituting each generator a of A by
 sum_v v*z[a,v] into the relations of A, reducing modulo the ideal of B, and
-collecting the coefficient of every standard monomial of B.  The universal
-substitution, structural maps of the truncation tower, associated morphisms,
-functorial action, the composition coproduct, and the exponential / tensor /
-direct-sum law witnesses all live here.
+collecting the coefficient of every standard monomial of B.
+
+The universal map υ: A -> B ⊗ (level) is a morphism (`universal`), and the
+maps of M are written as in the paper, from υ, `tensor_morphism` (f ⊗ g),
+`compose` and `identity`: the associated morphism of φ is the ψ with
+(id_B ⊗ ψ) ∘ υ = φ, the comultiplication is the one associated with
+(υ_BC ⊗ id) ∘ υ_AB, and coassociativity compares (id ⊗ Φ) ∘ Φ with
+(Φ ⊗ id) ∘ Φ.  Structural maps of the truncation tower, the functorial action,
+and the exponential / tensor / direct-sum law witnesses live here too.
 
 The inverse limit is never materialized: every statement is per level, plus
 tower-stability reporting.
@@ -17,13 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .algebra import (AlgebraMorphism, AlgebraPresentation, ElementRep,
                       TensorPresentation, direct_sum, enumerate_hom,
-                      enumerate_points, field_algebra, tensor_product)
-from .errors import (PropertyViolationError, RingMismatchError,
-                     TruncationError)
+                      enumerate_points, field_algebra, tensor_morphism,
+                      tensor_product)
+from .errors import (MorphismError, PropertyViolationError,
+                     RingMismatchError, TruncationError)
 from .polyring import Monomial, Polynomial, monomial_divides
 
 
@@ -94,11 +100,12 @@ class MapSpacePresentation:
         self.upsilon_images = [Polynomial(arity, self.field, terms)
                                for terms in images]
         # relation ideal: coefficients of standard B-monomials
+        substitution = AlgebraMorphism(a, self.relation_ring,
+                                       self.upsilon_images, check=False)
         j_gens: list[Polynomial] = []
         seen = set()
         for r in a.relations:
-            reduced = self.relation_ring.nf(self._substitute(r))
-            for coeff in reduced.split(self.n_b).values():
+            for coeff in substitution.apply_poly(r).split(self.n_b).values():
                 key = coeff.key()
                 if key and key not in seen:
                     seen.add(key)
@@ -111,15 +118,17 @@ class MapSpacePresentation:
     @cached_property
     def universal_ring(self) -> TensorPresentation:
         """B ⊗ (this level), where the universal map lands; built at the
-        first `upsilon_poly`."""
+        first read of `universal`."""
         return tensor_product(self.b, self.algebra)
 
-    def _substitute(self, p: Polynomial) -> Polynomial:
-        """The universal substitution of a polynomial of A's ring."""
-        if not self.a.arity:    # no images to carry the target ring
-            return Polynomial.constant(p.constant_term(),
-                                       self.relation_ring.arity, self.field)
-        return p.substitute(self.upsilon_images)
+    @cached_property
+    def universal(self) -> AlgebraMorphism:
+        """The universal map υ: A -> B ⊗ (this level), a ↦ sum_v v ⊗ z[a,v].
+
+        A's relations go to zero: the level's ideal is made of their
+        coefficients."""
+        return AlgebraMorphism(self.a, self.universal_ring,
+                               self.upsilon_images, check=False)
 
     def upsilon_poly(self, p: Polynomial) -> dict[Monomial, Polynomial]:
         """Image of an element of A in B ⊗ (this level), as {v: z-coefficient}.
@@ -129,7 +138,7 @@ class MapSpacePresentation:
         """
         if p.arity != self.a.arity or p.field != self.field:
             raise RingMismatchError("element lives outside the source algebra")
-        return self.universal_ring.nf(self._substitute(p)).split(self.n_b)
+        return self.universal.apply_poly(p).split(self.n_b)
 
     def upsilon(self, a: ElementRep) -> dict[Monomial, Polynomial]:
         if a.algebra != self.a:
@@ -158,7 +167,8 @@ def tower(a: AlgebraPresentation, b: AlgebraPresentation, dmax: int
 
 def structural_morphism(small: MapSpacePresentation, big: MapSpacePresentation
                         ) -> AlgebraMorphism:
-    """Level map big -> small of the tower: z[a,v] -> z[a,v] or 0.
+    """Level map big -> small of the tower, the functor action of
+    (id_A, id_B): z[a,v] -> z[a,v] or 0.
 
     Well-definedness (each relation of the big level lands in the small level's
     ideal) is checked; a failure is an implementation bug, not an input error.
@@ -167,17 +177,10 @@ def structural_morphism(small: MapSpacePresentation, big: MapSpacePresentation
         raise RingMismatchError("tower levels of different map spaces")
     if not big.trunc.contains(small.trunc):
         raise TruncationError("structural morphism needs nested truncations")
-    field = small.field
-    images = []
-    for gi, v in big.zvars:
-        if (gi, v) in small.z_index:
-            images.append(Polynomial.variable(small.z_index[(gi, v)],
-                                              small.n_z, field))
-        else:
-            images.append(Polynomial.zero(small.n_z, field))
     try:
-        return AlgebraMorphism(big.algebra, small.algebra, images, check=True)
-    except Exception as exc:  # pragma: no cover - theory guarantees this route
+        return functor_action(AlgebraMorphism.identity(small.a),
+                              AlgebraMorphism.identity(small.b), big, small)
+    except MorphismError as exc:  # pragma: no cover - theory guarantees this
         raise PropertyViolationError(
             f"structural morphism not well defined: {exc}") from exc
 
@@ -198,7 +201,7 @@ def associated_morphism(m: MapSpacePresentation, phi: AlgebraMorphism
         raise RingMismatchError("phi does not match this map space")
     psi = _level_morphism(m, target.factor_b,
                           [im.split(m.b.arity) for im in phi.images])
-    _verify_factorization(m, phi, psi, target)
+    _verify_factorization(m, phi, psi)
     return psi
 
 
@@ -224,31 +227,14 @@ def _level_morphism(m: MapSpacePresentation, target: AlgebraPresentation,
     return AlgebraMorphism(m.algebra, target, images, check=True)
 
 
-def _accumulate(acc: dict[Monomial, Polynomial], v: Monomial,
-                piece: Polynomial) -> None:
-    prev = acc.get(v)
-    acc[v] = piece if prev is None else prev + piece
-
-
 def _verify_factorization(m: MapSpacePresentation, phi: AlgebraMorphism,
-                          psi: AlgebraMorphism, target: TensorPresentation
-                          ) -> None:
-    """Check phi = (id_B ⊗ psi) ∘ upsilon on every generator of A."""
-    for gi in range(m.a.arity):
-        expected = {v: c_alg_nf for v, c_alg_nf in
-                    ((v, target.factor_b.nf(c))
-                     for v, c in phi.images[gi].split(m.b.arity).items())
-                    if not c_alg_nf.is_zero}
-        got: dict[Monomial, Polynomial] = {}
-        for v, coeff in m.upsilon_poly(
-                Polynomial.variable(gi, m.a.arity, m.field)).items():
-            img = psi.apply_poly(coeff)
-            if not img.is_zero:
-                got[v] = img
-        if expected != got:
-            raise PropertyViolationError(
-                f"universal factorization failed on generator {m.a.vars[gi]}",
-                witness=(expected, got))
+                          psi: AlgebraMorphism) -> None:
+    """Check phi = (id_B ⊗ psi) ∘ upsilon."""
+    got = tensor_morphism(AlgebraMorphism.identity(m.b), psi).compose(
+        m.universal)
+    if got != phi:
+        raise PropertyViolationError("universal factorization failed",
+                                     witness=(phi.images, got.images))
 
 
 def point_from_morphism(m: MapSpacePresentation, phi: AlgebraMorphism
@@ -320,7 +306,9 @@ def functor_action(f: AlgebraMorphism, g: AlgebraMorphism,
         for w, coeff in m_target.upsilon_poly(image).items():
             g_w = g.apply_poly(Polynomial.monomial(w, field))
             for v, c in g_w.terms.items():
-                _accumulate(acc, v, coeff.scale(c))
+                piece = coeff.scale(c)
+                prev = acc.get(v)
+                acc[v] = piece if prev is None else prev + piece
         coeffs.append(acc)
     return _level_morphism(m_source, m_target.algebra, coeffs)
 
@@ -333,31 +321,27 @@ def comultiplication(m_ac: MapSpacePresentation, m_bc: MapSpacePresentation,
     Defined as the morphism associated with (upsilon_BC ⊗ id) ∘ upsilon_AB,
     which sends a through B's universal family and then through C's.
     """
-    a, b, c = m_ac.a, m_ab.b, m_ac.b
-    if m_ab.a != a or m_bc.a != b or m_bc.b != c:
+    if m_ab.a != m_ac.a or m_bc.a != m_ab.b or m_bc.b != m_ac.b:
         raise RingMismatchError("comultiplication inputs do not chain")
-    field = m_ac.field
     t = tensor_product(m_bc.algebra, m_ab.algebra)
-    coeffs = []
-    for gi in range(a.arity):
-        up_ab = m_ab.upsilon_poly(Polynomial.variable(gi, a.arity, field))
-        acc: dict[Monomial, Polynomial] = {}
-        for v, c_ab in up_ab.items():
-            rhs = t.embed_b(c_ab)
-            for w, c_bc in m_bc.upsilon_poly(
-                    Polynomial.monomial(v, field)).items():
-                _accumulate(acc, w, t.embed_a(c_bc) * rhs)
-        coeffs.append(acc)
-    return _level_morphism(m_ac, t, coeffs), t
+    through = tensor_morphism(m_bc.universal, AlgebraMorphism.identity(
+        m_ab.algebra)).compose(m_ab.universal)
+    # (C ⊗ M(B,C)) ⊗ M(A,B) and C ⊗ t list the same variables, and their
+    # bases are the same lifted factor bases, so normal forms agree
+    phi = AlgebraMorphism(m_ac.a, tensor_product(m_ac.b, t), through.images,
+                          check=False)
+    return associated_morphism(m_ac, phi), t
 
 
 def coassociativity_check(a: AlgebraPresentation, b: AlgebraPresentation,
                           c: AlgebraPresentation, d: AlgebraPresentation,
                           degree: int) -> dict:
-    """Verify (id ⊗ Phi_ABC) Phi_ACD = (Phi_BCD ⊗ id) Phi_ABD on generators.
+    """Verify (id ⊗ Phi_ABC) Phi_ACD = (Phi_BCD ⊗ id) Phi_ABD.
 
-    Both sides are computed as explicit polynomials in the flattened triple
-    tensor product M(C,D) ⊗ M(B,C) ⊗ M(A,B) and compared as normal forms.
+    Both bracketings of M(C,D) ⊗ M(B,C) ⊗ M(A,B) list the same variables,
+    and their bases are the factors' reduced bases side by side, so the two
+    sides' images are normal forms for the same leading monomials and are
+    compared as polynomials.
     """
     m_ab = mapspace_presentation(a, b, degree)
     m_bc = mapspace_presentation(b, c, degree)
@@ -366,56 +350,19 @@ def coassociativity_check(a: AlgebraPresentation, b: AlgebraPresentation,
     m_ad = mapspace_presentation(a, d, degree)
     m_bd = mapspace_presentation(b, d, degree)
 
-    phi_acd, t_acd = comultiplication(m_ad, m_cd, m_ac)      # M(A,D)->M(C,D)⊗M(A,C)
-    phi_abc, t_abc = comultiplication(m_ac, m_bc, m_ab)      # M(A,C)->M(B,C)⊗M(A,B)
-    phi_abd, t_abd = comultiplication(m_ad, m_bd, m_ab)      # M(A,D)->M(B,D)⊗M(A,B)
-    phi_bcd, t_bcd = comultiplication(m_bd, m_cd, m_bc)      # M(B,D)->M(C,D)⊗M(B,C)
+    phi_acd, _ = comultiplication(m_ad, m_cd, m_ac)      # M(A,D)->M(C,D)⊗M(A,C)
+    phi_abc, _ = comultiplication(m_ac, m_bc, m_ab)      # M(A,C)->M(B,C)⊗M(A,B)
+    phi_abd, _ = comultiplication(m_ad, m_bd, m_ab)      # M(A,D)->M(B,D)⊗M(A,B)
+    phi_bcd, _ = comultiplication(m_bd, m_cd, m_bc)      # M(B,D)->M(C,D)⊗M(B,C)
 
-    triple = tensor_product(tensor_product(m_cd.algebra, m_bc.algebra),
-                            m_ab.algebra)
-    inner = triple.factor_a  # M(C,D) ⊗ M(B,C)
-
-    def cd_part(q):
-        return triple.embed_a(inner.embed_a(q))
-
-    def bc_part(q):
-        return triple.embed_a(inner.embed_b(q))
-
-    # left route: Phi_ACD then (id_MCD ⊗ Phi_ABC)
-    abc_sub = _tensor_embedding(t_abc, bc_part, triple.embed_b)
-    lift_left = AlgebraMorphism(
-        t_acd, triple,
-        [cd_part(Polynomial.variable(i, m_cd.algebra.arity, m_cd.field))
-         for i in range(m_cd.algebra.arity)]
-        + [im.substitute(abc_sub) for im in phi_abc.images], check=True)
-    left = lift_left.compose(phi_acd)
-
-    # right route: Phi_ABD then (Phi_BCD ⊗ id_MAB)
-    bcd_sub = _tensor_embedding(t_bcd, cd_part, bc_part)
-    lift_right = AlgebraMorphism(
-        t_abd, triple,
-        [im.substitute(bcd_sub) for im in phi_bcd.images]
-        + [triple.embed_b(Polynomial.variable(i, m_ab.algebra.arity, m_ab.field))
-           for i in range(m_ab.algebra.arity)], check=True)
-    right = lift_right.compose(phi_abd)
-
-    agree = left.images == right.images
-    if not agree:
+    left = tensor_morphism(AlgebraMorphism.identity(m_cd.algebra),
+                           phi_abc).compose(phi_acd)
+    right = tensor_morphism(phi_bcd, AlgebraMorphism.identity(
+        m_ab.algebra)).compose(phi_abd)
+    if left.images != right.images:
         raise PropertyViolationError("coassociativity failed",
                                      witness=(left.images, right.images))
     return {"ok": True, "generators": len(left.images), "degree": degree}
-
-
-def _tensor_embedding(t: TensorPresentation,
-                      embed_a: Callable[[Polynomial], Polynomial],
-                      embed_b: Callable[[Polynomial], Polynomial]
-                      ) -> list[Polynomial]:
-    """Images of the variables of t = X ⊗ Y: X's under embed_a, Y's under
-    embed_b, as a substitution."""
-    return ([embed_a(Polynomial.variable(i, t.factor_a.arity, t.field))
-             for i in range(t.factor_a.arity)]
-            + [embed_b(Polynomial.variable(i, t.factor_b.arity, t.field))
-               for i in range(t.factor_b.arity)])
 
 
 # ---------------------------------------------------------------------------
@@ -528,23 +475,19 @@ def verify_directsum_law(a: AlgebraPresentation, b: AlgebraPresentation,
     # psi(a) = sum_v (v·e) ⊗ z1[a,v] + sum_v' (v'·(1-e)) ⊗ z2[a,v']
     t_fwd = tensor_product(ds, right)
     e_poly = Polynomial.variable(ds.arity - 1, ds.arity, field)
-    one = Polynomial.one(ds.arity, field)
+    sides = ((m1, right.embed_a, range(b.arity), e_poly),
+             (m2, right.embed_b, range(b.arity, b.arity + b2.arity),
+              Polynomial.one(ds.arity, field) - e_poly))
     psi_images = []
     for gi in range(a.arity):
         acc = Polynomial.zero(t_fwd.arity, field)
-        for v in m1.trunc.deltas[gi]:
-            v_in_ds = ds.nf(Polynomial.monomial(v, field).extend_arity(
-                ds.arity, list(range(b.arity))) * e_poly)
-            zk = right.embed_a(Polynomial.variable(m1.z_index[(gi, v)],
-                                                   m1.n_z, field))
-            acc = acc + t_fwd.embed_a(v_in_ds) * t_fwd.embed_b(zk)
-        for w in m2.trunc.deltas[gi]:
-            w_in_ds = ds.nf(Polynomial.monomial(w, field).extend_arity(
-                ds.arity, list(range(b.arity, b.arity + b2.arity)))
-                * (one - e_poly))
-            zk = right.embed_b(Polynomial.variable(m2.z_index[(gi, w)],
-                                                   m2.n_z, field))
-            acc = acc + t_fwd.embed_a(w_in_ds) * t_fwd.embed_b(zk)
+        for m, embed, block, idempotent in sides:
+            for v in m.trunc.deltas[gi]:
+                v_in_ds = ds.nf(Polynomial.monomial(v, field).extend_arity(
+                    ds.arity, block) * idempotent)
+                zk = embed(Polynomial.variable(m.z_index[(gi, v)], m.n_z,
+                                               field))
+                acc = acc + t_fwd.embed_a(v_in_ds) * t_fwd.embed_b(zk)
         psi_images.append(t_fwd.nf(acc))
     psi = AlgebraMorphism(a, t_fwd, psi_images, check=True)
     forward = associated_morphism(m_ds, psi)      # M(A, DS) -> M1 ⊗ M2
@@ -553,18 +496,11 @@ def verify_directsum_law(a: AlgebraPresentation, b: AlgebraPresentation,
     ident = AlgebraMorphism.identity(a)
     back1 = functor_action(ident, p1, m1, m_ds)
     back2 = functor_action(ident, p2, m2, m_ds)
-    bwd_images = ([back1.images[i] for i in range(m1.n_z)]
-                  + [back2.images[i] for i in range(m2.n_z)])
-    backward = AlgebraMorphism(right, m_ds.algebra, bwd_images, check=True)
+    backward = AlgebraMorphism(right, m_ds.algebra,
+                               back1.images + back2.images, check=True)
 
-    ok_fb = all(
-        backward.apply_poly(forward.images[k])
-        == m_ds.algebra.nf(Polynomial.variable(k, m_ds.n_z, field))
-        for k in range(m_ds.n_z))
-    ok_bf = all(
-        forward.apply_poly(backward.images[k])
-        == right.nf(Polynomial.variable(k, right.arity, field))
-        for k in range(right.arity))
+    ok_fb = backward.compose(forward) == AlgebraMorphism.identity(m_ds.algebra)
+    ok_bf = forward.compose(backward) == AlgebraMorphism.identity(right)
     if not (ok_fb and ok_bf):
         raise PropertyViolationError("direct-sum law maps are not mutually "
                                      "inverse", witness=(ok_fb, ok_bf))

@@ -191,8 +191,9 @@ def _root_solutions(a: AlgebraPresentation, k: int, degree: int,
     elems = [a.element(Polynomial.combination(a.arity, field, slice_monos, v))
              for v in vectors]
     for e in elems:
-        if (e ** k) != e:      # pragma: no cover - exact solver
-            raise AssertionError("solver returned a non-solution")
+        if (e ** k) != e:
+            raise PropertyViolationError("solver returned a non-solution",
+                                         witness=e)
     return elems, result.complete
 
 
@@ -243,7 +244,7 @@ class Pi0Result:
     basis: list[ElementRep]
     presentation: AlgebraPresentation | None
     inclusion: AlgebraMorphism | None
-    idempotents: IdempotentReport | None
+    idempotents: IdempotentReport
     component_count: int | None
     degree: int
     tower: int | None
@@ -371,15 +372,15 @@ def functor_property_checks(which: str, a: AlgebraPresentation,
     checks the computable consequence of the c/cu comparison: the equalizer
     route agrees with the de Rham kernel.
     """
+    if which in ("directsum", "tensor") and b is None:
+        raise HypothesisError(f"the {which} check needs a second algebra")
     if which == "directsum":
-        assert b is not None
         ds, _, _ = direct_sum(a, b)
         left = derham_h0(ds, degree).dimension
         right = derham_h0(a, degree).dimension + derham_h0(b, degree).dimension
         ok = left == right
         detail = {"sum_dim": left, "component_dims": right}
     elif which == "tensor":
-        assert b is not None
         t = tensor_product(a, b)
         left = derham_h0(t, degree).dimension
         right = derham_h0(a, degree).dimension * derham_h0(b, degree).dimension

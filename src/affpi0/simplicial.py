@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import linalg
 from .algebra import (AlgebraMorphism, AlgebraPresentation, ElementRep,
-                      TensorPresentation, tensor_product)
+                      TensorPresentation, tensor_morphism, tensor_product)
 from .errors import PropertyViolationError
 from .mapspace import (MapSpacePresentation, functor_action,
                        mapspace_presentation)
@@ -454,12 +454,8 @@ def prism_identities_check(n: int, field: FieldDescriptor) -> dict:
 
     def tensor_face(j: int, level: int) -> AlgebraMorphism:
         """d_j ⊗ id on the presented tensor rings."""
-        src = tensor_product(delta_algebra(level, field).presentation, line)
-        dst = tensor_product(delta_algebra(level - 1, field).presentation, line)
-        base = face_map(j, level, field)
-        images = [dst.embed_a(im) for im in base.images]
-        images.append(Polynomial.variable(dst.arity - 1, dst.arity, field))
-        return AlgebraMorphism(src, dst, images, check=False)
+        return tensor_morphism(face_map(j, level, field),
+                               AlgebraMorphism.identity(line))
 
     def evaluation(value: int, level: int) -> AlgebraMorphism:
         """id ⊗ (x -> value): F[Delta_level] ⊗ F[x] -> F[Delta_level]."""

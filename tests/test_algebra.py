@@ -11,7 +11,7 @@ from affpi0.algebra import (AlgebraMorphism, AlgebraPresentation,
                             direct_sum, enumerate_hom, enumerate_points,
                             field_algebra, load_algebra, load_morphism,
                             morphism_check, polynomial_extension,
-                            tensor_product)
+                            tensor_morphism, tensor_product)
 from affpi0.errors import (MorphismError, RingMismatchError,
                            UnsupportedFieldError)
 from affpi0.polyring import GF, QQ, Polynomial, groebner, normal_form
@@ -175,6 +175,29 @@ def test_tensor_and_extension_bases_run_no_buchberger(monkeypatch):
     assert len(tensor_product(tensor_product(a, b), a).gb()) == 3
     assert len(polynomial_extension(b).algebra.gb()) == 1
     assert not any(g for gens in calls for g in gens if not g.is_zero)
+
+
+def test_tensor_morphism_is_functorial():
+    """(f ⊗ g)∘(f′ ⊗ g′) = (f∘f′) ⊗ (g∘g′), and id ⊗ id = id."""
+    circle = A_of(QQ, ["x", "y"], ["x^2 + y^2 - 1"])
+    line = A_of(QQ, ["s"], [])
+    f1 = AlgebraMorphism(CUBIC, IDEMP, ["2*t - 1"])
+    f0 = AlgebraMorphism(CUBIC, CUBIC, ["-x"])
+    g1 = AlgebraMorphism(circle, field_algebra(QQ), ["1", "0"])
+    g0 = AlgebraMorphism(circle, circle, ["y", "x"])
+    assert (tensor_morphism(f1, g1).compose(tensor_morphism(f0, g0))
+            == tensor_morphism(f1.compose(f0), g1.compose(g0)))
+    for a, b in ((CUBIC, circle), (IDEMP, field_algebra(QQ)),
+                 (field_algebra(QQ), line)):
+        ident = tensor_morphism(AlgebraMorphism.identity(a),
+                                AlgebraMorphism.identity(b))
+        assert ident == AlgebraMorphism.identity(tensor_product(a, b))
+
+
+def test_tensor_morphism_checks_its_factors():
+    f = AlgebraMorphism(IDEMP, CUBIC, ["x"], check=False)   # x^2 - x != 0
+    with pytest.raises(MorphismError):
+        tensor_morphism(f, AlgebraMorphism.identity(IDEMP))
 
 
 # ---------------------------------------------------------------------------

@@ -424,3 +424,31 @@ def test_unexpected_exception_is_an_internal_report(files, capsys,
     assert code == 4
     assert rep == {"schema": 1, "kind": "internal",
                    "error": "RuntimeError: boom"}
+
+
+def test_derham_certificate_failure_exit_1(files, capsys, monkeypatch):
+    """A kernel element whose differential is not certified zero is a
+    property failure: t has dt != 0 in Ω(Q[t]/(t^2 - t)) as a raw form."""
+    from affpi0 import derham
+    monkeypatch.setattr(derham, "_in_jacobian_span",
+                        lambda omega, span: False)
+    code, rep = run_json(["derham", "h0", files["idem"]], capsys)
+    assert code == 1 and rep["kind"] == "property"
+    assert rep["error"] == "kernel element failed its certificate"
+
+
+def test_root_solver_non_solution_exit_1(files, capsys, monkeypatch):
+    from affpi0 import pi0
+    solve = pi0.solve_system
+
+    def planted(gens, nvars, field):
+        result = solve(gens, nvars, field)
+        result.solutions.append(tuple(field.scalar(3)
+                                      for _ in range(nvars)))
+        return result
+
+    monkeypatch.setattr(pi0, "solve_system", planted)
+    code, rep = run_json(["pi0", files["idem"], "--method", "idempotent",
+                          "--deg", "2"], capsys)
+    assert code == 1 and rep["kind"] == "property"
+    assert rep["error"] == "solver returned a non-solution"

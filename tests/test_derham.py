@@ -12,7 +12,7 @@ from affpi0.derham import (DifferentialForm, _kernel_basis, _span_rows,
                            form_is_zero, integral_phi1,
                            integration_homotopy_check, jacobian_rows,
                            subalgebra_closure_check, universal_derivation)
-from affpi0.errors import UnsupportedFieldError
+from affpi0.errors import RingMismatchError, UnsupportedFieldError
 from affpi0.polyring import GF, QQ, Polynomial
 
 
@@ -137,6 +137,16 @@ def test_exterior_derivative_antisymmetry():
     omega = DifferentialForm(a, 1, {(0,): a.parse("y")})
     d = exterior_derivative(omega)
     assert d.coeffs[(0, 1)] == a.parse("-1")
+
+
+def test_adding_forms_of_different_degrees_or_algebras_is_a_mismatch():
+    a = A_of(QQ, ["x", "y"], [])
+    omega = DifferentialForm(a, 1, {(0,): a.parse("y")})
+    with pytest.raises(RingMismatchError):
+        omega + DifferentialForm(a, 2, {(0, 1): a.parse("x")})
+    b = A_of(QQ, ["x", "y"], ["x*y"])
+    with pytest.raises(RingMismatchError):
+        omega + DifferentialForm(b, 1, {(0,): b.parse("y")})
 
 
 def test_dd_zero_on_degree_zero():

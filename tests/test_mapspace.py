@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from affpi0 import mapspace
 from affpi0.algebra import (AlgebraMorphism, AlgebraPresentation,
                             enumerate_hom, enumerate_points, field_algebra,
                             tensor_product)
@@ -212,6 +213,25 @@ def test_associated_morphism_truncation_too_small():
         associated_morphism(m, phi)
 
 
+def test_associated_morphism_with_a_wrong_level_map_fails(monkeypatch):
+    """ψ sending its last coordinate to 0 is still a morphism here, but
+    (id ⊗ ψ) ∘ υ no longer gives φ."""
+    a = A_of(QQ, ["t"], ["t^2 - t"])
+    b = A_of(QQ, ["x"], ["x^2 - x"])
+    c = A_of(QQ, ["u"], ["u^2 - u"])
+    phi = AlgebraMorphism(a, tensor_product(b, c), ["x_1*u_2"])
+    level = mapspace._level_morphism
+
+    def planted(m, target, coeffs):
+        psi = level(m, target, coeffs)
+        return AlgebraMorphism(psi.source, psi.target, psi.images[:-1]
+                               + (Polynomial.zero(target.arity, QQ),))
+
+    monkeypatch.setattr(mapspace, "_level_morphism", planted)
+    with pytest.raises(PropertyViolationError):
+        associated_morphism(mapspace_presentation(a, b, 1), phi)
+
+
 def test_points_crosscheck_examples():
     rep = points_crosscheck(A_of(GF(3), ["t"], ["t^2 - 1"]),
                             A_of(GF(3), ["x"], ["x^2 - 1"]), 1)
@@ -340,6 +360,26 @@ def test_coassociativity_on_desk_quadruple():
     assert rep["ok"]
 
 
+def test_coassociativity_with_a_wrong_comultiplication_fails(monkeypatch):
+    """Φ_ACD with its last image set to 0 is still a morphism, but the two
+    bracketings then differ."""
+    a = A_of(QQ, ["t"], ["t^2 - t"])
+    comult = mapspace.comultiplication
+    calls = []
+
+    def planted(m_ac, m_bc, m_ab):
+        phi, t = comult(m_ac, m_bc, m_ab)
+        calls.append(phi)
+        if len(calls) == 1:
+            phi = AlgebraMorphism(phi.source, t, phi.images[:-1]
+                                  + (Polynomial.zero(t.arity, QQ),))
+        return phi, t
+
+    monkeypatch.setattr(mapspace, "comultiplication", planted)
+    with pytest.raises(PropertyViolationError):
+        coassociativity_check(a, a, a, a, 1)
+
+
 def test_comultiplication_point_composition_compatibility():
     f3 = GF(3)
     a = A_of(f3, ["t"], ["t^2 - 1"])
@@ -392,6 +432,27 @@ def test_directsum_law_desk_example():
     a = A_of(QQ, ["t"], ["t^2 - 1"])
     rep = verify_directsum_law(a, field_algebra(QQ), field_algebra(QQ))
     assert rep["ok"]
+
+
+def test_directsum_law_with_a_wrong_backward_map_fails(monkeypatch):
+    """Negating z in the backward map's first factor keeps z^2 - 1 fixed,
+    so the map is still a morphism, but no longer inverse to the forward
+    one."""
+    a = A_of(QQ, ["t"], ["t^2 - 1"])
+    action = mapspace.functor_action
+    calls = []
+
+    def planted(f, g, m_source, m_target):
+        act = action(f, g, m_source, m_target)
+        calls.append(act)
+        if len(calls) == 1:
+            act = AlgebraMorphism(act.source, act.target,
+                                  act.images[:-1] + (-act.images[-1],))
+        return act
+
+    monkeypatch.setattr(mapspace, "functor_action", planted)
+    with pytest.raises(PropertyViolationError):
+        verify_directsum_law(a, field_algebra(QQ), field_algebra(QQ))
 
 
 def test_renaming_that_is_no_bijection_is_a_property_failure():

@@ -301,6 +301,12 @@ def test_functor_tensor_with_ground_field():
     assert rep["ok"] and rep["tensor_dim"] == 3
 
 
+@pytest.mark.parametrize("which", ["directsum", "tensor"])
+def test_functor_check_of_a_pair_needs_the_second_algebra(which):
+    with pytest.raises(HypothesisError):
+        functor_property_checks(which, IDEMP, degree=2)
+
+
 def test_functor_unital_equality_routes_agree():
     rep = functor_property_checks("unital-equality", CUBIC, degree=2, tower=2)
     assert rep["ok"] and rep["derham_dim"] == rep["equalizer_dim"] == 3
