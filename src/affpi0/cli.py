@@ -9,6 +9,7 @@ inputs and flags are byte-identical apart from the timing field.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -124,7 +125,7 @@ def cmd_map(args) -> dict:
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh, sort_keys=True, indent=2)
-            side_path = args.output.replace(".json", "") + ".zvars.json"
+            side_path = args.output.removesuffix(".json") + ".zvars.json"
             with open(side_path, "w", encoding="utf-8") as fh:
                 json.dump(sidecar, fh, sort_keys=True, indent=2)
         return {"presentation": doc, "zvars": sidecar,
@@ -295,7 +296,15 @@ def cmd_verify(args) -> dict:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process on first use and reused.
+
+    Reuse is safe because ``parse_args`` never mutates the parser: it fills
+    a fresh ``Namespace`` from immutable defaults (``str``/``int``/``None``),
+    and ``nargs="+"`` builds a new list on every call.  Do not mutate the
+    returned parser.
+    """
     parser = argparse.ArgumentParser(
         prog="affpi0",
         description="Exact homotopy invariants of affine schemes")

@@ -79,6 +79,21 @@ def test_map_present_with_sidecar(files, capsys):
     assert {entry["generator"] for entry in sidecar} == {"t"}
 
 
+@pytest.mark.parametrize("output, side", [
+    ("a.json.d/out.json", "a.json.d/out.zvars.json"),
+    ("P", "P.zvars.json"),
+])
+def test_map_present_sidecar_replaces_only_a_trailing_json(files, capsys,
+                                                          output, side):
+    (files["tmp"] / "a.json.d").mkdir()
+    code, rep = run_json(["map", "present", files["f3t"], files["f3x"],
+                          "-o", str(files["tmp"] / output)], capsys)
+    assert code == 0
+    assert (files["tmp"] / output).exists()
+    sidecar = json.loads((files["tmp"] / side).read_text())
+    assert sidecar == rep["result"]["zvars"]
+
+
 def test_map_points_crosscheck(files, capsys):
     code, rep = run_json(["map", "points", files["f3t"], files["f3x"],
                           "--trunc", "1"], capsys)
@@ -452,3 +467,55 @@ def test_root_solver_non_solution_exit_1(files, capsys, monkeypatch):
                           "--deg", "2"], capsys)
     assert code == 1 and rep["kind"] == "property"
     assert rep["error"] == "solver returned a non-solution"
+
+
+# ---------------------------------------------------------------------------
+# the parser is built once per process: nothing may leak between runs
+
+
+def without_timing(report):
+    return {k: v for k, v in report.items() if k != "timing_ms"}
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_restores_defaults(files, capsys):
+    code, rep = run_json(["pi0", files["idem"], "--deg", "1"], capsys)
+    assert code == 0 and rep["result"]["degree"] == 1
+    code, rep = run_json(["pi0", files["idem"]], capsys)
+    assert code == 0
+    assert rep["result"]["degree"] == 3
+    assert rep["bounds"] == {"deg": 3, "tower": 2}
+
+
+def test_reused_parser_does_not_accumulate_files(files, capsys):
+    code, rep = run_json(["hom", "enum", files["f3t"], files["f3x"]], capsys)
+    assert code == 0
+    code, rep = run_json(["hom", "check", files["f0"]], capsys)
+    # `hom check` takes exactly one file: a list kept from the run before
+    # would be an input error
+    assert code == 0 and rep["result"]["valid"]
+
+
+def test_rejected_request_leaves_the_parser_usable(files, capsys):
+    cli.build_parser.cache_clear()
+    code, first = run_json(["pi0", files["idem"], "--deg", "2"], capsys)
+    with pytest.raises(SystemExit) as exc:
+        run(["pi0", files["idem"], "--method", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    code, again = run_json(["pi0", files["idem"], "--deg", "2"], capsys)
+    assert code == 0
+    assert without_timing(again) == without_timing(first)
+
+
+def test_same_request_twice_gives_the_same_report(files, capsys):
+    argv = ["hom", "enum", files["f3t"], files["f3x"], "--deg", "1"]
+    code1, rep1 = run_json(argv, capsys)
+    code2, rep2 = run_json(argv, capsys)
+    assert code1 == code2 == 0
+    assert rep1["inputs_digest"] == rep2["inputs_digest"]
+    assert rep1["bounds"] == rep2["bounds"] == {"deg": 1}
+    assert without_timing(rep1) == without_timing(rep2)

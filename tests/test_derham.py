@@ -7,8 +7,8 @@ import random
 import pytest
 
 from affpi0.algebra import AlgebraPresentation, polynomial_extension
-from affpi0.derham import (DifferentialForm, _kernel_basis, _span_rows,
-                           derham_h0, exterior_derivative,
+from affpi0.derham import (DifferentialForm, TruncatedKernel, _kernel_basis,
+                           _span_rows, derham_h0, exterior_derivative,
                            form_is_zero, integral_phi1,
                            integration_homotopy_check, jacobian_rows,
                            subalgebra_closure_check, universal_derivation)
@@ -113,6 +113,14 @@ def test_h0_contains_unit_and_closed_under_products():
         assert any(e == a.one_element() for e in k.basis) or any(
             not (e.poly.constant_term() == 0) for e in k.basis)
         assert subalgebra_closure_check(k)
+
+
+def test_closure_check_fails_on_a_basis_not_closed_under_products():
+    # x·x = x² lies in the degree-2 slice of Q[x] but outside span{1, x}
+    a = A_of(QQ, ["x"], [])
+    kernel = TruncatedKernel(a, 2, [a.one_element(), a.element("x")],
+                             stabilized=False, char_zero=True)
+    assert not subalgebra_closure_check(kernel)
 
 
 def test_h0_over_prime_field_flagged():
