@@ -99,16 +99,13 @@ class AlgebraPresentation:
 
     # -- identity & serialization ----------------------------------------------
 
-    def signature(self) -> tuple:
-        return (str(self.field), self.vars,
-                tuple(r.to_string(self.vars) for r in self.relations))
-
     def __eq__(self, other):
         return (isinstance(other, AlgebraPresentation)
-                and self.signature() == other.signature())
+                and self.field == other.field and self.vars == other.vars
+                and self.relations == other.relations)
 
     def __hash__(self):
-        return hash(self.signature())
+        return hash((self.field, self.vars, self.relations))
 
     def __repr__(self):
         rels = ", ".join(r.to_string(self.vars) for r in self.relations)

@@ -120,14 +120,10 @@ def _span_rows(a: AlgebraPresentation, slack: int
     """Multiplier-monomial times Jacobian-row generators of the submodule."""
     rows = []
     multipliers = a.standard_monomials(slack)
-    for r in a.relations:
-        base = {(i,): r.derivative(i) for i in range(a.arity)}
+    for base in jacobian_rows(a):
         for mult in multipliers:
-            row = {}
-            for idx, c in base.items():
-                v = a.nf(c.mul_monomial(mult))
-                if not v.is_zero:
-                    row[idx] = v
+            row = DifferentialForm(a, 1, {idx: c.mul_monomial(mult) for idx, c
+                                          in base.coeffs.items()}).coeffs
             if row:
                 rows.append(row)
     return rows

@@ -145,9 +145,6 @@ class MapSpacePresentation:
             raise RingMismatchError("element of a different algebra")
         return self.upsilon_poly(a.poly)
 
-    def signature(self) -> tuple:
-        return (self.a.signature(), self.b.signature(), self.trunc.deltas)
-
     def __repr__(self):
         return (f"<map space {len(self.z_names)} coordinates, "
                 f"{len(self.algebra.relations)} relations>")

@@ -342,3 +342,55 @@ def test_enumerate_points_of_a_zero_algebra_beyond_the_guard():
     # constant relation first
     big_zero = A_of(GF(7), list("abcdefgh"), ["1"])
     assert enumerate_points(big_zero) == []
+
+
+# ---------------------------------------------------------------------------
+# identity by value
+
+
+def test_identity_and_the_routes_never_print(monkeypatch):
+    """Presentations compare by field, variables and relations as values:
+    no equality or hash inside the routes renders a polynomial as text."""
+    from affpi0.derham import derham_h0
+    from affpi0.mapspace import coassociativity_check
+    from affpi0.pi0 import equalizer_subspace, pi0_presentation
+    from affpi0.simplicial import sing_h0
+
+    def printer(self, names):
+        raise AssertionError("printer reached")
+
+    monkeypatch.setattr(Polynomial, "to_string", printer)
+    twin = A_of(QQ, ["t"], ["t^2 - t"])
+    assert twin == IDEMP and hash(twin) == hash(IDEMP)
+    x = CUBIC.element("x")
+    assert (x * x - x + x) ** 2 == CUBIC.element("x^2")
+    circle = A_of(QQ, ["x", "y"], ["x^2 + y^2 - 1"])
+    assert equalizer_subspace(circle, 2, 2).dimension == 1
+    assert derham_h0(circle, 2).dimension == 1
+    assert pi0_presentation(CUBIC, 2).component_count == 3
+    assert [lvl.dimension for lvl in sing_h0(IDEMP, 1, 2).levels] == [2]
+    assert coassociativity_check(IDEMP, IDEMP, IDEMP, IDEMP, 1)["ok"]
+
+
+def test_loaded_presentation_equals_the_one_built_in_code(tmp_path):
+    b = A_of(GF(5), ["u", "v"], ["u*v - 1", "u^2 + 2*v"])
+    path = tmp_path / "bx.json"
+    path.write_text('{"field": {"p": 5}, "vars": ["u", "v"], '
+                    '"relations": ["u*v - 1", "u^2 + 2*v"]}')
+    loaded = load_algebra(str(path))
+    assert loaded == b and hash(loaded) == hash(b)
+    path.write_text('{"field": {"p": 5}, "vars": ["u", "v", "x"], '
+                    '"relations": ["u*v - 1", "u^2 + 2*v"]}')
+    extension = polynomial_extension(b).algebra
+    loaded = load_algebra(str(path))
+    assert extension == loaded and loaded == extension
+    assert hash(extension) == hash(loaded)
+
+
+def test_presentations_with_other_data_differ():
+    rels = ["u*v - 1", "u^2 + 2*v"]
+    b = A_of(GF(5), ["u", "v"], rels)
+    assert b != A_of(GF(5), ["u", "v"], rels[::-1])
+    assert b != A_of(GF(7), ["u", "v"], rels)
+    assert b != A_of(QQ, ["u", "v"], rels)
+    assert b != A_of(GF(5), ["v", "u"], rels)

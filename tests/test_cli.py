@@ -216,6 +216,17 @@ def test_verify_lemmas_and_only(files, capsys):
     assert code == 0
 
 
+def test_verify_lemmas_with_a_wrong_rotation_exit_1(files, capsys,
+                                                   monkeypatch):
+    """[[1 - x^2, x^3 - 2x], [x, 1]] has determinant 1 + x^2 - x^4."""
+    from affpi0 import matrix_homotopy
+
+    monkeypatch.setattr(matrix_homotopy, "rotation", lambda ring: ring.matrix(
+        [["1 - x^2", "x^3 - 2*x"], ["x", "1"]]))
+    code, rep = run_json(["verify", "lemmas", "--only", "rotation"], capsys)
+    assert code == 1 and rep["kind"] == "property"
+
+
 def test_verify_laws(files, capsys):
     for law in ("exp", "tensor", "dsum"):
         code, rep = run_json(["verify", "law", law], capsys)

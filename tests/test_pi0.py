@@ -8,8 +8,8 @@ import pytest
 
 from affpi0 import pi0 as pi0_mod
 from affpi0.algebra import AlgebraPresentation, field_algebra
-from affpi0.errors import (HypothesisError, ResourceLimitError,
-                           UnsupportedFieldError)
+from affpi0.errors import (HypothesisError, PropertyViolationError,
+                           ResourceLimitError, UnsupportedFieldError)
 from affpi0.matrix_homotopy import NCPoly
 from affpi0.pi0 import (equalizer_membership, equalizer_subspace,
                         functor_property_checks, idempotent_search,
@@ -310,6 +310,39 @@ def test_functor_check_of_a_pair_needs_the_second_algebra(which):
 def test_functor_unital_equality_routes_agree():
     rep = functor_property_checks("unital-equality", CUBIC, degree=2, tower=2)
     assert rep["ok"] and rep["derham_dim"] == rep["equalizer_dim"] == 3
+
+
+def test_functor_directsum_with_a_lost_basis_element_fails(monkeypatch):
+    import dataclasses
+
+    from affpi0.algebra import direct_sum
+
+    ds, _, _ = direct_sum(IDEMP, field_algebra(QQ))
+    real = pi0_mod.derham_h0
+
+    def planted(a, degree):
+        kernel = real(a, degree)
+        if a == ds:
+            return dataclasses.replace(kernel, basis=kernel.basis[1:])
+        return kernel
+
+    monkeypatch.setattr(pi0_mod, "derham_h0", planted)
+    with pytest.raises(PropertyViolationError, match="directsum"):
+        functor_property_checks("directsum", IDEMP, field_algebra(QQ),
+                                degree=2)
+
+
+def test_functor_unital_equality_outside_the_derham_span_fails(monkeypatch):
+    """[x] has the dimension of the circle's H^0 slice but not its span {1}."""
+    circle = A_of(QQ, ["x", "y"], ["x^2 + y^2 - 1"])
+    assert functor_property_checks("unital-equality", circle, degree=2)["ok"]
+
+    def planted(a, degree, tower):
+        return pi0_mod.EqualizerSubspace(a, degree, tower, [a.element("x")])
+
+    monkeypatch.setattr(pi0_mod, "equalizer_subspace", planted)
+    with pytest.raises(PropertyViolationError, match="unital-equality"):
+        functor_property_checks("unital-equality", circle, degree=2)
 
 
 def test_idempotents_live_in_derham_kernel():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from affpi0 import simplicial
-from affpi0.algebra import AlgebraPresentation, field_algebra
+from affpi0.algebra import AlgebraMorphism, AlgebraPresentation, field_algebra
 from affpi0.polyring import GF, QQ, Polynomial
 from affpi0.simplicial import (CosimplicialSpace,
                                check_cosimplicial_identities,
@@ -258,3 +258,60 @@ def test_sing_h1_stabilization_table():
     assert [row["h1_dimension"] for row in rep["table"]] == [0, 0]
     assert rep["stabilized"]
     assert "no pro-limit claim" in rep["label"]
+
+
+# ---------------------------------------------------------------------------
+# planted faults: each check must be able to fail
+
+
+def test_prism_identities_with_a_wrong_prism_map_fail(monkeypatch):
+    """x -> 0 still gives a checked morphism, but its top face is x = 0."""
+    real = simplicial.prism_map
+
+    def planted(n, i, field):
+        morphism, src = real(n, i, field)
+        images = [*morphism.images[:-1],
+                  Polynomial.zero(morphism.target.arity, field)]
+        return AlgebraMorphism(src, morphism.target, images, check=True), src
+
+    assert prism_identities_check(1, QQ)["ok"]
+    monkeypatch.setattr(simplicial, "prism_map", planted)
+    rep = prism_identities_check(1, QQ)
+    assert not rep["ok"] and ("top", 0) in rep["failures"]
+
+
+def test_cup_leibniz_with_unsigned_differential_fails(monkeypatch):
+    a = A_of(QQ, ["t"], ["t^2 - 1"])
+    space = CosimplicialSpace(a, 1, 2, 2)
+    alg0 = space.levels[0].mspace.algebra
+    c = alg0.parse(alg0.vars[0])
+    c2 = alg0.parse(f"{alg0.vars[0]}^2 + 1")
+
+    def unsigned(space, level, poly):
+        target = space.levels[level + 1].mspace.algebra
+        acc = Polynomial.zero(target.arity, space.field)
+        for i in range(level + 2):
+            face = simplicial._face_alpha(i, level + 1)
+            acc = acc + space.structure_map(face, level + 1).apply_poly(poly)
+        return target.nf(acc)
+
+    assert cup_leibniz_check(space, (0, c), (0, c2))
+    monkeypatch.setattr(simplicial, "alternating_sum", unsigned)
+    assert not cup_leibniz_check(space, (0, c), (0, c2))
+
+
+def test_simplicial_functoriality_with_a_wrong_structure_map_fails(
+        monkeypatch):
+    """Maps F[Delta_2] -> F[Delta_2] with their images swapped."""
+    real = simplicial.simplicial_map
+
+    def planted(alpha, target_level, field):
+        morphism = real(alpha, target_level, field)
+        if len(alpha) == 3 and target_level == 2:
+            return AlgebraMorphism(morphism.source, morphism.target,
+                                   morphism.images[::-1], check=False)
+        return morphism
+
+    assert check_simplicial_functoriality(QQ, 2)["ok"]
+    monkeypatch.setattr(simplicial, "simplicial_map", planted)
+    assert not check_simplicial_functoriality(QQ, 2)["ok"]
