@@ -68,25 +68,12 @@ class ElementaryHomotopy:
 def homotopy_verify(f: AlgebraMorphism, g: AlgebraMorphism,
                     h: AlgebraMorphism, ext: PolynomialExtension | None = None
                     ) -> ElementaryHomotopy:
-    """Accept H iff it is a morphism with the two endpoint identities."""
+    """Accept H iff it is a morphism into f's target[x], named after H's
+    last variable, with the two endpoint identities."""
     if ext is None:
-        ext = _extension_of(h.target)
+        name = h.target.vars[-1] if h.target.vars else "x"
+        ext = polynomial_extension(f.target, name)
     return ElementaryHomotopy(f, g, h, ext)
-
-
-def _extension_of(bx: AlgebraPresentation) -> PolynomialExtension:
-    """Rebuild the extension structure of a presentation shaped like B[x]."""
-    if not bx.vars:
-        raise MorphismError("target has no variables, so it is not a "
-                            "polynomial extension B[x]")
-    base = AlgebraPresentation(bx.field, bx.vars[:-1],
-                               [r.restrict_arity(list(range(bx.arity - 1)))
-                                for r in bx.relations])
-    ext = polynomial_extension(base, bx.vars[-1])
-    if ext.algebra != bx:
-        raise MorphismError("target is not a polynomial extension B[x] "
-                            "with the homotopy variable appended last")
-    return ext
 
 
 def constant_homotopy(f: AlgebraMorphism) -> ElementaryHomotopy:
@@ -120,9 +107,6 @@ def homotopy_search(f: AlgebraMorphism, g: AlgebraMorphism,
     ext = polynomial_extension(b)
     slots = [tuple(w) + (k,) for w in b.standard_monomials(bounds.bdeg)
              for k in range(bounds.xdeg + 1)]
-    if not (a.arity and slots):
-        return SearchResult("none-within-bounds",
-                            detail="no unknowns available")
     m = mapspace_presentation(a, ext.algebra, Truncation.explicit(a, slots))
     # linear equations first: the F_p search tests the equations in order,
     # and most candidates already fail an endpoint equation

@@ -499,9 +499,8 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base_needed = n > 1
             n >>= 1
-            if base_needed and n:
+            if n:
                 base = base * base
         return result
 
@@ -531,21 +530,15 @@ class Polynomial:
         tgt_arity = images[0].arity
         f = images[0].field
         result = Polynomial.zero(tgt_arity, f)
-        powers: list[dict[int, Polynomial]] = [
-            {0: Polynomial.one(tgt_arity, f)} for _ in images]
+        # powers[i][e - 1] is images[i]^e, grown only as far as a term needs
+        powers = [[image] for image in images]
         for m, c in sorted(self.terms.items()):
             part = Polynomial.constant(c, tgt_arity, f)
-            for i, e in enumerate(m):
-                if e == 0:
-                    continue
-                cache = powers[i]
-                if e not in cache:
-                    best = max(k for k in cache if k <= e)
-                    acc = cache[best]
-                    for k in range(best + 1, e + 1):
-                        acc = acc * images[i]
-                        cache[k] = acc
-                part = part * cache[e]
+            for e, pw in zip(m, powers):
+                if e:
+                    while len(pw) < e:
+                        pw.append(pw[-1] * pw[0])
+                    part = part * pw[e - 1]
             result = result + part
         return result
 

@@ -213,6 +213,12 @@ def test_polynomial_extension_evaluations():
     assert ext.p1.apply_poly(p) == a.parse("u + 3")
 
 
+def test_polynomial_extension_picks_a_fresh_variable_name():
+    assert polynomial_extension(A_of(QQ, ["x"], [])).x_name == "x_0"
+    ext = polynomial_extension(A_of(QQ, ["x", "x_0"], []))
+    assert ext.x_name == "x_1" and ext.algebra.vars == ("x", "x_0", "x_1")
+
+
 def test_polynomial_extension_flip_involution():
     a = A_of(QQ, ["u"], ["u^2 - u"])
     ext = polynomial_extension(a)

@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from affpi0 import cli
+from affpi0 import cli, matrix_homotopy
 from affpi0.cli import run
 
 
@@ -227,10 +227,54 @@ def test_verify_lemmas_with_a_wrong_rotation_exit_1(files, capsys,
     assert code == 1 and rep["kind"] == "property"
 
 
+def flipped_inverse(rotation_inverse):
+    """The rotation's inverse with the sign of its upper-right corner
+    flipped."""
+    return lambda ring: ring.matrix([["1 - x^2", "x^3 - 2*x"],
+                                     ["-x", "1 - x^2"]])
+
+
+@pytest.mark.parametrize("only, name, plant", [
+    ("conjugation", "rotation_inverse", flipped_inverse),
+    ("blocks", "rotation_inverse", flipped_inverse),
+    ("permutation", "_permutation_matrix",
+     lambda perm: lambda ring, sigma, sizes: matrix_homotopy._transpose(
+         perm(ring, sigma, sizes))),
+    ("gamma", "_block_diag",
+     lambda diag: lambda ring, blocks, size: diag(ring, blocks[:1], size)),
+])
+def test_verify_lemmas_with_a_planted_fault_exit_1(files, capsys, monkeypatch,
+                                                  only, name, plant):
+    argv = ["verify", "lemmas", "--only", only]
+    assert run_json(argv, capsys)[0] == 0
+    monkeypatch.setattr(matrix_homotopy, name,
+                        plant(getattr(matrix_homotopy, name)))
+    code, rep = run_json(argv, capsys)
+    assert code == 1 and rep["kind"] == "property"
+
+
 def test_verify_laws(files, capsys):
     for law in ("exp", "tensor", "dsum"):
         code, rep = run_json(["verify", "law", law], capsys)
         assert code == 0 and rep["result"]["ok"], law
+
+
+@pytest.mark.parametrize("law, wrong, failure", [
+    ("exp", lambda mapping: [mapping[1], mapping[0], *mapping[2:]],
+     "forward"),
+    # a swap would pass here: the two idempotent factors are symmetric
+    ("tensor", lambda mapping: [0] * len(mapping), "roundtrip"),
+])
+def test_verify_law_with_a_wrong_renaming_exit_1(files, capsys, monkeypatch,
+                                                 law, wrong, failure):
+    from affpi0 import mapspace
+    check = mapspace._renaming_correspondence
+    monkeypatch.setattr(
+        mapspace, "_renaming_correspondence",
+        lambda left, right, mapping: check(left, right, wrong(mapping)))
+    code, rep = run_json(["verify", "law", law], capsys)
+    assert code == 1 and rep["kind"] == "property"
+    assert f"('{failure}'," in rep["witness"]
 
 
 def test_reports_deterministic_and_schema(files, capsys):
@@ -338,6 +382,44 @@ def test_homotopy_verify_without_a_certificate_is_an_input_error(files,
                          capsys)
     assert code == 2 and rep["kind"] == "input"
     assert "certificate file h" in rep["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "law"],
+    ["hom", "check", "{f0}", "{g1}"],
+    ["hom", "enum", "{f3t}"],
+])
+def test_missing_or_extra_operands_are_input_errors(files, capsys, argv):
+    code, rep = run_json([a.format(**files) for a in argv], capsys)
+    assert code == 2 and rep["kind"] == "input"
+
+
+def test_hom_enum_beyond_the_solver_guard_exit_3(files, capsys):
+    """13 coefficients over F_3: 3^13 candidates exceed the 200000 guard."""
+    f3s = files["tmp"] / "f3s.json"
+    f3s.write_text(json.dumps({"field": {"p": 3}, "vars": ["s"]}))
+    code, rep = run_json(["hom", "enum", files["f3t"], str(f3s),
+                          "--deg", "12"], capsys)
+    assert code == 3 and rep["kind"] == "resource-limit"
+
+
+@pytest.mark.parametrize("limit, argv", [
+    (("AFFPI0_MAX_TERMS", "5"),
+     ["alg", "nf", "{plane}", "--poly", "(x+y+1)^6"]),
+    (("AFFPI0_MAX_BASIS", "2"), ["alg", "gb", "{plane}"]),
+])
+def test_lowered_guards_exit_3(files, capsys, monkeypatch, limit, argv):
+    """The basis of (x^2 + y^2 - 1, x*y - 1) has 3 elements."""
+    plane = files["tmp"] / "plane.json"
+    plane.write_text(json.dumps({"field": "Q", "vars": ["x", "y"],
+                                 "relations": ["x^2 + y^2 - 1", "x*y - 1"]}))
+    argv = [a.format(plane=plane) for a in argv]
+    assert run_json(argv, capsys)[0] == 0
+    monkeypatch.setenv(*limit)
+    code, rep = run_json(argv, capsys)
+    assert code == 3 and rep["kind"] == "resource-limit"
+    monkeypatch.delenv(limit[0])      # the next run restores the defaults
+    assert run_json(argv, capsys)[0] == 0
 
 
 @pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
@@ -461,6 +543,19 @@ def test_derham_certificate_failure_exit_1(files, capsys, monkeypatch):
     code, rep = run_json(["derham", "h0", files["idem"]], capsys)
     assert code == 1 and rep["kind"] == "property"
     assert rep["error"] == "kernel element failed its certificate"
+
+
+def test_derham_integration_with_a_doubled_phi1_exit_1(files, capsys,
+                                                      monkeypatch):
+    from affpi0 import derham
+    argv = ["derham", "check-integration", files["idem"]]
+    assert run_json(argv, capsys)[0] == 0
+    phi1 = derham.integral_phi1
+    monkeypatch.setattr(derham, "integral_phi1",
+                        lambda omega, ext: phi1(omega, ext) + phi1(omega, ext))
+    code, rep = run_json(argv, capsys)
+    assert code == 1 and rep["kind"] == "property"
+    assert rep["error"] == "integration homotopy failed"
 
 
 def test_root_solver_non_solution_exit_1(files, capsys, monkeypatch):

@@ -39,6 +39,18 @@ def test_verify_endpoint_mismatch_named():
         homotopy_verify(f, g2, h, ext)
 
 
+def test_verify_builds_the_extension_of_fs_target_named_by_h():
+    f = AlgebraMorphism(FREE_T, FREE_U, ["0"])
+    g = AlgebraMorphism(FREE_T, FREE_U, ["u"])
+    ext = polynomial_extension(FREE_U, "s")
+    h = AlgebraMorphism(FREE_T, ext.algebra, ["u*s"])
+    cert = homotopy_verify(f, g, h)
+    assert cert.ext.x_name == "s" and cert.ext.algebra == ext.algebra
+    other = AlgebraMorphism(FREE_T, A_of(QQ, ["u", "s"], ["s^2"]), ["u*s"])
+    with pytest.raises(MorphismError, match="target\\[x\\]"):
+        homotopy_verify(f, g, other)
+
+
 def test_constant_homotopy_reflexivity():
     f = AlgebraMorphism(A_of(QQ, ["t"], ["t^2 - t"]), field_algebra(QQ), ["1"])
     cert = constant_homotopy(f)
@@ -228,6 +240,20 @@ def test_search_equal_endpoints_shortcircuits_positive_dimensional_space():
     res = homotopy_search(f, f, SearchBounds(2, 1))
     assert res.status == "found"
     assert res.certificate.f == res.certificate.g == f
+
+
+@pytest.mark.parametrize("a, b", [
+    (field_algebra(QQ), FREE_U),           # no generators to send anywhere
+    (FREE_T, A_of(QQ, ["u"], ["1"])),      # the zero algebra has no slots
+])
+def test_search_without_unknowns_has_equal_endpoints(a, b):
+    """With no generator or no slot, f and g must coincide, so the search
+    returns the constant homotopy."""
+    images = [["0"], ["1"]] if a.arity else [[], []]
+    f, g = (AlgebraMorphism(a, b, im) for im in images)
+    assert f == g
+    res = homotopy_search(f, g, SearchBounds(1, 1))
+    assert res.status == "found"
 
 
 def test_search_over_prime_field_positive_case():

@@ -296,6 +296,26 @@ def test_functor_tensor_preservation_example():
     assert rep["ok"] and rep["tensor_dim"] == 2
 
 
+def test_functor_tensor_with_a_short_kernel_fails(monkeypatch):
+    """Dropping one basis element of the de Rham kernel of the tensor
+    product (the only two-variable algebra in the check) leaves 5 against
+    the factors' 2 · 3."""
+    assert functor_property_checks("tensor", IDEMP, CUBIC, degree=3)["ok"]
+    kernel = pi0_mod.derham_h0
+
+    def planted(a, degree):
+        k = kernel(a, degree)
+        if a.arity == 2:
+            k.basis = k.basis[:-1]
+        return k
+
+    monkeypatch.setattr(pi0_mod, "derham_h0", planted)
+    with pytest.raises(PropertyViolationError) as err:
+        functor_property_checks("tensor", IDEMP, CUBIC, degree=3)
+    assert err.value.witness["tensor_dim"] == 5
+    assert err.value.witness["product_dims"] == 6
+
+
 def test_functor_tensor_with_ground_field():
     rep = functor_property_checks("tensor", CUBIC, field_algebra(QQ), degree=2)
     assert rep["ok"] and rep["tensor_dim"] == 3
@@ -383,3 +403,12 @@ def test_line_plus_point_two_components():
     res = pi0_presentation(a, 2)
     assert res.dimension == 2
     assert res.component_count == 2
+
+
+def test_pi0_count_withheld_when_the_slice_has_nilpotents():
+    """Q[x,y]/(y^2) is infinite-dimensional and y is nilpotent, so the
+    complete idempotent search {0, 1} gives no component count."""
+    res = pi0_presentation(A_of(QQ, ["x", "y"], ["y^2"]), 2)
+    assert res.component_count is None
+    assert res.dimension == 1
+    assert res.idempotents.count == 2 and res.idempotents.complete

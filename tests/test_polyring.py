@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from affpi0.errors import ParseError, ResourceLimitError, RingMismatchError
 from affpi0.polyring import (FieldDescriptor, GF, GroebnerBasis, QQ,
@@ -157,6 +158,70 @@ def test_derivative_and_substitute():
     assert p.derivative(0) == P("2*x*y + 3", names)
     q = p.substitute([P("y", names), P("x", names)])
     assert q == P("y^2*x + 3*y", names)
+
+
+SUBST = settings(derandomize=True, database=None, deadline=None,
+                 max_examples=60,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
+def _poly(arity, field, max_exp):
+    """Polynomials in `arity` variables from up to four random terms."""
+    term = st.tuples(st.tuples(*[st.integers(0, max_exp)] * arity),
+                     st.integers(-6, 6))
+    return st.lists(term, max_size=4).map(lambda ts: sum(
+        (Polynomial.monomial(m, field, c) for m, c in ts),
+        Polynomial.zero(arity, field)))
+
+
+@st.composite
+def substitutions(draw):
+    field = draw(st.sampled_from([QQ, GF(5), GF(32003)]))
+    n = draw(st.integers(1, 3))
+    k = draw(st.sampled_from([a for a in range(4) if a != n]))
+    p = draw(_poly(n, field, 4))
+    images = [draw(_poly(k, field, 2)) for _ in range(n)]
+    return p, images
+
+
+@SUBST
+@given(substitutions())
+def test_substitute_is_the_sum_of_image_powers(case):
+    """p(images) = Σ c·Π images[i]^e, with the images in a ring of another
+    arity and every power taken by `**`."""
+    p, images = case
+    k, field = images[0].arity, images[0].field
+    expected = Polynomial.zero(k, field)
+    for m, c in p.terms.items():
+        part = Polynomial.constant(c, k, field)
+        for image, e in zip(images, m):
+            part = part * image ** e
+        expected = expected + part
+    assert p.substitute(images) == expected
+
+
+def test_substitute_builds_each_power_once_from_the_image(monkeypatch):
+    """x^3 + x^2*y at (u + v, uv - 1): (u+v)^2, (u+v)^3 and one product per
+    factor of each term, with no unit polynomial to start a power from."""
+    counts = {"mul": 0, "one": 0}
+    mul, one = Polynomial.__mul__, Polynomial.one
+
+    def counted_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    def counted_one(arity, field):
+        counts["one"] += 1
+        return one(arity, field)
+
+    p = P("x^3 + x^2*y", ["x", "y"])
+    images = [P("u + v", ["u", "v"]), P("u*v - 1", ["u", "v"])]
+    monkeypatch.setattr(Polynomial, "__mul__", counted_mul)
+    monkeypatch.setattr(Polynomial, "one", staticmethod(counted_one))
+    q = p.substitute(images)
+    monkeypatch.undo()
+    assert counts == {"mul": 5, "one": 0}
+    assert q == P("(u + v)^3 + (u + v)^2*(u*v - 1)", ["u", "v"])
 
 
 def test_split_by_leading_block():
