@@ -294,12 +294,6 @@ class AlgebraMorphism:
         return AlgebraMorphism(src, tgt, doc["images"])
 
 
-def morphism_check(source: AlgebraPresentation, target: AlgebraPresentation,
-                   images: Sequence[Polynomial | str]) -> AlgebraMorphism:
-    """Validate a candidate morphism; raises MorphismError naming the violation."""
-    return AlgebraMorphism(source, target, images, check=True)
-
-
 def _is_string_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 

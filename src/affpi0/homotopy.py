@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import derham, pi0, simplicial
-from .algebra import (AlgebraMorphism, AlgebraPresentation, ElementRep,
-                      PolynomialExtension, field_algebra, polynomial_extension)
+from .algebra import (AlgebraMorphism, ElementRep, PolynomialExtension,
+                      field_algebra, polynomial_extension)
 from .errors import HypothesisError, MorphismError, PropertyViolationError
 from .mapspace import (MapSpacePresentation, Truncation, mapspace_presentation,
                        morphism_from_point)
@@ -232,34 +231,3 @@ def constancy_check(p: ElementRep, ext: PolynomialExtension, mode: str,
                                {mono: p.poly.terms[mono]})
             return ConstancyReport(False, ElementRep(cx, coeff))
     return ConstancyReport(True, ext.p0.apply(p))
-
-
-# ---------------------------------------------------------------------------
-# homotopy-invariance harness
-
-
-def p0p1_invariance_harness(a: AlgebraPresentation, hook: str,
-                            degree: int = 2, tower_depth: int = 2) -> dict:
-    """Check that the two evaluations of A[x] induce the same map on a
-    computed invariant (named hook: pi0 | derham_h0 | sing_h0)."""
-    ext = polynomial_extension(a)
-    ax = ext.algebra
-    if hook == "derham_h0":
-        spanning = derham.derham_h0(ax, degree).basis
-    elif hook == "pi0":
-        spanning = pi0.equalizer_subspace(ax, degree, tower_depth).basis
-    elif hook == "sing_h0":
-        spanning = simplicial.sing_h0(ax, tower_depth, degree).levels[-1].basis
-    else:
-        raise ValueError(f"unknown invariant hook {hook!r}")
-    disagreements = []
-    for elem in spanning:
-        left = ext.p0.apply(elem)
-        right = ext.p1.apply(elem)
-        if left != right:
-            disagreements.append(elem)
-    if disagreements:
-        raise PropertyViolationError(
-            f"p0/p1 disagree on the {hook} spanning set",
-            witness=disagreements[0])
-    return {"ok": True, "hook": hook, "spanning_size": len(spanning)}

@@ -14,8 +14,7 @@ maps of M are written as in the paper, from υ, `tensor_morphism` (f ⊗ g),
 (Φ ⊗ id) ∘ Φ.  Structural maps of the truncation tower, the functorial action,
 and the exponential / tensor / direct-sum law witnesses live here too.
 
-The inverse limit is never materialized: every statement is per level, plus
-tower-stability reporting.
+The inverse limit is never materialized: every statement is per level.
 """
 
 from __future__ import annotations
@@ -155,11 +154,6 @@ def mapspace_presentation(a: AlgebraPresentation, b: AlgebraPresentation,
     if isinstance(trunc, int):
         trunc = Truncation.uniform(a, b, trunc)
     return MapSpacePresentation(a, b, trunc)
-
-
-def tower(a: AlgebraPresentation, b: AlgebraPresentation, dmax: int
-          ) -> list[MapSpacePresentation]:
-    return [mapspace_presentation(a, b, d) for d in range(dmax + 1)]
 
 
 def structural_morphism(small: MapSpacePresentation, big: MapSpacePresentation

@@ -12,36 +12,18 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
+from .algebra import AlgebraPresentation
 from .errors import PropertyViolationError
-from .polyring import QQ, Polynomial, poly_parse
+from .polyring import QQ, Polynomial
 
 # ---------------------------------------------------------------------------
 # commutative symbolic matrices
 
 
-class SymRing:
-    """A commutative polynomial ring over named symbols (always over Q)."""
-
-    def __init__(self, names: Sequence[str]):
-        self.names = list(names)
-        self.arity = len(self.names)
-
-    def parse(self, text: str) -> Polynomial:
-        return poly_parse(text, self.names, QQ)
-
-    def var(self, name: str) -> Polynomial:
-        return Polynomial.variable(self.names.index(name), self.arity, QQ)
-
-    def const(self, c) -> Polynomial:
-        return Polynomial.constant(c, self.arity, QQ)
-
-    def zero(self) -> Polynomial:
-        return Polynomial.zero(self.arity, QQ)
-
-    def matrix(self, entries: Sequence[Sequence[str | Polynomial]]
-               ) -> list[list[Polynomial]]:
-        return [[e if isinstance(e, Polynomial) else self.parse(e)
-                 for e in row] for row in entries]
+def _matrix(ring: AlgebraPresentation, entries: Sequence[Sequence[str]]
+            ) -> list[list[Polynomial]]:
+    """The matrix of the entries parsed in `ring`, a polynomial ring over Q."""
+    return [[ring.parse(e) for e in row] for row in entries]
 
 
 def mat_mul(a, b):
@@ -51,21 +33,22 @@ def mat_mul(a, b):
                  start=a[0][0].scale(0)) for j in range(m)] for i in range(n)]
 
 
-def mat_eval_x(a, ring: SymRing, value: int):
+def mat_eval_x(a, ring: AlgebraPresentation, value: int):
     """Substitute the symbol named x by a constant, keeping the same ring."""
-    images = [ring.const(value) if nm == "x" else ring.var(nm)
-              for nm in ring.names]
+    images = [Polynomial.constant(value, ring.arity, QQ) if nm == "x"
+              else Polynomial.variable(i, ring.arity, QQ)
+              for i, nm in enumerate(ring.vars)]
     return [[e.substitute(images) for e in row] for row in a]
 
 
-def rotation(ring: SymRing):
+def rotation(ring: AlgebraPresentation):
     """The determinant-1 polynomial matrix of rotation-by-x homotopies."""
-    return ring.matrix([["1 - x^2", "x^3 - 2*x"], ["x", "1 - x^2"]])
+    return _matrix(ring, [["1 - x^2", "x^3 - 2*x"], ["x", "1 - x^2"]])
 
 
-def rotation_inverse(ring: SymRing):
+def rotation_inverse(ring: AlgebraPresentation):
     # adjugate; the determinant is 1
-    return ring.matrix([["1 - x^2", "-(x^3 - 2*x)"], ["-x", "1 - x^2"]])
+    return _matrix(ring, [["1 - x^2", "-(x^3 - 2*x)"], ["-x", "1 - x^2"]])
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +150,14 @@ class NCPoly:
 
 def rotation_matrix_checks() -> dict:
     """det = 1 exactly, endpoints at x=0 and x=1, and a symbolic inverse."""
-    ring = SymRing(["x"])
+    ring = AlgebraPresentation(QQ, ["x"])
     r = rotation(ring)
     det = r[0][0] * r[1][1] - r[0][1] * r[1][0]
-    det_ok = det == ring.const(1)
+    det_ok = det == Polynomial.one(ring.arity, QQ)
     r0 = mat_eval_x(r, ring, 0)
-    ident = ring.matrix([["1", "0"], ["0", "1"]])
+    ident = _matrix(ring, [["1", "0"], ["0", "1"]])
     r1 = mat_eval_x(r, ring, 1)
-    antidiag = ring.matrix([["0", "-1"], ["1", "0"]])
+    antidiag = _matrix(ring, [["0", "-1"], ["1", "0"]])
     rinv = rotation_inverse(ring)
     inv_ok = mat_mul(r, rinv) == ident and mat_mul(rinv, r) == ident
     report = {
@@ -185,20 +168,21 @@ def rotation_matrix_checks() -> dict:
     }
     report["ok"] = all(report.values())
     if not report["ok"]:
-        report["residual"] = det.to_string(ring.names)
+        report["residual"] = det.to_string(ring.vars)
     return report
 
 
 def conjugation_homotopy_check() -> dict:
     """Conjugation by the rotation matrix interpolates the 2x2 swap morphism."""
-    ring = SymRing(["x", "a", "b", "c", "d", "e", "f", "g", "h"])
+    ring = AlgebraPresentation(QQ, ["x", "a", "b", "c", "d", "e", "f", "g",
+                                    "h"])
     r, rinv = rotation(ring), rotation_inverse(ring)
-    m = ring.matrix([["a", "b"], ["c", "d"]])
+    m = _matrix(ring, [["a", "b"], ["c", "d"]])
     conj = mat_mul(rinv, mat_mul(m, r))
     at0 = mat_eval_x(conj, ring, 0)
     at1 = mat_eval_x(conj, ring, 1)
-    swapped = ring.matrix([["d", "-c"], ["-b", "a"]])
-    n = ring.matrix([["e", "f"], ["g", "h"]])
+    swapped = _matrix(ring, [["d", "-c"], ["-b", "a"]])
+    n = _matrix(ring, [["e", "f"], ["g", "h"]])
     conj_n = mat_mul(rinv, mat_mul(n, r))
     conj_mn = mat_mul(rinv, mat_mul(mat_mul(m, n), r))
     multiplicative = conj_mn == mat_mul(conj, conj_n)
@@ -215,14 +199,14 @@ def conjugation_homotopy_check() -> dict:
 
 def block_lemma_checks() -> dict:
     """Block swap by conjugation, and the corner-conjugation word identity."""
-    ring = SymRing(["x", "al", "be"])
+    ring = AlgebraPresentation(QQ, ["x", "al", "be"])
     r, rinv = rotation(ring), rotation_inverse(ring)
-    m = ring.matrix([["al", "0"], ["0", "be"]])
+    m = _matrix(ring, [["al", "0"], ["0", "be"]])
     conj = mat_mul(rinv, mat_mul(m, r))
     at0 = mat_eval_x(conj, ring, 0)
     at1 = mat_eval_x(conj, ring, 1)
-    swapped = ring.matrix([["be", "0"], ["0", "al"]])
-    scalar = ring.matrix([["al", "0"], ["0", "al"]])
+    swapped = _matrix(ring, [["be", "0"], ["0", "al"]])
+    scalar = _matrix(ring, [["al", "0"], ["0", "al"]])
     degenerate = mat_eval_x(mat_mul(rinv, mat_mul(scalar, r)), ring, 1) \
         == scalar
 
@@ -251,23 +235,25 @@ def block_lemma_checks() -> dict:
 # permutations of diagonal blocks
 
 
-def _place(ring: SymRing, size: int, blocks):
+def _place(ring: AlgebraPresentation, size: int, blocks):
     """The size x size zero matrix with each (row, column, block) of `blocks`
     written with the block's top-left entry at (row, column)."""
-    out = [[ring.zero() for _ in range(size)] for _ in range(size)]
+    out = [[Polynomial.zero(ring.arity, QQ) for _ in range(size)]
+           for _ in range(size)]
     for top, left, blk in blocks:
         for i, row in enumerate(blk):
             out[top + i][left:left + len(row)] = row
     return out
 
 
-def _block_diag(ring: SymRing, blocks: list[list[list[Polynomial]]], size: int):
+def _block_diag(ring: AlgebraPresentation,
+                blocks: list[list[list[Polynomial]]], size: int):
     offsets = accumulate((len(blk) for blk in blocks), initial=0)
     return _place(ring, size, [(p, p, blk) for p, blk in zip(offsets, blocks)])
 
 
-def _generic_block(ring: SymRing, prefix: str, k: int):
-    return [[ring.var(f"{prefix}_{i}_{j}") for j in range(k)]
+def _generic_block(ring: AlgebraPresentation, prefix: str, k: int):
+    return [[ring.parse(f"{prefix}_{i}_{j}") for j in range(k)]
             for i in range(k)]
 
 
@@ -280,12 +266,12 @@ def _block_symbols(sizes: Sequence[int]) -> list[str]:
     return names
 
 
-def _permutation_matrix(ring: SymRing, sigma: Sequence[int],
+def _permutation_matrix(ring: AlgebraPresentation, sigma: Sequence[int],
                         sizes: Sequence[int]):
     """Rows of the permuted layout against columns of the original layout."""
     starts = list(accumulate(sizes, initial=0))
     cols = [starts[t] + off for t in sigma for off in range(sizes[t])]
-    one = [[ring.const(1)]]
+    one = [[Polynomial.one(ring.arity, QQ)]]
     return _place(ring, len(cols), [(i, c, one) for i, c in enumerate(cols)])
 
 
@@ -318,7 +304,7 @@ def permutation_homotopy(sigma: Sequence[int], sizes: Sequence[int]) -> dict:
         raise ValueError("sigma must be a permutation with one size per block")
     if n > 5 or any(s > 3 for s in sizes) or any(s < 1 for s in sizes):
         raise PropertyViolationError("permutation guard: n <= 5, sizes <= 3")
-    ring = SymRing(["x"] + _block_symbols(sizes))
+    ring = AlgebraPresentation(QQ, ["x"] + _block_symbols(sizes))
     swaps = adjacent_transpositions(sigma)
     if not swaps:
         return {"ok": True, "links": 0, "transpositions": []}
@@ -370,7 +356,7 @@ def permutation_homotopy(sigma: Sequence[int], sizes: Sequence[int]) -> dict:
     return {"ok": ok1 and ok2, "links": 2, "transpositions": swaps}
 
 
-def _block_rotation(ring: SymRing, k: int):
+def _block_rotation(ring: AlgebraPresentation, k: int):
     """The rotation matrix and its inverse with k x k scalar blocks."""
     def spread(m):
         return _place(ring, 2 * k, [(bi * k + t, bj * k + t, [[m[bi][bj]]])
@@ -385,16 +371,16 @@ def _block_rotation(ring: SymRing, k: int):
 
 def gamma_and_stability_checks() -> dict:
     """Block direct sum is multiplicative and commutative up to certificates."""
-    ring = SymRing(["x", "m", "n", "m2", "n2"])
-    gamma = ring.matrix([["m", "0"], ["0", "n"]])
-    gamma2 = ring.matrix([["m2", "0"], ["0", "n2"]])
+    ring = AlgebraPresentation(QQ, ["x", "m", "n", "m2", "n2"])
+    gamma = _matrix(ring, [["m", "0"], ["0", "n"]])
+    gamma2 = _matrix(ring, [["m2", "0"], ["0", "n2"]])
     prod = mat_mul(gamma, gamma2)
-    expect = ring.matrix([["m*m2", "0"], ["0", "n*n2"]])
+    expect = _matrix(ring, [["m*m2", "0"], ["0", "n*n2"]])
     gamma_mult = prod == expect
 
     # structural map M -> diag(M, 0) respects products
-    m = ring.matrix([["m"]])
-    m2 = ring.matrix([["m2"]])
+    m = _matrix(ring, [["m"]])
+    m2 = _matrix(ring, [["m2"]])
     up = _block_diag(ring, [mat_mul(m, m2)], 2)
     up2 = mat_mul(_block_diag(ring, [m], 2), _block_diag(ring, [m2], 2))
     structural_mult = up == up2

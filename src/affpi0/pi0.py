@@ -15,12 +15,11 @@ from typing import Iterable, Iterator, Sequence
 
 from . import linalg
 from .algebra import (AlgebraMorphism, AlgebraPresentation, ElementRep,
-                      direct_sum, tensor_product)
+                      tensor_product)
 from .derham import derham_h0
 from .errors import (HypothesisError, PropertyViolationError,
                      UnsupportedFieldError)
 from .mapspace import MapSpacePresentation, mapspace_presentation
-from .matrix_homotopy import NCPoly, mat_mul
 from .polyring import Polynomial, elimination_ideal
 from .solve import SolveResult, solve_system
 
@@ -104,12 +103,10 @@ def equalizer_subspace(a: AlgebraPresentation, degree: int, tower: int
 
     Level 0 is degenerate and is excluded from the cut; the verdict is
     monotone in the level, so the constraint at the top level subsumes the
-    lower ones, but each level is still applied as a cross-check.  With tower < 1 no level would be
-    checked, so that is a HypothesisError.
+    lower ones, but each level is still applied as a cross-check.  With
+    tower < 1 no level would be checked, so that is a HypothesisError.
     """
-    if tower < 1:
-        raise HypothesisError(f"the equalizer needs tower >= 1 (level 0 is "
-                              f"degenerate), got {tower}")
+    _require_tower(tower)
     slice_monos = a.standard_monomials(degree)
     current = linalg.identity_matrix(len(slice_monos), a.field)
     for m in _line_levels(a, tower):
@@ -120,6 +117,12 @@ def equalizer_subspace(a: AlgebraPresentation, degree: int, tower: int
                                               row))
              for row in linalg.row_basis(current, a.field)]
     return EqualizerSubspace(a, degree, tower, basis)
+
+
+def _require_tower(tower: int) -> None:
+    if tower < 1:
+        raise HypothesisError(f"the equalizer needs tower >= 1 (level 0 is "
+                              f"degenerate), got {tower}")
 
 
 def _equalizer_cut(m: MapSpacePresentation, slice_monos: Sequence,
@@ -263,12 +266,15 @@ def pi0_presentation(a: AlgebraPresentation, degree: int,
     elimination ideal.  The component count is emitted only when the
     idempotent search is certified complete, and either A is
     finite-dimensional (the search then covers all of A, beyond the slice if
-    need be) or A looks reduced on the computed slice.
+    need be) or A looks reduced on the computed slice.  The equalizer
+    cross-check runs on levels 1..min(tower, 2); tower < 1 would check no
+    level, so it is a HypothesisError, as in `equalizer_subspace`.
     """
     if not a.field.is_rational:
         raise UnsupportedFieldError(
             "pi0 needs characteristic zero; over a prime field only the "
             "equalizer and idempotent routes run")
+    _require_tower(tower)
     kernel = derham_h0(a, degree)
     depth = min(tower, 2)
     levels = list(_line_levels(a, depth))
@@ -280,7 +286,7 @@ def pi0_presentation(a: AlgebraPresentation, degree: int,
                 witness=(elem, verdict.level))
     basis = kernel.basis
     pres, incl = _subalgebra_presentation(a, basis)
-    level1 = levels[0] if levels else None
+    level1 = levels[0]
     idem = IdempotentReport(*_root_solutions(a, 2, degree, level1))
     search = idem
     whole = a.finite_basis()
@@ -324,86 +330,3 @@ def _no_nilpotents_on_slice(a: AlgebraPresentation, degree: int) -> bool:
             if power.is_zero and not e.is_zero:
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# the noncommutative vanishing witness
-
-
-def pnc_zero_witness() -> dict:
-    """The matrix family killing the noncommutative path-component functor.
-
-    Verifies, over noncommuting symbols a, b with a central x, that
-    a -> [[a, a·x], [0, 0]] is linear and multiplicative, and that a nonzero
-    entry yields a nonconstant polynomial (nonzero x-coefficient).
-    """
-    a = NCPoly.sym("a")
-    b = NCPoly.sym("b")
-    x = NCPoly.x_power(1)
-    zero = NCPoly({})
-
-    def image(sym: NCPoly):
-        return [[sym, sym * x], [zero, zero]]
-
-    multiplicative = mat_mul(image(a), image(b)) == image(a * b)
-    lin = all(s == u + v.scale(3)
-              for rows in zip(image(a + b.scale(3)), image(a), image(b))
-              for s, u, v in zip(*rows))
-    x_coeff = image(a)[0][1].x_coefficient(1)
-    nonconstant = (not x_coeff.is_zero) and x_coeff == a
-    report = {"multiplicative": multiplicative, "linear": lin,
-              "nonconstant_for_nonzero": nonconstant}
-    report["ok"] = all(report.values())
-    return report
-
-
-# ---------------------------------------------------------------------------
-# functor-level property checks
-
-
-def functor_property_checks(which: str, a: AlgebraPresentation,
-                            b: AlgebraPresentation | None = None,
-                            degree: int = 3, tower: int = 2) -> dict:
-    """Compare both sides of a preservation law via the de Rham route.
-
-    "directsum" and "tensor" compare dimensions of the computed subalgebras
-    (the tensor law is proven for algebraically closed fields; here it is
-    reported on examples, never asserted in general).  "unital-equality"
-    checks the computable consequence of the c/cu comparison: the equalizer
-    route agrees with the de Rham kernel.
-    """
-    if which in ("directsum", "tensor") and b is None:
-        raise HypothesisError(f"the {which} check needs a second algebra")
-    if which == "directsum":
-        ds, _, _ = direct_sum(a, b)
-        left = derham_h0(ds, degree).dimension
-        right = derham_h0(a, degree).dimension + derham_h0(b, degree).dimension
-        ok = left == right
-        detail = {"sum_dim": left, "component_dims": right}
-    elif which == "tensor":
-        t = tensor_product(a, b)
-        left = derham_h0(t, degree).dimension
-        right = derham_h0(a, degree).dimension * derham_h0(b, degree).dimension
-        ok = left == right
-        detail = {"tensor_dim": left, "product_dims": right,
-                  "note": "verified on this example; the general law assumes "
-                          "an algebraically closed field"}
-    elif which == "unital-equality":
-        kernel = derham_h0(a, degree)
-        eq = equalizer_subspace(a, degree, tower)
-        ok = kernel.dimension == eq.dimension and all(
-            _in_elem_span(k, eq.basis, a) for k in kernel.basis)
-        detail = {"derham_dim": kernel.dimension, "equalizer_dim": eq.dimension}
-    else:
-        raise ValueError(f"unknown check {which!r}")
-    if not ok:
-        raise PropertyViolationError(f"functor property {which} failed",
-                                     witness=detail)
-    return {"ok": True, "which": which, **detail}
-
-
-def _in_elem_span(elem: ElementRep, basis: Sequence[ElementRep],
-                  a: AlgebraPresentation) -> bool:
-    monos = sorted({m for e in [*basis, elem] for m in e.poly.terms})
-    return linalg.in_span([e.poly.coefficients(monos) for e in basis],
-                          elem.poly.coefficients(monos), a.field)

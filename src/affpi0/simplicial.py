@@ -18,7 +18,7 @@ from typing import Sequence
 from . import linalg
 from .algebra import (AlgebraMorphism, AlgebraPresentation, ElementRep,
                       TensorPresentation, tensor_morphism, tensor_product)
-from .errors import PropertyViolationError
+from .errors import HypothesisError, PropertyViolationError
 from .mapspace import (MapSpacePresentation, functor_action,
                        mapspace_presentation)
 from .polyring import FieldDescriptor, Monomial, Polynomial
@@ -302,7 +302,7 @@ def moore_complex(a: AlgebraPresentation, tower: int, degree: int,
 
 
 # ---------------------------------------------------------------------------
-# degree-0 and truncated degree-1 cohomology
+# degree-0 cohomology
 
 
 @dataclass
@@ -339,26 +339,6 @@ def sing_h0(a: AlgebraPresentation, tower: int, degree: int) -> SingH0Result:
     return SingH0Result(a, degree, out)
 
 
-def sing_h1_truncated(a: AlgebraPresentation, tower: int, degree: int) -> dict:
-    """Truncated Moore level-1 cohomology, tabulated per tower level.
-
-    This is a truncation report: no pro-limit claim is made or implied, and
-    the stabilization flag is descriptive only.
-    """
-    table = []
-    for d in range(1, tower + 1):
-        complex_ = moore_complex(a, d, degree, 2)
-        table.append({"tower": d, "degree": degree,
-                      "h1_dimension": complex_.h1_dimension,
-                      "dd_zero": complex_.dd_zero})
-    stabilized = (len(table) >= 2
-                  and table[-1]["h1_dimension"] == table[-2]["h1_dimension"])
-    return {"table": table, "degree": degree,
-            "h1_dimension": table[-1]["h1_dimension"],
-            "stabilized": stabilized,
-            "label": "truncation report — no pro-limit claim"}
-
-
 # ---------------------------------------------------------------------------
 # cup product
 
@@ -369,7 +349,7 @@ def cup_product(space: CosimplicialSpace, cn: tuple[int, Polynomial],
     n, pn = cn
     m, pm = cm
     if n + m > space.n_levels:
-        raise PropertyViolationError("cup product needs level n+m in the space")
+        raise HypothesisError("cup product needs level n+m in the space")
     # the front face keeps vertices 0..n, the back face n..n+m
     pull_n = space.structure_map(range(n + 1), n + m)
     pull_m = space.structure_map(range(n, n + m + 1), n + m)

@@ -12,8 +12,7 @@ from affpi0.algebra import (AlgebraMorphism, AlgebraPresentation,
                             enumerate_points, field_algebra,
                             polynomial_extension)
 from affpi0.derham import derham_h0, integral_phi1, universal_derivation
-from affpi0.homotopy import (SearchBounds, homotopy_search,
-                             p0p1_invariance_harness)
+from affpi0.homotopy import SearchBounds, homotopy_search
 from affpi0.mapspace import (mapspace_presentation, points_crosscheck,
                              verify_directsum_law, verify_exponential_law,
                              verify_tensor_law)
@@ -29,6 +28,8 @@ from affpi0.simplicial import (CosimplicialSpace,
                                check_cosimplicial_identities,
                                cup_leibniz_check, cup_product, moore_complex,
                                sing_h0)
+
+from harnesses import p0p1_invariance_harness
 
 
 def A_of(field, names, rels):

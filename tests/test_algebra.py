@@ -10,8 +10,8 @@ from affpi0 import algebra, polyring
 from affpi0.algebra import (AlgebraMorphism, AlgebraPresentation,
                             direct_sum, enumerate_hom, enumerate_points,
                             field_algebra, load_algebra, load_morphism,
-                            morphism_check, polynomial_extension,
-                            tensor_morphism, tensor_product)
+                            polynomial_extension, tensor_morphism,
+                            tensor_product)
 from affpi0.errors import (MorphismError, RingMismatchError,
                            UnsupportedFieldError)
 from affpi0.polyring import GF, QQ, Polynomial, groebner, normal_form
@@ -30,25 +30,25 @@ CUBIC = A_of(QQ, ["x"], ["x^3 - x"])
 
 
 def test_morphism_check_point_valid():
-    f = morphism_check(A_of(QQ, ["t"], ["t^2 - t"]), field_algebra(QQ), ["1"])
+    f = AlgebraMorphism(A_of(QQ, ["t"], ["t^2 - t"]), field_algebra(QQ), ["1"])
     assert f.images[0].constant_term() == 1
 
 
 def test_morphism_check_point_invalid():
     with pytest.raises(MorphismError):
-        morphism_check(IDEMP, field_algebra(QQ), ["2"])
+        AlgebraMorphism(IDEMP, field_algebra(QQ), ["2"])
 
 
 def test_morphism_check_into_circle_algebra():
     src = A_of(QQ, ["t"], ["t^2 - 1"])
     dst = A_of(QQ, ["x"], ["x^2 - 1"])
-    f = morphism_check(src, dst, ["x"])
+    f = AlgebraMorphism(src, dst, ["x"])
     assert f.images[0] == dst.parse("x")
 
 
 def test_identity_and_composition():
-    f = morphism_check(A_of(QQ, ["s"], []), A_of(QQ, ["t"], []), ["t^2"])
-    g = morphism_check(A_of(QQ, ["t"], []), A_of(QQ, ["x"], []), ["x"])
+    f = AlgebraMorphism(A_of(QQ, ["s"], []), A_of(QQ, ["t"], []), ["t^2"])
+    g = AlgebraMorphism(A_of(QQ, ["t"], []), A_of(QQ, ["x"], []), ["x"])
     comp = g.compose(f)
     assert comp.images[0] == g.target.parse("x^2")
     ident = AlgebraMorphism.identity(f.source)
@@ -60,9 +60,9 @@ def test_compose_associative_on_validated():
     b = A_of(QQ, ["t"], ["t^2 - t"])
     c = A_of(QQ, ["u"], ["u^2 - u"])
     d = field_algebra(QQ)
-    f = morphism_check(a, b, ["t"])
-    g = morphism_check(b, c, ["u"])
-    h = morphism_check(c, d, ["1"])
+    f = AlgebraMorphism(a, b, ["t"])
+    g = AlgebraMorphism(b, c, ["u"])
+    h = AlgebraMorphism(c, d, ["1"])
     assert h.compose(g).compose(f) == h.compose(g.compose(f))
 
 
@@ -337,8 +337,8 @@ def test_element_arithmetic_normal_forms():
 def test_compose_with_zero_images_point():
     a = A_of(QQ, ["s"], ["s^2 - s"])
     b = A_of(QQ, ["t"], ["t^2 - t"])
-    f = morphism_check(a, b, ["t"])
-    point = morphism_check(b, field_algebra(QQ), ["0"])
+    f = AlgebraMorphism(a, b, ["t"])
+    point = AlgebraMorphism(b, field_algebra(QQ), ["0"])
     comp = point.compose(f)
     assert comp.images[0].is_zero
 

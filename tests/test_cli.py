@@ -221,8 +221,9 @@ def test_verify_lemmas_with_a_wrong_rotation_exit_1(files, capsys,
     """[[1 - x^2, x^3 - 2x], [x, 1]] has determinant 1 + x^2 - x^4."""
     from affpi0 import matrix_homotopy
 
-    monkeypatch.setattr(matrix_homotopy, "rotation", lambda ring: ring.matrix(
-        [["1 - x^2", "x^3 - 2*x"], ["x", "1"]]))
+    monkeypatch.setattr(
+        matrix_homotopy, "rotation", lambda ring: matrix_homotopy._matrix(
+            ring, [["1 - x^2", "x^3 - 2*x"], ["x", "1"]]))
     code, rep = run_json(["verify", "lemmas", "--only", "rotation"], capsys)
     assert code == 1 and rep["kind"] == "property"
 
@@ -230,8 +231,8 @@ def test_verify_lemmas_with_a_wrong_rotation_exit_1(files, capsys,
 def flipped_inverse(rotation_inverse):
     """The rotation's inverse with the sign of its upper-right corner
     flipped."""
-    return lambda ring: ring.matrix([["1 - x^2", "x^3 - 2*x"],
-                                     ["-x", "1 - x^2"]])
+    return lambda ring: matrix_homotopy._matrix(
+        ring, [["1 - x^2", "x^3 - 2*x"], ["-x", "1 - x^2"]])
 
 
 @pytest.mark.parametrize("only, name, plant", [
@@ -362,6 +363,14 @@ def test_negative_bounds_are_input_errors(files, capsys, argv):
 
 def test_pi0_equalizer_at_tower_zero_is_an_input_error(files, capsys):
     code, rep = run_json(["pi0", files["cubic"], "--method", "equalizer",
+                          "--deg", "2", "--tower", "0"], capsys)
+    assert code == 2 and rep["kind"] == "input"
+    assert "tower >= 1" in rep["error"]
+
+
+def test_pi0_derham_at_tower_zero_is_an_input_error(files, capsys):
+    """The de Rham route's equalizer cross-check needs a level, too."""
+    code, rep = run_json(["pi0", files["cubic"], "--method", "derham",
                           "--deg", "2", "--tower", "0"], capsys)
     assert code == 2 and rep["kind"] == "input"
     assert "tower >= 1" in rep["error"]

@@ -12,6 +12,8 @@ from affpi0.homotopy import (SearchBounds, chain_verify, constancy_check,
                              homotopy_verify)
 from affpi0.polyring import GF, QQ
 
+from harnesses import p0p1_invariance_harness
+
 
 def A_of(field, names, rels):
     return AlgebraPresentation(field, names, rels)
@@ -197,8 +199,6 @@ def test_found_homotopy_implies_p_restriction_equal():
 
 
 def test_p0p1_invariance_harness_hooks():
-    from affpi0.homotopy import p0p1_invariance_harness
-
     idem = A_of(QQ, ["e"], ["e^2 - e"])
     rep = p0p1_invariance_harness(idem, "pi0", degree=2, tower_depth=1)
     assert rep["ok"] and rep["spanning_size"] >= 1

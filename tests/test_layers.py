@@ -1,0 +1,82 @@
+"""The package's modules import each other one way, from polyring up to cli."""
+
+from __future__ import annotations
+
+import ast
+import os
+
+import affpi0
+
+# the affpi0 modules each module may import; a new edge is a design change
+ALLOWED = {
+    "errors": set(),
+    "polyring": {"errors"},
+    "linalg": {"polyring"},
+    "solve": {"errors", "linalg", "polyring"},
+    "algebra": {"errors", "polyring", "solve"},
+    "mapspace": {"algebra", "errors", "polyring"},
+    "derham": {"algebra", "errors", "linalg", "polyring"},
+    "matrix_homotopy": {"algebra", "errors", "polyring"},
+    "homotopy": {"algebra", "errors", "mapspace", "polyring", "solve"},
+    "pi0": {"algebra", "derham", "errors", "linalg", "mapspace", "polyring",
+            "solve"},
+    "simplicial": {"algebra", "errors", "linalg", "mapspace", "polyring"},
+    "cli": {"algebra", "derham", "errors", "homotopy", "mapspace",
+            "matrix_homotopy", "pi0", "polyring", "simplicial"},
+    "__init__": {"algebra", "derham", "mapspace", "pi0", "polyring"},
+}
+
+PACKAGE = os.path.dirname(os.path.abspath(affpi0.__file__))
+MODULES = sorted(name[:-3] for name in os.listdir(PACKAGE)
+                 if name.endswith(".py"))
+
+
+def _targets(node: ast.AST) -> list[str]:
+    """The affpi0 modules named by one import statement; a name that is not
+    a module of the package comes from its __init__."""
+    if isinstance(node, ast.Import):
+        names = [alias.name.split(".")[1] for alias in node.names
+                 if alias.name.startswith("affpi0.")]
+    elif isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        if node.level == 0:
+            if module != "affpi0" and not module.startswith("affpi0."):
+                return []
+            module = module.partition(".")[2]
+        names = ([module.split(".")[0]] if module
+                 else [alias.name for alias in node.names])
+    else:
+        return []
+    return [name if name in MODULES else "__init__" for name in names]
+
+
+def _package_imports(module: str) -> dict[str, int]:
+    """The affpi0 modules that `module` imports, function bodies included,
+    each with the line of its first import."""
+    with open(os.path.join(PACKAGE, module + ".py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), module)
+    found: dict[str, int] = {}
+    for node in ast.walk(tree):
+        for target in _targets(node):
+            found.setdefault(target, node.lineno)
+    return found
+
+
+def test_the_table_names_every_module_and_runs_one_way():
+    assert sorted(ALLOWED) == MODULES
+    placed: set[str] = set()
+    pending = dict(ALLOWED)
+    while pending:
+        ready = [m for m, deps in pending.items() if deps <= placed]
+        assert ready, f"import cycle among {sorted(pending)}"
+        placed.update(ready)
+        for m in ready:
+            del pending[m]
+
+
+def test_every_module_imports_only_its_allowed_modules():
+    outside = [f"{module}:{line} imports {target}"
+               for module in MODULES
+               for target, line in sorted(_package_imports(module).items())
+               if target not in ALLOWED.get(module, set())]
+    assert not outside, f"imports against the layer table: {outside}"

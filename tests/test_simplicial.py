@@ -6,14 +6,14 @@ import pytest
 
 from affpi0 import simplicial
 from affpi0.algebra import AlgebraMorphism, AlgebraPresentation, field_algebra
+from affpi0.errors import HypothesisError
 from affpi0.polyring import GF, QQ, Polynomial
 from affpi0.simplicial import (CosimplicialSpace,
                                check_cosimplicial_identities,
                                check_simplicial_functoriality, cup_leibniz_check,
                                cup_product, degeneracy_map, delta_algebra,
                                face_map, moore_complex, prism_identities_check,
-                               prism_map, simplicial_map, sing_h0,
-                               sing_h1_truncated)
+                               prism_map, simplicial_map, sing_h0)
 
 
 def A_of(field, names, rels):
@@ -142,9 +142,8 @@ def test_sing_h0_matches_pi0_equalizer_route():
 
 
 def test_sing_h1_truncated_zero_for_desk_examples():
-    assert sing_h1_truncated(field_algebra(QQ), 1, 2)["h1_dimension"] == 0
-    assert sing_h1_truncated(A_of(QQ, ["t"], []), 1, 2)["h1_dimension"] == 0
-    assert sing_h1_truncated(IDEMP, 1, 2)["h1_dimension"] == 0
+    for a in (field_algebra(QQ), A_of(QQ, ["t"], []), IDEMP):
+        assert moore_complex(a, 1, 2, 2).h1_dimension == 0
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +156,14 @@ def test_cup_level_zero_is_algebra_product():
         space.levels[0].mspace.algebra.vars[0])
     lvl, prod = cup_product(space, (0, e), (0, e))
     assert lvl == 0 and prod == e
+
+
+def test_cup_needs_level_n_plus_m_in_the_space():
+    space = CosimplicialSpace(IDEMP, 1, 2, 1)
+    alg1 = space.levels[1].mspace.algebra
+    c = alg1.parse(alg1.vars[0])
+    with pytest.raises(HypothesisError, match="level n\\+m"):
+        cup_product(space, (1, c), (1, c))
 
 
 def test_cup_unit_law():
@@ -254,10 +261,9 @@ def test_prism_identities_over_prime_field():
 
 
 def test_sing_h1_stabilization_table():
-    rep = sing_h1_truncated(A_of(QQ, ["t"], []), 2, 2)
-    assert [row["h1_dimension"] for row in rep["table"]] == [0, 0]
-    assert rep["stabilized"]
-    assert "no pro-limit claim" in rep["label"]
+    line = A_of(QQ, ["t"], [])
+    table = [moore_complex(line, d, 2, 2).h1_dimension for d in (1, 2)]
+    assert table == [0, 0]
 
 
 # ---------------------------------------------------------------------------
