@@ -13,7 +13,7 @@ from .polyring import (FieldDescriptor, GF, QQ, Polynomial, GroebnerBasis,
 from .algebra import (AlgebraPresentation, AlgebraMorphism, ElementRep,
                       tensor_product, direct_sum, polynomial_extension,
                       enumerate_points, enumerate_hom)
-from .mapspace import Truncation, mapspace_presentation
+from .mapspace import mapspace_presentation
 from .derham import derham_h0
 from .pi0 import pi0_presentation
 
@@ -25,6 +25,6 @@ __all__ = [
     "standard_monomials", "poly_parse", "DEGREVLEX", "LEX", "BlockOrder",
     "set_limits", "AlgebraPresentation", "AlgebraMorphism", "ElementRep",
     "tensor_product", "direct_sum", "polynomial_extension",
-    "enumerate_points", "enumerate_hom", "Truncation",
-    "mapspace_presentation", "derham_h0", "pi0_presentation", "__version__",
+    "enumerate_points", "enumerate_hom", "mapspace_presentation",
+    "derham_h0", "pi0_presentation", "__version__",
 ]

@@ -244,9 +244,6 @@ class AlgebraMorphism:
     def apply(self, a: ElementRep) -> ElementRep:
         return ElementRep(self.target, self.apply_poly(a.poly))
 
-    def __call__(self, a):
-        return self.apply(a) if isinstance(a, ElementRep) else self.apply_poly(a)
-
     # -- structure ----------------------------------------------------------------
 
     @staticmethod

@@ -396,12 +396,14 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
-    paths = [getattr(args, name) for name in
-             ("algebra", "target", "f", "g", "h")
+    inputs = ("algebra", "target", "f", "g", "h")
+    paths = [getattr(args, name) for name in inputs
              if getattr(args, name, None)]
     paths.extend(getattr(args, "files", None) or [])
+    # files are hashed by content, not by how their paths are spelled
     flags = json.dumps({k: v for k, v in vars(args).items()
-                        if k not in ("format",)}, sort_keys=True, default=str)
+                        if k not in ("format", "files", "output", *inputs)},
+                       sort_keys=True, default=str)
     digest = _digest(paths, flags)
     bounds = {k: getattr(args, k) for k in
               ("deg", "tower", "trunc", "levels", "xdeg", "bdeg")

@@ -15,7 +15,7 @@ from typing import Sequence
 from .algebra import (AlgebraMorphism, ElementRep, PolynomialExtension,
                       field_algebra, polynomial_extension)
 from .errors import HypothesisError, MorphismError, PropertyViolationError
-from .mapspace import (MapSpacePresentation, Truncation, mapspace_presentation,
+from .mapspace import (MapSpacePresentation, mapspace_presentation,
                        morphism_from_point)
 from .polyring import Polynomial
 from .solve import solve_system
@@ -106,7 +106,7 @@ def homotopy_search(f: AlgebraMorphism, g: AlgebraMorphism,
     ext = polynomial_extension(b)
     slots = [tuple(w) + (k,) for w in b.standard_monomials(bounds.bdeg)
              for k in range(bounds.xdeg + 1)]
-    m = mapspace_presentation(a, ext.algebra, Truncation.explicit(a, slots))
+    m = mapspace_presentation(a, ext.algebra, slots)
     # linear equations first: the F_p search tests the equations in order,
     # and most candidates already fail an endpoint equation
     constraints = []
@@ -137,7 +137,7 @@ def _endpoint_equations(m: MapSpacePresentation, gi: int, image: Polynomial,
     `image` outside the slots gives a constant equation."""
     eqs = {w: -Polynomial.constant(c, m.n_z, m.field)
            for w, c in image.terms.items()}
-    for v in m.trunc.deltas[gi]:
+    for v in m.monomials:
         if at_one or v[-1] == 0:
             w = v[:-1]
             z = Polynomial.variable(m.z_index[(gi, v)], m.n_z, m.field)

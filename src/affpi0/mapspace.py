@@ -1,10 +1,11 @@
 """Truncated presentations of the morphism-space pro-algebra of two algebras.
 
-For presented A and B and a truncation (a finite set of standard monomials of
-B per generator of A), the level algebra is generated by coordinates z[a,v]
-subject to the relations obtained by substituting each generator a of A by
-sum_v v*z[a,v] into the relations of A, reducing modulo the ideal of B, and
-collecting the coefficient of every standard monomial of B.
+For presented A and B and a truncation (one finite set of standard monomials
+v of B, shared by every generator of A), the level algebra is generated by
+coordinates z[a,v] subject to the relations obtained by substituting each
+generator a of A by sum_v v*z[a,v] into the relations of A, reducing modulo
+the ideal of B, and collecting the coefficient of every standard monomial of
+B.
 
 The universal map υ: A -> B ⊗ (level) is a morphism (`universal`), and the
 maps of M are written as in the paper, from υ, `tensor_morphism` (f ⊗ g),
@@ -19,7 +20,6 @@ The inverse limit is never materialized: every statement is per level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -32,29 +32,6 @@ from .errors import (MorphismError, PropertyViolationError,
 from .polyring import Monomial, Polynomial, monomial_divides
 
 
-@dataclass(frozen=True)
-class Truncation:
-    """Per-generator subsets of the standard monomials of the target algebra."""
-
-    deltas: tuple[tuple[Monomial, ...], ...]   # aligned with source generators
-
-    @staticmethod
-    def uniform(a: AlgebraPresentation, b: AlgebraPresentation, degree: int
-                ) -> "Truncation":
-        basis = tuple(b.standard_monomials(degree))
-        return Truncation(tuple(basis for _ in a.vars))
-
-    @staticmethod
-    def explicit(a: AlgebraPresentation, monomials: Sequence[Monomial]
-                 ) -> "Truncation":
-        basis = tuple(monomials)
-        return Truncation(tuple(basis for _ in a.vars))
-
-    def contains(self, other: "Truncation") -> bool:
-        return all(set(mine) >= set(theirs)
-                   for mine, theirs in zip(self.deltas, other.deltas))
-
-
 def z_name(generator: str, monomial: Monomial) -> str:
     """Deterministic, parseable coordinate name z__<gen>__<exponents>."""
     tail = "_".join(str(e) for e in monomial) if monomial else "c"
@@ -65,24 +42,20 @@ class MapSpacePresentation:
     """One truncation level of the morphism-space pro-algebra of (A, B)."""
 
     def __init__(self, a: AlgebraPresentation, b: AlgebraPresentation,
-                 trunc: Truncation):
+                 monomials: Sequence[Monomial]):
         if a.field != b.field:
             raise RingMismatchError("map space needs a common ground field")
-        if len(trunc.deltas) != a.arity:
-            raise TruncationError("truncation must list one subset per generator")
         self.a = a
         self.b = b
-        self.trunc = trunc
+        self.monomials = tuple(monomials)
         self.field = a.field
         lts = b.gb().leading_monomials
-        for gen, delta in zip(a.vars, trunc.deltas):
-            for v in delta:
-                if any(monomial_divides(lt, v) for lt in lts):
-                    raise TruncationError(
-                        f"delta for {gen} contains the non-standard monomial {v}")
+        for v in self.monomials:
+            if any(monomial_divides(lt, v) for lt in lts):
+                raise TruncationError(
+                    f"the truncation contains the non-standard monomial {v}")
         # z coordinates: generator-major, monomials in given (standard) order
-        self.zvars = [(gi, v) for gi, delta in enumerate(trunc.deltas)
-                      for v in delta]
+        self.zvars = [(gi, v) for gi in range(a.arity) for v in self.monomials]
         self.z_names = tuple(z_name(a.vars[gi], v) for gi, v in self.zvars)
         self.z_index = {pair: k for k, pair in enumerate(self.zvars)}
         self.n_b = b.arity
@@ -150,9 +123,12 @@ class MapSpacePresentation:
 
 
 def mapspace_presentation(a: AlgebraPresentation, b: AlgebraPresentation,
-                          trunc: Truncation | int) -> MapSpacePresentation:
+                          trunc: int | Sequence[Monomial]
+                          ) -> MapSpacePresentation:
+    """The level cut by `trunc`: B's standard monomials up to that degree, or
+    the given monomials."""
     if isinstance(trunc, int):
-        trunc = Truncation.uniform(a, b, trunc)
+        trunc = b.standard_monomials(trunc)
     return MapSpacePresentation(a, b, trunc)
 
 
@@ -166,7 +142,7 @@ def structural_morphism(small: MapSpacePresentation, big: MapSpacePresentation
     """
     if small.a != big.a or small.b != big.b:
         raise RingMismatchError("tower levels of different map spaces")
-    if not big.trunc.contains(small.trunc):
+    if not set(small.monomials) <= set(big.monomials):
         raise TruncationError("structural morphism needs nested truncations")
     try:
         return functor_action(AlgebraMorphism.identity(small.a),
@@ -201,7 +177,7 @@ def _level_morphism(m: MapSpacePresentation, target: AlgebraPresentation,
                     ) -> AlgebraMorphism:
     """The checked morphism from level m sending z[a,v] to coeffs[a][v].
 
-    A coefficient on a monomial outside its generator's delta must reduce to
+    A coefficient on a monomial outside the truncation must reduce to
     zero in the target, else it is a TruncationError; the others are reduced
     by AlgebraMorphism, and coordinates without a coefficient go to zero.
     """
@@ -214,7 +190,7 @@ def _level_morphism(m: MapSpacePresentation, target: AlgebraPresentation,
             elif not target.nf(coeff).is_zero:
                 raise TruncationError(
                     f"the image of {m.a.vars[gi]} needs monomial {v} outside "
-                    "its delta")
+                    "the truncation")
     return AlgebraMorphism(m.algebra, target, images, check=True)
 
 
@@ -244,9 +220,9 @@ def morphism_from_point(m: MapSpacePresentation, point: AlgebraMorphism
     if point.source != m.algebra:
         raise RingMismatchError("point of a different level algebra")
     images = [Polynomial.combination(
-        m.b.arity, m.field, delta,
-        [point.images[m.z_index[(gi, v)]].constant_term() for v in delta])
-        for gi, delta in enumerate(m.trunc.deltas)]
+        m.b.arity, m.field, m.monomials,
+        [point.images[m.z_index[(gi, v)]].constant_term() for v in m.monomials])
+        for gi in range(m.a.arity)]
     return AlgebraMorphism(m.a, m.b, images, check=True)
 
 
@@ -407,7 +383,7 @@ def verify_exponential_law(a: AlgebraPresentation, b: AlgebraPresentation,
     vs = b.standard_monomials(d)
     v2s = b2.standard_monomials(d2)
     prod_monos = [tuple(v) + tuple(w) for v in vs for w in v2s]
-    left = mapspace_presentation(a, t, Truncation.explicit(a, prod_monos))
+    left = mapspace_presentation(a, t, prod_monos)
     m1 = mapspace_presentation(a, b, d)
     right = mapspace_presentation(m1.algebra, b2, d2)
     # left z (gi, v ++ w)  ->  right z (index of z[a_gi, v], w)
@@ -455,10 +431,9 @@ def verify_directsum_law(a: AlgebraPresentation, b: AlgebraPresentation,
         raise TruncationError("direct-sum law witness needs finite-dimensional "
                               "summands")
     ds, p1, p2 = direct_sum(b, b2)
-    m_ds = mapspace_presentation(a, ds,
-                                 Truncation.explicit(a, ds.finite_basis()))
-    m1 = mapspace_presentation(a, b, Truncation.explicit(a, basis_b))
-    m2 = mapspace_presentation(a, b2, Truncation.explicit(a, basis_b2))
+    m_ds = mapspace_presentation(a, ds, ds.finite_basis())
+    m1 = mapspace_presentation(a, b, basis_b)
+    m2 = mapspace_presentation(a, b2, basis_b2)
     right = tensor_product(m1.algebra, m2.algebra)
     field = a.field
 
@@ -473,7 +448,7 @@ def verify_directsum_law(a: AlgebraPresentation, b: AlgebraPresentation,
     for gi in range(a.arity):
         acc = Polynomial.zero(t_fwd.arity, field)
         for m, embed, block, idempotent in sides:
-            for v in m.trunc.deltas[gi]:
+            for v in m.monomials:
                 v_in_ds = ds.nf(Polynomial.monomial(v, field).extend_arity(
                     ds.arity, block) * idempotent)
                 zk = embed(Polynomial.variable(m.z_index[(gi, v)], m.n_z,

@@ -1,9 +1,10 @@
 """Symbolic verification of the 2x2 rotation-matrix homotopy lemmas.
 
 Everything here is an exact identity: matrices carry polynomial entries over
-commuting symbols (plus the homotopy variable x), and a small noncommuting
-word layer with the cancellation c·c⁻¹ = c⁻¹·c = 1 covers the two checks that
-need it.  Reports are pass/fail with the offending residual on fail.
+commuting symbols (plus the homotopy variable x), and a small layer of
+noncommuting words covers the corner-conjugation check, whose identity keeps
+the order of c, α and c⁻¹ without cancelling them.  Reports are pass/fail
+with the offending residual on fail.
 """
 
 from __future__ import annotations
@@ -52,82 +53,57 @@ def rotation_inverse(ring: AlgebraPresentation):
 
 
 # ---------------------------------------------------------------------------
-# noncommuting words with designated inverses
+# noncommuting words
 
 
 class NCPoly:
     """Linear combinations of (word, x-power) with word concatenation.
 
-    Words are tuples of symbol names; pairs registered as inverses cancel on
-    contact, which is a complete rewriting system for this fragment.  The
-    homotopy variable x stays central and carries its own exponent.
+    Words are tuples of symbol names and multiply by concatenation, with no
+    cancellation.  The homotopy variable x stays central and carries its own
+    exponent.
     """
 
     def __init__(self, terms: dict[tuple[tuple[str, ...], int], Fraction]
-                 | None = None,
-                 inverses: frozenset[tuple[str, str]] = frozenset()):
-        self.inverses = inverses
+                 | None = None):
         self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
 
     @staticmethod
-    def sym(name: str, inverses=frozenset()) -> "NCPoly":
-        return NCPoly({((name,), 0): Fraction(1)}, inverses)
+    def sym(name: str) -> "NCPoly":
+        return NCPoly({((name,), 0): Fraction(1)})
 
     @staticmethod
-    def x_power(k: int, inverses=frozenset()) -> "NCPoly":
-        return NCPoly({((), k): Fraction(1)}, inverses)
+    def x_power(k: int) -> "NCPoly":
+        return NCPoly({((), k): Fraction(1)})
 
     @staticmethod
-    def const(c, inverses=frozenset()) -> "NCPoly":
-        return NCPoly({((), 0): Fraction(c)}, inverses)
+    def const(c) -> "NCPoly":
+        return NCPoly({((), 0): Fraction(c)})
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _reduce_word(self, word: tuple[str, ...]) -> tuple[str, ...]:
-        w = list(word)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(w) - 1):
-                if (w[i], w[i + 1]) in self.inverses \
-                        or (w[i + 1], w[i]) in self.inverses:
-                    del w[i:i + 2]
-                    changed = True
-                    break
-        return tuple(w)
-
     def __add__(self, other: "NCPoly") -> "NCPoly":
-        inv = self.inverses | other.inverses
         out = dict(self.terms)
         for k, v in other.terms.items():
             out[k] = out.get(k, Fraction(0)) + v
-        return NCPoly(out, inv)
-
-    def __neg__(self) -> "NCPoly":
-        return NCPoly({k: -v for k, v in self.terms.items()}, self.inverses)
-
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self + (-other)
+        return NCPoly(out)
 
     def __mul__(self, other: "NCPoly") -> "NCPoly":
-        inv = self.inverses | other.inverses
         out: dict = {}
         for (w1, k1), c1 in self.terms.items():
             for (w2, k2), c2 in other.terms.items():
-                word = self._reduce_word(w1 + w2) if inv else w1 + w2
-                key = (word, k1 + k2)
+                key = (w1 + w2, k1 + k2)
                 out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return NCPoly(out, inv)
+        return NCPoly(out)
 
     def scale(self, c) -> "NCPoly":
-        return NCPoly({k: v * Fraction(c) for k, v in self.terms.items()},
-                      self.inverses)
+        return NCPoly({k: v * Fraction(c) for k, v in self.terms.items()})
 
     def x_coefficient(self, k: int) -> "NCPoly":
         return NCPoly({(w, 0): c for (w, kk), c in self.terms.items()
-                       if kk == k}, self.inverses)
+                       if kk == k})
 
     def __eq__(self, other):
         return isinstance(other, NCPoly) and self.terms == other.terms
@@ -210,12 +186,11 @@ def block_lemma_checks() -> dict:
     degenerate = mat_eval_x(mat_mul(rinv, mat_mul(scalar, r)), ring, 1) \
         == scalar
 
-    inv = frozenset({("c", "c_inv")})
-    al = NCPoly.sym("al_nc", inv)
-    c = NCPoly.sym("c", inv)
-    c_inv = NCPoly.sym("c_inv", inv)
-    one = NCPoly.const(1, inv)
-    zero = NCPoly({}, inv)
+    al = NCPoly.sym("al_nc")
+    c = NCPoly.sym("c")
+    c_inv = NCPoly.sym("c_inv")
+    one = NCPoly.const(1)
+    zero = NCPoly({})
     left = mat_mul([[one, zero], [zero, c]],
                    mat_mul([[zero, zero], [zero, al]],
                            [[one, zero], [zero, c_inv]]))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from affpi0 import derham, pi0, simplicial
+from affpi0.matrix_homotopy import _transpose
 from affpi0.algebra import AlgebraPresentation, polynomial_extension
 from affpi0.errors import PropertyViolationError
 
@@ -32,3 +33,9 @@ def p0p1_invariance_harness(a: AlgebraPresentation, hook: str,
             f"p0/p1 disagree on the {hook} spanning set",
             witness=disagreements[0])
     return {"ok": True, "hook": hook, "spanning_size": len(spanning)}
+
+
+def reversed_entry_products(mat_mul):
+    """mat_mul with every entry product taken as b·a instead of a·b: the same
+    over commuting entries, a different word over noncommuting ones."""
+    return lambda a, b: _transpose(mat_mul(_transpose(b), _transpose(a)))

@@ -1,0 +1,58 @@
+"""The names that the benchmark in perfbench/ binds are still in affpi0.
+
+perfbench/ is read and never written: its modules are loaded without
+bytecode caches.  A change that deletes a function, method or module the
+benchmark calls or traces fails here instead of in a benchmark run.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def bench():
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        modules = {name: _load(name) for name in ("jobs", "tracer", "worker")}
+    finally:
+        sys.dont_write_bytecode = saved
+    for short in modules["tracer"].MODULES:
+        importlib.import_module(f"affpi0.{short}")
+    return modules
+
+
+def test_tracer_plan_wraps_every_traced_statistic(bench):
+    tracer = bench["tracer"].Tracer()
+    assert tracer.plan() > 0
+    source = (PERFBENCH / "tracer.py").read_text(encoding="utf-8")
+    wanted = set(re.findall(r'stat\("([^"]+)"', source))
+    assert wanted
+    assert wanted <= set(tracer.stats), sorted(wanted - set(tracer.stats))
+
+
+@pytest.mark.parametrize("workload", ["gb-systems", "pi0-routes",
+                                      "cli-requests"])
+def test_worker_builds_every_seed_one_job(bench, workload, tmp_path):
+    _, jobs = bench["jobs"].job_list(workload, 1)
+    assert jobs
+    for job in jobs:
+        call, answer = bench["worker"].build(job, str(tmp_path))
+        assert callable(call) and callable(answer), job["name"]

@@ -5,11 +5,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 
 import pytest
 
 from affpi0 import cli, matrix_homotopy
 from affpi0.cli import run
+from harnesses import reversed_entry_products
 
 
 @pytest.fixture()
@@ -243,6 +245,7 @@ def flipped_inverse(rotation_inverse):
          perm(ring, sigma, sizes))),
     ("gamma", "_block_diag",
      lambda diag: lambda ring, blocks, size: diag(ring, blocks[:1], size)),
+    ("blocks", "mat_mul", reversed_entry_products),
 ])
 def test_verify_lemmas_with_a_planted_fault_exit_1(files, capsys, monkeypatch,
                                                   only, name, plant):
@@ -634,3 +637,23 @@ def test_same_request_twice_gives_the_same_report(files, capsys):
     assert rep1["inputs_digest"] == rep2["inputs_digest"]
     assert rep1["bounds"] == rep2["bounds"] == {"deg": 1}
     assert without_timing(rep1) == without_timing(rep2)
+
+
+def test_digest_does_not_depend_on_how_a_path_is_spelled(files, capsys,
+                                                        monkeypatch):
+    def digest(*argv):
+        code, rep = run_json(["hom", "enum", *argv], capsys)
+        assert code == 0
+        return rep["inputs_digest"]
+
+    elsewhere = files["tmp"] / "elsewhere"
+    elsewhere.mkdir()
+    for name in ("f3t.json", "f3x.json"):
+        shutil.copy(files["tmp"] / name, elsewhere / name)
+    absolute = digest(files["f3t"], files["f3x"], "--deg", "1")
+    monkeypatch.chdir(files["tmp"])
+    assert digest("f3t.json", "f3x.json", "--deg", "1") == absolute
+    assert digest("elsewhere/f3t.json", str(elsewhere / "f3x.json"),
+                  "--deg", "1") == absolute
+    assert digest("f3t.json", "f3t.json", "--deg", "1") != absolute
+    assert digest("f3t.json", "f3x.json", "--deg", "2") != absolute

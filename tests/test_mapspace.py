@@ -7,15 +7,14 @@ import pytest
 from affpi0 import mapspace
 from affpi0.algebra import (AlgebraMorphism, AlgebraPresentation,
                             enumerate_hom, enumerate_points, field_algebra,
-                            tensor_product)
+                            polynomial_extension, tensor_product)
 from affpi0.errors import (PropertyViolationError, RingMismatchError,
                            TruncationError)
-from affpi0.mapspace import (Truncation, _renaming_correspondence,
-                             associated_morphism, coassociativity_check,
-                             comultiplication, functor_action,
-                             mapspace_presentation, morphism_from_point,
-                             point_from_morphism, points_crosscheck,
-                             structural_morphism,
+from affpi0.mapspace import (_renaming_correspondence, associated_morphism,
+                             coassociativity_check, comultiplication,
+                             functor_action, mapspace_presentation,
+                             morphism_from_point, point_from_morphism,
+                             points_crosscheck, structural_morphism,
                              verify_directsum_law, verify_exponential_law,
                              verify_tensor_law)
 from affpi0.polyring import (GF, QQ, BlockOrder, Polynomial, _s_polynomial,
@@ -67,7 +66,10 @@ def test_truncation_must_use_standard_monomials():
     a = A_of(QQ, ["t"], [])
     b = A_of(QQ, ["x"], ["x^2 - 1"])
     with pytest.raises(TruncationError):
-        mapspace_presentation(a, b, Truncation.explicit(a, [(0,), (2,)]))
+        mapspace_presentation(a, b, [(0,), (2,)])
+    # the check does not depend on the source having generators
+    with pytest.raises(TruncationError):
+        mapspace_presentation(field_algebra(QQ), b, [(2,)])
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +213,17 @@ def test_associated_morphism_truncation_too_small():
     m = mapspace_presentation(a, b, 1)
     with pytest.raises(TruncationError):
         associated_morphism(m, phi)
+
+
+def test_associated_morphism_rejects_a_polynomial_extension():
+    """B[x] lists B's variables and then x, as B ⊗ F[x] does, but keeps B's
+    names: it is no tensor presentation, and φ into it is a request error."""
+    a = A_of(QQ, ["t"], ["t^2 - t"])
+    b = A_of(QQ, ["x"], ["x^2 - x"])
+    ext = polynomial_extension(b)
+    phi = ext.embed.compose(AlgebraMorphism(a, b, ["x"]))
+    with pytest.raises(RingMismatchError):
+        associated_morphism(mapspace_presentation(a, b, 1), phi)
 
 
 def test_associated_morphism_with_a_wrong_level_map_fails(monkeypatch):

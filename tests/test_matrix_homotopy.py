@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from affpi0 import matrix_homotopy
 from affpi0.algebra import AlgebraPresentation
 from affpi0.errors import PropertyViolationError
 from affpi0.matrix_homotopy import (NCPoly, _matrix, adjacent_transpositions,
@@ -14,6 +15,7 @@ from affpi0.matrix_homotopy import (NCPoly, _matrix, adjacent_transpositions,
                                     rotation_inverse, rotation_matrix_checks,
                                     verify_all)
 from affpi0.polyring import QQ
+from harnesses import reversed_entry_products
 
 
 def test_rotation_checks_all_pass():
@@ -41,14 +43,17 @@ def test_block_lemmas():
     assert rep["corner_conjugation"]
 
 
-def test_ncpoly_cancellation():
-    inv = frozenset({("c", "c_inv")})
-    c = NCPoly.sym("c", inv)
-    ci = NCPoly.sym("c_inv", inv)
-    one = NCPoly.const(1, inv)
-    assert (c * ci) == one
-    assert (ci * c) == one
-    a = NCPoly.sym("a", inv)
+def test_corner_conjugation_fails_on_reversed_entry_products(monkeypatch):
+    assert block_lemma_checks()["corner_conjugation"]
+    monkeypatch.setattr(matrix_homotopy, "mat_mul",
+                        reversed_entry_products(mat_mul))
+    rep = block_lemma_checks()
+    assert [k for k, v in rep.items() if not v] == ["corner_conjugation",
+                                                    "ok"]
+
+
+def test_ncpoly_words_concatenate():
+    c, a, ci = NCPoly.sym("c"), NCPoly.sym("a"), NCPoly.sym("c_inv")
     word = c * a * ci
     assert list(word.terms) == [(("c", "a", "c_inv"), 0)]
 
