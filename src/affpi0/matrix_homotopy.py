@@ -73,10 +73,6 @@ class NCPoly:
         return NCPoly({((name,), 0): Fraction(1)})
 
     @staticmethod
-    def x_power(k: int) -> "NCPoly":
-        return NCPoly({((), k): Fraction(1)})
-
-    @staticmethod
     def const(c) -> "NCPoly":
         return NCPoly({((), 0): Fraction(c)})
 
@@ -100,10 +96,6 @@ class NCPoly:
 
     def scale(self, c) -> "NCPoly":
         return NCPoly({k: v * Fraction(c) for k, v in self.terms.items()})
-
-    def x_coefficient(self, k: int) -> "NCPoly":
-        return NCPoly({(w, 0): c for (w, kk), c in self.terms.items()
-                       if kk == k})
 
     def __eq__(self, other):
         return isinstance(other, NCPoly) and self.terms == other.terms

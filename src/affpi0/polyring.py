@@ -5,24 +5,29 @@ residues in ``[0, p)`` over a prime field.  Rational coefficients are
 `Fraction`s wherever a polynomial is handed out; inside the reduction kernel
 a rational polynomial is an integer term map over one common scale, reduced by
 integer multiples of its divisors, so no step builds a `Fraction`.  Monomials
-are exponent tuples, polynomials sparse term maps.  All values are immutable
+are exponent tuples at the API and guard-bit packed ints inside the kernel
+(`_Packing`); polynomials are sparse term maps.  All values are immutable
 after construction and every operation is a pure function, so concurrent use
-on distinct values is safe.  The writes after construction are memos under
-the last order asked about: a polynomial's leading data, with the support mask
+on distinct values is safe.  The writes after construction are memos: under
+the last order asked about, a polynomial's leading data, with the support mask
 of its leading monomial, its reducer record, and a `GroebnerBasis`'s table of
-reducer records.  Each caches a value derived from immutable data and is
-replaced whole, so concurrent writers store equal values and a reader never
-sees a half-written entry.
+reducer records; and the packed layout of each order and arity (`_packing`).
+Each caches a value derived from immutable data and is replaced whole, so
+concurrent writers store equal values and a reader never sees a half-written
+entry.
 """
 
 from __future__ import annotations
 
 import re as _re
+import struct as _struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm as int_lcm
-from operator import add as _add, le as _le, sub as _sub
+from operator import (add as _add, le as _le, mul as _mul, neg as _neg,
+                      sub as _sub)
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError, ResourceLimitError, RingMismatchError
@@ -189,11 +194,20 @@ def _drl_heap_key(m: Monomial):
     return (-sum(m), m[::-1])
 
 
+def _drl_rows(start: int, stop: int) -> list[tuple[int, int]]:
+    """Degrevlex on the variables [start, stop) as sums compared
+    lexicographically: the degree, then e_start + … + e_k for k falling."""
+    return [(start, k) for k in range(stop, start, -1)]
+
+
 class MonomialOrder:
     """A monomial order given by a sort key; larger key = larger monomial.
 
     `_heap_key` sorts the other way: its ascending order is the monomial
     order descending, so a min-heap pops the largest monomial first.
+    `_rows` gives the order as a matrix of prefix sums: (a, b) stands for
+    the row e_a + … + e_{b-1}, and comparing these sums lexicographically,
+    then the exponents, is the order.
     """
 
     name = "degrevlex"
@@ -203,6 +217,9 @@ class MonomialOrder:
 
     def _heap_key(self, m: Monomial):
         return _drl_heap_key(m)
+
+    def _rows(self, arity: int) -> list[tuple[int, int]]:
+        return _drl_rows(0, arity)
 
     def __repr__(self):
         return f"<order {self.name}>"
@@ -223,6 +240,9 @@ class LexOrder(MonomialOrder):
     def _heap_key(self, m: Monomial):
         return tuple(-e for e in m)
 
+    def _rows(self, arity: int) -> list[tuple[int, int]]:
+        return []
+
 
 class BlockOrder(MonomialOrder):
     """Eliminates the first ``n_front`` variables: front block dominates."""
@@ -238,6 +258,10 @@ class BlockOrder(MonomialOrder):
     def _heap_key(self, m: Monomial):
         k = self.n_front
         return (_drl_heap_key(m[:k]), _drl_heap_key(m[k:]))
+
+    def _rows(self, arity: int) -> list[tuple[int, int]]:
+        k = min(self.n_front, arity)
+        return _drl_rows(0, k) + _drl_rows(k, arity)
 
 
 DEGREVLEX = MonomialOrder()
@@ -282,6 +306,68 @@ def _compositions(arity: int, deg: int) -> Iterator[Monomial]:
     for first in range(deg, -1, -1):
         for rest in _compositions(arity - 1, deg - first):
             yield (first,) + rest
+
+
+# ---------------------------------------------------------------------------
+# packed monomials (M. Monagan and R. Pearce, "Sparse polynomial division
+# using a heap", J. Symb. Comput. 46, 2011)
+
+_WIDTH = 16                     # bits per field; the top bit is a guard bit
+_FIELD_BOUND = 1 << (_WIDTH - 1)
+_FIELD_CODE = {16: "H", 32: "I"}[_WIDTH]    # `struct` code of one field
+
+
+class _Packing:
+    """Monomials of `arity` variables under `order` as one int each; one
+    per order and arity (`_packing`).
+
+    The int is a row of `_WIDTH`-bit fields: the order's row sums
+    (`MonomialOrder._rows`) in the high fields, then e_1 … e_n.  Packing is
+    linear, pack(m) = Σ e_i·units[i], so:
+
+    - int comparison is the monomial order, and a product is one `+`;
+    - lm divides m exactly when ``not (m - lm) & guard``: a field of m
+      smaller than lm's borrows from its own guard bit;
+    - a sum whose field overflows sets that field's guard bit, which
+      `_reduce` tests on every product, so an exponent never wraps.
+
+    Every field is at most the total degree, so a monomial of degree below
+    `_FIELD_BOUND` packs with its guard bits clear.
+    """
+
+    __slots__ = ("units", "guard", "low", "size", "fields")
+
+    def __init__(self, order: MonomialOrder, arity: int):
+        rows = order._rows(arity)
+        top = len(rows) + arity - 1
+        self.units = [
+            sum(1 << _WIDTH * (top - r) for r, (a, b) in enumerate(rows)
+                if a <= i < b) | 1 << _WIDTH * (arity - 1 - i)
+            for i in range(arity)]
+        self.guard = sum(_FIELD_BOUND << _WIDTH * f for f in range(top + 1))
+        self.low = (1 << _WIDTH * arity) - 1
+        self.size = _WIDTH // 8 * arity
+        self.fields = _struct.Struct(f">{arity}{_FIELD_CODE}")
+
+    def pack(self, m: Monomial) -> int:
+        return sum(map(_mul, m, self.units))
+
+    def unpack(self, packed: int) -> Monomial:
+        return self.fields.unpack((packed & self.low).to_bytes(self.size, "big"))
+
+
+# equal orders share a layout, also when built apart (elimination builds a
+# BlockOrder per call)
+_packing = lru_cache(maxsize=64)(_Packing)
+
+
+def _check_width(monomials: Iterable[Monomial]) -> None:
+    """Raise before packing monomials whose fields could reach a guard bit."""
+    deg = max(map(sum, monomials), default=0)
+    if deg >= _FIELD_BOUND:
+        raise ResourceLimitError(
+            f"degree {deg} does not fit the {_WIDTH}-bit fields of a packed "
+            f"monomial")
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +476,15 @@ class Polynomial:
         return lead
 
     def _record(self, order: MonomialOrder) -> tuple:
-        """The reducer record (lm, lc, tail, mask) that `_reduce` divides by.
+        """The reducer record (lm, lc, tail, mask, packed lm, packed tail)
+        that `_reduce` divides by; the packed tail pairs each packed tail
+        monomial (`_Packing`) with its coefficient, in the order of `tail`.
 
-        Over F_p it is the leading data.  Over Q it is the record of the
-        integer multiple D·self, where D is the lcm of the denominators,
-        signed so that the leading coefficient L = D·lc is positive: the
-        remainder modulo D·self is the remainder modulo self.  Memoized for
-        the last order asked about, replaced whole like `_lead`.
+        Over F_p the first four are the leading data.  Over Q they are those
+        of the integer multiple D·self, where D is the lcm of the
+        denominators, signed so that the leading coefficient L = D·lc is
+        positive: the remainder modulo D·self is the remainder modulo self.
+        Memoized for the last order asked about, replaced whole like `_lead`.
         """
         rec = self._rec
         if rec is not None and (rec[0] is order or rec[0] == order):
@@ -409,9 +497,11 @@ class Polynomial:
             if ratios[0][0] < 0:
                 den = -den
             lc, *ints = [n * (den // d) for n, d in ratios]
-            record = (lm, lc, tuple(zip([m for m, _ in tail], ints)), mask)
-        else:
-            record = (lm, lc, tail, mask)
+            tail = tuple(zip([m for m, _ in tail], ints))
+        _check_width(self.terms)
+        pack = _packing(order, self.arity).pack
+        record = (lm, lc, tail, mask, pack(lm),
+                  tuple([(pack(m), c) for m, c in tail]))
         self._rec = (order, record)
         return record
 
@@ -848,11 +938,17 @@ def normal_form(p: Polynomial, basis: Iterable[Polynomial] | GroebnerBasis,
 def _reduce(p: Polynomial, reducers: Sequence[tuple],
             order: MonomialOrder) -> Polynomial:
     """The reduction kernel: the remainder of p by reducer records
-    (lm, lc, tail, mask) of its own ring (`Polynomial._record`); p itself
-    when there are none.
+    (lm, lc, tail, mask, packed lm, packed tail) of its own ring
+    (`Polynomial._record`); p itself when there are none or p is zero.
+
+    Monomials are packed ints inside (`_Packing`): the queue is a heap of
+    negated packed monomials, so it pops the largest first; a product is one
+    `+` and a divisibility test one `-` and one `&`.  A degree too large for
+    the fields, in p or in a product, is a `ResourceLimitError`.  Remainder
+    terms are unpacked to tuples, in the order they are found.
 
     Each term is reduced by the first record, in list order, whose leading
-    monomial divides it; the mask test skips most others unexamined.
+    monomial divides it.
 
     Over Q the records are integral.  At the first step the polynomial
     being reduced becomes an integer term map `work` over one positive scale
@@ -862,27 +958,28 @@ def _reduce(p: Polynomial, reducers: Sequence[tuple],
     remainder term becomes c/S, or keeps its original `Fraction` when
     neither its integer nor the scale has changed.
     """
-    if not reducers:
+    if not reducers or p.is_zero:
         return p
     modulus = p.field.p
-    work = dict(p.terms)
+    packing = _packing(order, p.arity)
+    units, guard, unpack = packing.units, packing.guard, packing.unpack
+    _check_width(p.terms)
+    work = {sum(map(_mul, m, units)): c for m, c in p.terms.items()}
     # over Q: 0 until the first step puts the work in integers
     scale = start_scale = 0
     # terms are popped largest first; a popped monomial missing from `work`
     # was cancelled after it was queued
-    heap_key = order._heap_key
-    queue = [(heap_key(m), m) for m in work]
+    queue = list(map(_neg, work))
     heapify(queue)
     result: dict[Monomial, Scalar] = {}
     while queue:
-        m = heappop(queue)[1]
+        m = -heappop(queue)
         c = work.pop(m, None)
         if c is None:
             continue
-        mask = _support_mask(m)
-        for lm, lc, tail, lmask in reducers:
-            if lmask & mask == lmask and all(map(_le, lm, m)):
-                q = tuple(map(_sub, m, lm))
+        for _, lc, _, _, lm, tail in reducers:
+            q = m - lm
+            if not q & guard:
                 # c becomes the quotient term's coefficient
                 if modulus is not None:
                     if lc != 1:
@@ -906,14 +1003,18 @@ def _reduce(p: Polynomial, reducers: Sequence[tuple],
                                 work[k] *= a
                         c //= g
                 for gm, gc in tail:
-                    mm = tuple(map(_add, gm, q))
+                    mm = gm + q
+                    if mm & guard:
+                        raise ResourceLimitError(
+                            f"a product in the reduction does not fit the "
+                            f"{_WIDTH}-bit fields of a packed monomial")
                     old = work.get(mm)
                     v = -c * gc if old is None else old - c * gc
                     if modulus is not None:
                         v %= modulus
                     if v:
                         if old is None:
-                            heappush(queue, (heap_key(mm), mm))
+                            heappush(queue, -mm)
                         work[mm] = v
                     elif old is not None:
                         del work[mm]
@@ -921,11 +1022,12 @@ def _reduce(p: Polynomial, reducers: Sequence[tuple],
                 break
         else:
             if not scale:       # c is still the polynomial's own scalar
-                result[m] = c
+                result[unpack(m)] = c
             elif scale == start_scale and start.get(m) == c:
-                result[m] = p.terms[m]
+                t = unpack(m)
+                result[t] = p.terms[t]
             else:
-                result[m] = Fraction(c, scale)
+                result[unpack(m)] = Fraction(c, scale)
     return Polynomial(p.arity, p.field, result)
 
 

@@ -9,7 +9,7 @@ import shutil
 
 import pytest
 
-from affpi0 import cli, matrix_homotopy
+from affpi0 import cli, matrix_homotopy, polyring
 from affpi0.cli import run
 from harnesses import reversed_entry_products
 
@@ -454,6 +454,29 @@ def test_resource_guard_exit_code(files, capsys, monkeypatch):
         monkeypatch.delenv("AFFPI0_MAX_DEGREE")
         from affpi0.polyring import set_limits
         set_limits(max_degree=64)
+
+
+def test_degree_past_the_packed_field_width_exit_3(files, capsys,
+                                                   monkeypatch):
+    """With the degree guard raised, a normal form of degree 2^(W-1) does
+    not fit the W-bit fields of the reduction kernel: exit 3, not an
+    answer from wrapped exponents."""
+    bound = 1 << (polyring._WIDTH - 1)
+    doc = files["tmp"] / "xy.json"
+    doc.write_text(json.dumps({"field": "Q", "vars": ["x", "y"],
+                               "relations": ["x^2 - 1"]}))
+    monkeypatch.setenv("AFFPI0_MAX_DEGREE", str(4 * bound))
+    try:
+        code, rep = run_json(["alg", "nf", str(doc), "--poly",
+                              f"y^{bound - 1}"], capsys)
+        assert (code, rep["result"]["normal_form"]) == (0, f"y^{bound - 1}")
+        code, rep = run_json(["alg", "nf", str(doc), "--poly",
+                              f"y^{bound}"], capsys)
+        assert code == 3 and rep["kind"] == "resource-limit"
+        assert f"{polyring._WIDTH}-bit" in rep["error"]
+    finally:
+        monkeypatch.delenv("AFFPI0_MAX_DEGREE")
+        polyring.set_limits(**vars(polyring.ResourceLimits()))
 
 
 def test_unset_limit_goes_back_to_its_default(files, capsys, monkeypatch):
