@@ -5,13 +5,14 @@ residues in ``[0, p)`` over a prime field.  Rational coefficients are
 `Fraction`s wherever a polynomial is handed out; inside the reduction kernel
 a rational polynomial is an integer term map over one common scale, reduced by
 integer multiples of its divisors, so no step builds a `Fraction`.  Monomials
-are exponent tuples at the API and guard-bit packed ints inside the kernel
-(`_Packing`); polynomials are sparse term maps.  All values are immutable
+are exponent tuples at the API and guard-bit packed ints (`_Packing`) inside
+the kernel, the pair update and the minimalization of a basis; polynomials
+are sparse term maps.  All values are immutable
 after construction and every operation is a pure function, so concurrent use
 on distinct values is safe.  The writes after construction are memos: under
-the last order asked about, a polynomial's leading data, with the support mask
-of its leading monomial, its reducer record, and a `GroebnerBasis`'s table of
-reducer records; and the packed layout of each order and arity (`_packing`).
+the last order asked about, a polynomial's leading data, its reducer record,
+and a `GroebnerBasis`'s table of reducer records; and the packed layout of
+each order and arity (`_packing`).
 Each caches a value derived from immutable data and is replaced whole, so
 concurrent writers store equal values and a reader never sees a half-written
 entry.
@@ -190,10 +191,6 @@ def _drl_key(m: Monomial):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-def _drl_heap_key(m: Monomial):
-    return (-sum(m), m[::-1])
-
-
 def _drl_rows(start: int, stop: int) -> list[tuple[int, int]]:
     """Degrevlex on the variables [start, stop) as sums compared
     lexicographically: the degree, then e_start + … + e_k for k falling."""
@@ -203,8 +200,6 @@ def _drl_rows(start: int, stop: int) -> list[tuple[int, int]]:
 class MonomialOrder:
     """A monomial order given by a sort key; larger key = larger monomial.
 
-    `_heap_key` sorts the other way: its ascending order is the monomial
-    order descending, so a min-heap pops the largest monomial first.
     `_rows` gives the order as a matrix of prefix sums: (a, b) stands for
     the row e_a + … + e_{b-1}, and comparing these sums lexicographically,
     then the exponents, is the order.
@@ -214,9 +209,6 @@ class MonomialOrder:
 
     def key(self, m: Monomial):
         return _drl_key(m)
-
-    def _heap_key(self, m: Monomial):
-        return _drl_heap_key(m)
 
     def _rows(self, arity: int) -> list[tuple[int, int]]:
         return _drl_rows(0, arity)
@@ -237,9 +229,6 @@ class LexOrder(MonomialOrder):
     def key(self, m: Monomial):
         return m
 
-    def _heap_key(self, m: Monomial):
-        return tuple(-e for e in m)
-
     def _rows(self, arity: int) -> list[tuple[int, int]]:
         return []
 
@@ -254,10 +243,6 @@ class BlockOrder(MonomialOrder):
     def key(self, m: Monomial):
         k = self.n_front
         return (_drl_key(m[:k]), _drl_key(m[k:]))
-
-    def _heap_key(self, m: Monomial):
-        k = self.n_front
-        return (_drl_heap_key(m[:k]), _drl_heap_key(m[k:]))
 
     def _rows(self, arity: int) -> list[tuple[int, int]]:
         k = min(self.n_front, arity)
@@ -276,36 +261,12 @@ def monomial_divides(a: Monomial, b: Monomial) -> bool:
     return all(map(_le, a, b))
 
 
-def _support_mask(m: Monomial) -> int:
-    """Bit i set when variable i occurs in m.  If a divides b, then
-    mask(a) is a subset of mask(b), so a failed subset test rules a divisor
-    out with one integer operation."""
-    return sum(1 << i for i, e in enumerate(m) if e)
-
-
 def monomial_div(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(_sub, a, b))
 
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(max, a, b))
-
-
-def monomials_up_to(arity: int, maxdeg: int) -> Iterator[Monomial]:
-    """All exponent tuples of total degree <= maxdeg, by degree then degrevlex."""
-    for deg in range(maxdeg + 1):
-        batch = sorted(_compositions(arity, deg), key=_drl_key, reverse=True)
-        yield from batch
-
-
-def _compositions(arity: int, deg: int) -> Iterator[Monomial]:
-    if arity == 0:
-        if deg == 0:
-            yield ()
-        return
-    for first in range(deg, -1, -1):
-        for rest in _compositions(arity - 1, deg - first):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +290,8 @@ class _Packing:
     - lm divides m exactly when ``not (m - lm) & guard``: a field of m
       smaller than lm's borrows from its own guard bit;
     - a sum whose field overflows sets that field's guard bit, which
-      `_reduce` tests on every product, so an exponent never wraps.
+      `_reduce` tests on every product and `_update_pairs` on every lcm,
+      so an exponent never wraps.
 
     Every field is at most the total degree, so a monomial of degree below
     `_FIELD_BOUND` packs with its guard bits clear.
@@ -456,9 +418,8 @@ class Polynomial:
         return self.terms.get((0,) * self.arity, self.field.zero())
 
     def _leading(self, order: MonomialOrder):
-        """(order, leading monomial, leading coefficient, tail terms, support
-        mask of the leading monomial); over F_p the last four are the
-        reducer record.
+        """(order, leading monomial, leading coefficient, tail terms); over
+        F_p the last three begin the reducer record.
 
         The terms never change once a polynomial is handed out (`split`
         fills its parts before returning them), so the memo only has to match
@@ -471,16 +432,15 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading monomial")
         lm = max(self.terms, key=order.key)
         lead = self._lead = (order, lm, self.terms[lm], tuple(
-            (m, c) for m, c in self.terms.items() if m != lm),
-            _support_mask(lm))
+            (m, c) for m, c in self.terms.items() if m != lm))
         return lead
 
     def _record(self, order: MonomialOrder) -> tuple:
-        """The reducer record (lm, lc, tail, mask, packed lm, packed tail)
-        that `_reduce` divides by; the packed tail pairs each packed tail
-        monomial (`_Packing`) with its coefficient, in the order of `tail`.
+        """The reducer record (lm, lc, tail, packed lm, packed tail) that
+        `_reduce` divides by; the packed tail pairs each packed tail monomial
+        (`_Packing`) with its coefficient, in the order of `tail`.
 
-        Over F_p the first four are the leading data.  Over Q they are those
+        Over F_p the first three are the leading data.  Over Q they are those
         of the integer multiple D·self, where D is the lcm of the
         denominators, signed so that the leading coefficient L = D·lc is
         positive: the remainder modulo D·self is the remainder modulo self.
@@ -489,7 +449,7 @@ class Polynomial:
         rec = self._rec
         if rec is not None and (rec[0] is order or rec[0] == order):
             return rec[1]
-        _, lm, lc, tail, mask = self._leading(order)
+        _, lm, lc, tail = self._leading(order)
         if self.field.p is None:
             ratios = [lc.as_integer_ratio()]
             ratios += [c.as_integer_ratio() for _, c in tail]
@@ -500,7 +460,7 @@ class Polynomial:
             tail = tuple(zip([m for m, _ in tail], ints))
         _check_width(self.terms)
         pack = _packing(order, self.arity).pack
-        record = (lm, lc, tail, mask, pack(lm),
+        record = (lm, lc, tail, pack(lm),
                   tuple([(pack(m), c) for m, c in tail]))
         self._rec = (order, record)
         return record
@@ -542,6 +502,10 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._same_ring(other)
+        if self.terms and other.terms:
+            # over a field the degrees of nonzero factors add
+            _check_degree(max(map(sum, self.terms))
+                          + max(map(sum, other.terms)))
         f = self.field
         zero = f.zero()
         terms: dict[Monomial, Scalar] = {}
@@ -553,9 +517,7 @@ class Polynomial:
                     terms.pop(m, None)
                 else:
                     terms[m] = v
-        if terms:
-            _check_degree(max(sum(m) for m in terms))
-            _check_terms(len(terms))
+        _check_terms(len(terms))
         return Polynomial(self.arity, f, terms)
 
     def scale(self, c) -> "Polynomial":
@@ -938,7 +900,7 @@ def normal_form(p: Polynomial, basis: Iterable[Polynomial] | GroebnerBasis,
 def _reduce(p: Polynomial, reducers: Sequence[tuple],
             order: MonomialOrder) -> Polynomial:
     """The reduction kernel: the remainder of p by reducer records
-    (lm, lc, tail, mask, packed lm, packed tail) of its own ring
+    (lm, lc, tail, packed lm, packed tail) of its own ring
     (`Polynomial._record`); p itself when there are none or p is zero.
 
     Monomials are packed ints inside (`_Packing`): the queue is a heap of
@@ -977,7 +939,7 @@ def _reduce(p: Polynomial, reducers: Sequence[tuple],
         c = work.pop(m, None)
         if c is None:
             continue
-        for _, lc, _, _, lm, tail in reducers:
+        for _, lc, _, lm, tail in reducers:
             q = m - lm
             if not q & guard:
                 # c becomes the quotient term's coefficient
@@ -1034,8 +996,8 @@ def _reduce(p: Polynomial, reducers: Sequence[tuple],
 def _s_polynomial(g1: Polynomial, g2: Polynomial, order: MonomialOrder) -> Polynomial:
     """S-polynomial of two monic polynomials: q1·tail1 − q2·tail2, where
     q_i·lm_i is the lcm of the leading monomials."""
-    _, lm1, _, tail1, _ = g1._leading(order)
-    _, lm2, _, tail2, _ = g2._leading(order)
+    _, lm1, _, tail1 = g1._leading(order)
+    _, lm2, _, tail2 = g2._leading(order)
     lcm = monomial_lcm(lm1, lm2)
     q1, q2 = monomial_div(lcm, lm1), monomial_div(lcm, lm2)
     modulus = g1.field.p
@@ -1053,44 +1015,48 @@ def _s_polynomial(g1: Polynomial, g2: Polynomial, order: MonomialOrder) -> Polyn
 
 
 def _update_pairs(records: list[tuple], record: tuple,
-                  P: dict[tuple[int, int], Monomial], queue: list,
+                  P: dict[tuple[int, int], int], queue: list,
                   order: MonomialOrder) -> None:
     """Gebauer-Möller pair update on appending h, with reducer record
     `record`, to the basis whose reducer records are `records`.
 
-    `P` maps each live pair to the lcm of its leading monomials; `queue` is
-    a heap of (order key of the lcm, pair) that may still hold pruned pairs.
-    The support mask of lcm(a, b) is mask(a) | mask(b), and a mask test
-    rules out most divisibility tests.
+    Monomials are packed (`_Packing`): `P` maps each live pair to the
+    packed lcm of its leading monomials, and `queue` is a heap of (packed
+    lcm, pair) that may still hold pruned pairs.  Two leading monomials of
+    degree below `_FIELD_BOUND` have an lcm whose fields stay below twice
+    that, so a field the lcm overflows sets its guard bit: an lcm that does
+    not fit is a `ResourceLimitError`.
     """
-    lmh, hmask = record[0], record[3]
+    lmh, plmh = record[0], record[3]
     t = len(records)
-    masks = [r[3] for r in records]
-    lcms = [tuple(map(max, r[0], lmh)) for r in records]
+    packing = _packing(order, len(lmh))
+    units, guard = packing.units, packing.guard
+    lcms = [sum(map(_mul, map(max, r[0], lmh), units)) for r in records]
+    if any(L & guard for L in lcms):
+        raise ResourceLimitError(
+            f"an lcm of leading monomials does not fit the {_WIDTH}-bit "
+            f"fields of a packed monomial")
     # drop old pairs whose lcm is strictly divisible by lm(h)
     drop = [(i, j) for (i, j), L in P.items()
-            if not hmask & ~(masks[i] | masks[j]) and all(map(_le, lmh, L))
-            and lcms[i] != L and lcms[j] != L]
+            if not (L - plmh) & guard and lcms[i] != L and lcms[j] != L]
     for pair in drop:
         del P[pair]
-    # group candidate new pairs by lcm, keep minimal representatives; total
-    # degree extends strict divisibility, so a divisor is seen first
-    groups: dict[Monomial, list[int]] = {}
+    # group candidate new pairs by lcm, keep minimal representatives; the
+    # order extends strict divisibility, so a divisor is seen first
+    groups: dict[int, list[int]] = {}
     for i, L in enumerate(lcms):
         groups.setdefault(L, []).append(i)
-    minimal: list[tuple[Monomial, int]] = []
-    for L in sorted(groups, key=sum):
-        lmask = masks[groups[L][0]] | hmask
-        if not any(not m2 & ~lmask and all(map(_le, L2, L))
-                   for L2, m2 in minimal):
-            minimal.append((L, lmask))
-    for L, _ in minimal:
-        # product (coprime) criterion: disjoint supports
-        if any(not masks[i] & hmask for i in groups[L]):
+    minimal: list[int] = []
+    for L in sorted(groups):
+        if all((L - L2) & guard for L2 in minimal):
+            minimal.append(L)
+    for L in minimal:
+        # product (coprime) criterion: the lcm is the product
+        if any(L == records[i][3] + plmh for i in groups[L]):
             continue
         pair = (groups[L][0], t)
         P[pair] = L
-        heappush(queue, (order.key(L), pair))
+        heappush(queue, (L, pair))
 
 
 def groebner(gens: Iterable[Polynomial],
@@ -1111,7 +1077,7 @@ def groebner(gens: Iterable[Polynomial],
             raise RingMismatchError("generators live in different rings")
     G: list[Polynomial] = []
     reducers: list[tuple] = []
-    P: dict[tuple[int, int], Monomial] = {}
+    P: dict[tuple[int, int], int] = {}
     queue: list = []
 
     def insert(h: Polynomial) -> None:
@@ -1139,11 +1105,13 @@ def groebner(gens: Iterable[Polynomial],
             raise ResourceLimitError(
                 f"basis size exceeds guard {LIMITS.max_basis}")
         insert(h)
-    # minimalize: drop elements whose LT is divisible by another LT
-    lms = [r[0] for r in reducers]
+    # minimalize: drop elements whose LT is divisible by another LT, on
+    # packed leading monomials, smallest first
+    guard = _packing(order, arity).guard
+    lms = [r[3] for r in reducers]
     minimal: list[int] = []
-    for k in sorted(range(len(G)), key=lambda k: order.key(lms[k])):
-        if all(not monomial_divides(lms[i], lms[k]) for i in minimal):
+    for k in sorted(range(len(G)), key=lms.__getitem__):
+        if all((lms[k] - lms[i]) & guard for i in minimal):
             minimal.append(k)
     # interreduce tails; an element the others leave as it was is already
     # monic, and is kept with its memos

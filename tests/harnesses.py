@@ -2,10 +2,31 @@
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from affpi0 import derham, pi0, simplicial
 from affpi0.matrix_homotopy import _transpose
 from affpi0.algebra import AlgebraPresentation, polynomial_extension
 from affpi0.errors import PropertyViolationError
+from affpi0.polyring import DEGREVLEX, Monomial
+
+
+def monomials_up_to(arity: int, maxdeg: int) -> Iterator[Monomial]:
+    """All exponent tuples of total degree <= maxdeg, by degree then
+    degrevlex descending."""
+    for deg in range(maxdeg + 1):
+        yield from sorted(_compositions(arity, deg), key=DEGREVLEX.key,
+                          reverse=True)
+
+
+def _compositions(arity: int, deg: int) -> Iterator[Monomial]:
+    if arity == 0:
+        if deg == 0:
+            yield ()
+        return
+    for first in range(deg, -1, -1):
+        for rest in _compositions(arity - 1, deg - first):
+            yield (first,) + rest
 
 
 def p0p1_invariance_harness(a: AlgebraPresentation, hook: str,

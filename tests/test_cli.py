@@ -459,21 +459,28 @@ def test_resource_guard_exit_code(files, capsys, monkeypatch):
 def test_degree_past_the_packed_field_width_exit_3(files, capsys,
                                                    monkeypatch):
     """With the degree guard raised, a normal form of degree 2^(W-1) does
-    not fit the W-bit fields of the reduction kernel: exit 3, not an
-    answer from wrapped exponents."""
+    not fit the W-bit fields of the reduction kernel, nor does the lcm of
+    x^e and y^e for e = 2^(W-2) fit those of the pair update: exit 3, not
+    an answer from wrapped exponents."""
     bound = 1 << (polyring._WIDTH - 1)
     doc = files["tmp"] / "xy.json"
-    doc.write_text(json.dumps({"field": "Q", "vars": ["x", "y"],
-                               "relations": ["x^2 - 1"]}))
+
+    def alg(relations, action, *flags):
+        doc.write_text(json.dumps({"field": "Q", "vars": ["x", "y"],
+                                   "relations": relations}))
+        return run_json(["alg", action, str(doc), *flags], capsys)
+
     monkeypatch.setenv("AFFPI0_MAX_DEGREE", str(4 * bound))
     try:
-        code, rep = run_json(["alg", "nf", str(doc), "--poly",
-                              f"y^{bound - 1}"], capsys)
+        code, rep = alg(["x^2 - 1"], "nf", "--poly", f"y^{bound - 1}")
         assert (code, rep["result"]["normal_form"]) == (0, f"y^{bound - 1}")
-        code, rep = run_json(["alg", "nf", str(doc), "--poly",
-                              f"y^{bound}"], capsys)
-        assert code == 3 and rep["kind"] == "resource-limit"
-        assert f"{polyring._WIDTH}-bit" in rep["error"]
+        e = bound // 2
+        code, rep = alg([f"x^{e - 1} - 1", f"y^{e} - 1"], "gb")
+        assert code == 0 and len(rep["result"]["basis"]) == 2
+        for code, rep in (alg(["x^2 - 1"], "nf", "--poly", f"y^{bound}"),
+                          alg([f"x^{e} - 1", f"y^{e} - 1"], "gb")):
+            assert code == 3 and rep["kind"] == "resource-limit"
+            assert f"{polyring._WIDTH}-bit" in rep["error"]
     finally:
         monkeypatch.delenv("AFFPI0_MAX_DEGREE")
         polyring.set_limits(**vars(polyring.ResourceLimits()))

@@ -17,7 +17,8 @@ from affpi0.linalg import in_span
 from affpi0.mapspace import mapspace_presentation, point_from_morphism
 from affpi0.pi0 import equalizer_membership, idempotent_search
 from affpi0.polyring import (GF, QQ, Polynomial, groebner, ideal_membership,
-                             monomials_up_to, normal_form)
+                             normal_form)
+from harnesses import monomials_up_to
 
 
 def _random_poly(rng, arity, field, maxdeg=2, terms=3, span=2):

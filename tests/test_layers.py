@@ -80,3 +80,32 @@ def test_every_module_imports_only_its_allowed_modules():
                for target, line in sorted(_package_imports(module).items())
                if target not in ALLOWED.get(module, set())]
     assert not outside, f"imports against the layer table: {outside}"
+
+
+def _private_definitions_unreferenced() -> list[str]:
+    """Private functions, methods and classes of the package (dunders
+    aside) that no name or attribute in the package refers to."""
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    for module in MODULES:
+        with open(os.path.join(PACKAGE, module + ".py"),
+                  encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), module)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                name = node.name
+                if name.startswith("_") and not name.endswith("__"):
+                    defined.setdefault(name, f"{module}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(f"{where} {name}" for name, where in defined.items()
+                  if name not in used)
+
+
+def test_every_private_definition_has_a_caller_in_the_package():
+    """A helper that only tests reach belongs in `tests/`."""
+    unused = _private_definitions_unreferenced()
+    assert not unused, f"private definitions nothing in affpi0 uses: {unused}"

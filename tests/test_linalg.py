@@ -10,7 +10,8 @@ import pytest
 import sympy
 
 from affpi0 import linalg
-from affpi0.polyring import GF, QQ, Polynomial, monomials_up_to
+from affpi0.polyring import GF, QQ, Polynomial
+from harnesses import monomials_up_to
 
 F3 = GF(3)
 

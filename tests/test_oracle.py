@@ -13,8 +13,7 @@ from fractions import Fraction
 import pytest
 
 from affpi0.polyring import (DEGREVLEX, GF, LEX, QQ, BlockOrder, Polynomial,
-                             elimination_ideal, groebner, monomials_up_to,
-                             normal_form)
+                             elimination_ideal, groebner, normal_form)
 from affpi0.solve import solve_system
 
 sympy = pytest.importorskip("sympy")
@@ -128,16 +127,6 @@ def test_leading_data_memo_is_keyed_by_order():
                 lm = max(g.terms, key=order.key)
                 assert g.leading_monomial(order) == lm
                 assert g.leading_coeff(order) == g.terms[lm]
-
-
-@pytest.mark.parametrize("order", [DEGREVLEX, LEX, BlockOrder(1),
-                                   BlockOrder(2)],
-                         ids=["degrevlex", "lex", "block1", "block2"])
-def test_heap_key_ascends_as_the_order_descends(order):
-    monos = list(monomials_up_to(3, 4))
-    random.Random(2).shuffle(monos)
-    assert (sorted(monos, key=order._heap_key)
-            == sorted(monos, key=order.key, reverse=True))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

@@ -99,6 +99,20 @@ def test_a_degree_past_the_field_width_raises_at_entry(field):
     assert normal_form(big, []) is big
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_an_lcm_past_the_field_width_raises(field):
+    """The pair update packs lcm(lm_i, lm_h): x^e and y^e pack, but their
+    lcm x^e·y^e of degree 2e does not, although the product criterion
+    would have dropped the pair."""
+    e = BOUND // 2
+    x_e = Polynomial.monomial((e, 0), field) - Polynomial.one(2, field)
+    y_e = Polynomial.monomial((0, e), field) - Polynomial.one(2, field)
+    x_less = Polynomial.monomial((e - 1, 0), field) - Polynomial.one(2, field)
+    assert len(groebner([x_less, y_e])) == 2
+    with pytest.raises(ResourceLimitError, match=f"{polyring._WIDTH}-bit"):
+        groebner([x_e, y_e])
+
+
 # ---------------------------------------------------------------------------
 # the checked kernel on the benchmark's system shapes
 

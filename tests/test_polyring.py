@@ -8,12 +8,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from affpi0 import polyring
 from affpi0.errors import ParseError, ResourceLimitError, RingMismatchError
 from affpi0.polyring import (FieldDescriptor, GF, GroebnerBasis, QQ,
                              Polynomial, elimination_ideal, groebner,
                              ideal_membership, monomial_divides,
-                             monomials_up_to, normal_form, poly_parse,
-                             set_limits, standard_monomials)
+                             normal_form, poly_parse, set_limits,
+                             standard_monomials)
+from harnesses import monomials_up_to
 
 
 def P(text, names, field=QQ):
@@ -420,6 +422,26 @@ def test_resource_guard_trips():
     try:
         with pytest.raises(ResourceLimitError):
             P("x+1", ["x"]) ** 20
+    finally:
+        set_limits(max_degree=64)
+
+
+def test_degree_guard_trips_before_the_product_is_built(monkeypatch):
+    """The degrees of nonzero factors add, so the guard needs no term of
+    the product: with `monomial_mul` failing, only the guard is reached."""
+    p, q = P("x^3 + y", ["x", "y"]), P("x*y^2 - 1", ["x", "y"])
+    assert (p * q).total_degree() == 6
+
+    def no_product(a, b):
+        raise AssertionError("product built past the degree guard")
+
+    set_limits(max_degree=5)
+    try:
+        monkeypatch.setattr(polyring, "monomial_mul", no_product)
+        with pytest.raises(ResourceLimitError, match="degree 6 exceeds"):
+            p * q
+        zero = Polynomial.zero(2, QQ)
+        assert (p * zero).is_zero and (zero * q).is_zero
     finally:
         set_limits(max_degree=64)
 
