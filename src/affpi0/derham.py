@@ -2,22 +2,23 @@
 
 For A = F[x1..xn]/(r1..rm) the degree-1 module is free on the symbols dx_i
 modulo the Jacobian rows of the relations; degree 2 is spanned by dx_i∧dx_j
-(i < j).  Membership in the Jacobian submodule is decided by exact linear
-algebra with a degree slack, so every reported kernel element carries an
-exact certificate; completeness beyond the cutoff is a stabilization
-heuristic, reported as such, never asserted.
+(i < j).  Membership in the Jacobian submodule is decided exactly, by a
+normal form in one Gröbner basis of Ω¹_A, so the kernel on a degree slice is
+exact and every reported element carries a certificate; completeness beyond
+the slice is a stabilization heuristic, reported as such, never asserted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import linalg
 from .algebra import AlgebraPresentation, ElementRep, PolynomialExtension
 from .errors import (PropertyViolationError, RingMismatchError,
                      UnsupportedFieldError)
-from .polyring import Monomial, Polynomial
+from .polyring import (GroebnerBasis, Monomial, Polynomial, groebner,
+                       normal_form)
 
 
 class DifferentialForm:
@@ -115,62 +116,45 @@ def exterior_derivative(omega: DifferentialForm) -> DifferentialForm:
 # membership in the Jacobian submodule
 
 
-def _span_rows(a: AlgebraPresentation, slack: int
-               ) -> list[dict[tuple[int, ...], Polynomial]]:
-    """Multiplier-monomial times Jacobian-row generators of the submodule."""
-    rows = []
-    multipliers = a.standard_monomials(slack)
-    for base in jacobian_rows(a):
-        for mult in multipliers:
-            row = DifferentialForm(a, 1, {idx: c.mul_monomial(mult) for idx, c
-                                          in base.coeffs.items()}).coeffs
-            if row:
-                rows.append(row)
-    return rows
+def _omega_basis(a: AlgebraPresentation) -> GroebnerBasis:
+    """Ω¹_A as the e-linear part of F[x, e]/(I, e_i·e_j, Σ_i ∂r/∂x_i·e_i).
+
+    The generators are homogeneous in e, so a degree-1 form is zero in Ω¹_A
+    exactly when its lift reduces to zero (G.-M. Greuel and G. Pfister, *A
+    Singular Introduction to Commutative Algebra*, ch. 2)."""
+    n = a.arity
+    squares = [Polynomial.monomial((0,) * n + tuple(
+        (k == i) + (k == j) for k in range(n)), a.field)
+        for i in range(n) for j in range(i, n)]
+    return groebner([g.extend_arity(2 * n, range(n)) for g in a.gb()]
+                    + squares + [_lift(row) for row in jacobian_rows(a)])
 
 
-def form_is_zero(omega: DifferentialForm, slack: int
+def _lift(omega: DifferentialForm) -> Polynomial:
+    """Σ c_i dx_i as Σ c_i·e_i in F[x, e]."""
+    n = omega.algebra.arity
+    return Polynomial(2 * n, omega.algebra.field, {
+        m + (0,) * i + (1,) + (0,) * (n - i - 1): v
+        for (i,), c in omega.coeffs.items() for m, v in c.terms.items()})
+
+
+def _reduced(omega: DifferentialForm, omega_gb: GroebnerBasis
+             ) -> Polynomial:
+    """The normal form of a degree-1 form in Ω¹_A (`_omega_basis`)."""
+    return normal_form(_lift(omega), omega_gb)
+
+
+def form_is_zero(omega: DifferentialForm
                  ) -> tuple[bool, DifferentialForm | None]:
     """Exact membership of a degree-1 form in the Jacobian submodule.
 
-    Multipliers range over standard monomials of degree <= slack.  On failure
-    the residual (the form itself, which has no expansion in that span) is
-    returned as evidence.
+    On failure the form itself is returned as evidence: its normal form in
+    Ω¹_A is nonzero.
     """
     if omega.degree != 1:
         raise ValueError("form_is_zero decides degree-1 forms")
-    if omega.is_zero:
-        return True, None
-    ok = _in_jacobian_span(omega, _span_rows(omega.algebra, slack))
+    ok = _reduced(omega, _omega_basis(omega.algebra)).is_zero
     return (True, None) if ok else (False, omega)
-
-
-def _in_jacobian_span(omega: DifferentialForm,
-                      span: list[dict[tuple[int, ...], Polynomial]]) -> bool:
-    a = omega.algebra
-    monomials = _support([*span, omega.coeffs])
-    return linalg.in_span([_flatten(a, row, monomials) for row in span],
-                          _flatten(a, omega.coeffs, monomials), a.field)
-
-
-def _support(forms: Iterable[dict[tuple[int, ...], Polynomial]]
-             ) -> list[Monomial]:
-    """The sorted monomials of the coefficients of degree-1 forms."""
-    return sorted({m for coeffs in forms for c in coeffs.values()
-                   for m in c.terms})
-
-
-def _flatten(a: AlgebraPresentation,
-             coeffs: dict[tuple[int, ...], Polynomial],
-             monomials: Sequence[Monomial]) -> list:
-    """A degree-1 form as one vector: the coordinates of its dx_i
-    coefficient in `monomials`, for i = 0..n-1 in turn."""
-    zeros = [a.field.zero()] * len(monomials)
-    flat = []
-    for i in range(a.arity):
-        c = coeffs.get((i,))
-        flat.extend(zeros if c is None else c.coefficients(monomials))
-    return flat
 
 
 # ---------------------------------------------------------------------------
@@ -195,40 +179,35 @@ class TruncatedKernel:
 def derham_h0(a: AlgebraPresentation, degree: int) -> TruncatedKernel:
     """Exact kernel of the universal derivation on the degree-<=D slice.
 
-    Every basis element is certified by exact membership of its differential
-    in the Jacobian submodule (with multiplier slack D+2); the stabilization
-    flag compares with the slice one degree lower.  That kernel is the part
-    of this one with no term of degree D, so the two agree exactly when no
-    basis element has degree D.
+    The kernel is the left kernel of the slice monomials' differentials,
+    reduced in one Gröbner basis of Ω¹_A, and every basis element is
+    certified by the same normal form; the stabilization flag compares with
+    the slice one degree lower.  That kernel is the part of this one with no
+    term of degree D, so the two agree exactly when no basis element has
+    degree D.
     """
-    span = _span_rows(a, degree + 2)
-    basis = _kernel_basis(a, degree, span)
+    omega_gb = _omega_basis(a)
+    basis = _kernel_basis(a, degree, omega_gb)
     stabilized = all(e.poly.total_degree() < degree for e in basis)
     for elem in basis:
-        omega = universal_derivation(elem)
-        if not (omega.is_zero or _in_jacobian_span(omega, span)):
+        if not _reduced(universal_derivation(elem), omega_gb).is_zero:
             raise PropertyViolationError(
                 "kernel element failed its certificate", witness=elem)
     return TruncatedKernel(a, degree, basis, stabilized, a.field.is_rational)
 
 
 def _kernel_basis(a: AlgebraPresentation, degree: int,
-                  span: list[dict[tuple[int, ...], Polynomial]]
-                  ) -> list[ElementRep]:
+                  omega_gb: GroebnerBasis) -> list[ElementRep]:
     slice_monos = a.standard_monomials(degree)
-    if not slice_monos:
-        return []
-    diffs = [universal_derivation(a.element(Polynomial.monomial(m, a.field)))
-             for m in slice_monos]
-    forms = [d.coeffs for d in diffs] + span
-    monomials = _support(forms)
-    # relations sum c_m d(m) + sum l_k row_k = 0 among the differentials of
-    # the slice monomials and the span rows; the slice parts c are the kernel
-    null = linalg.left_nullspace(
-        [_flatten(a, coeffs, monomials) for coeffs in forms], a.field)
-    slice_part = [vec[:len(slice_monos)] for vec in null]
+    reduced = [_reduced(universal_derivation(
+        a.element(Polynomial.monomial(m, a.field))), omega_gb)
+        for m in slice_monos]
+    support = sorted({m for r in reduced for m in r.terms})
+    # the relations sum c_m·nf(d(m)) = 0 are the kernel, as slice vectors
+    null = linalg.left_nullspace([r.coefficients(support) for r in reduced],
+                                 a.field)
     return [a.element(Polynomial.combination(a.arity, a.field, slice_monos, row))
-            for row in linalg.row_basis(slice_part, a.field)]
+            for row in linalg.row_basis(null, a.field)]
 
 
 def subalgebra_closure_check(kernel: TruncatedKernel) -> bool:

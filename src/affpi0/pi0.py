@@ -155,26 +155,31 @@ class IdempotentReport:
         return len(self.idempotents)
 
 
-def _root_solutions(a: AlgebraPresentation, k: int, degree: int,
-                    level1: MapSpacePresentation | None = None
-                    ) -> tuple[list[ElementRep], bool]:
-    """Solve e^k = e with e supported on the degree-bounded slice.
+def _level1_cut(a: AlgebraPresentation, degree: int,
+                level1: MapSpacePresentation | None = None
+                ) -> tuple[list, list[list]]:
+    """The slice's monomials and a basis of its level-1 equalizer cut;
+    `level1` is M_1(A, F[x]) when the caller has already built it."""
+    if level1 is None:
+        level1 = mapspace_presentation(a, _line_algebra(a.field), 1)
+    slice_monos = a.standard_monomials(degree)
+    identity = linalg.identity_matrix(len(slice_monos), a.field)
+    return slice_monos, linalg.row_basis(
+        _equalizer_cut(level1, slice_monos, identity, degree), a.field)
 
-    The unknowns are the coordinates of the slice's level-1 equalizer cut,
-    which holds every solution: the image of e in M_1[x] solves e^k = e, so
-    f = e^(k-1) is an idempotent of a polynomial ring, hence constant, and
-    (k·f - 1)·e' = 0 with k·f - 1 a unit when char ∤ k-1, so e' = 0; in
-    characteristic p that puts e in M_1[x^p], where the same argument lowers
-    the degree, so e is constant and both evaluations agree.  `level1` is
-    M_1(A, F[x]) when the caller has already built it.
+
+def _root_solutions(a: AlgebraPresentation, k: int, slice_monos: Sequence,
+                    cut: list[list]) -> tuple[list[ElementRep], bool]:
+    """Solve e^k = e with e supported on the slice `slice_monos`.
+
+    The unknowns are the coordinates of the slice's level-1 equalizer cut
+    `cut`, which holds every solution: the image of e in M_1[x] solves
+    e^k = e, so f = e^(k-1) is an idempotent of a polynomial ring, hence
+    constant, and (k·f - 1)·e' = 0 with k·f - 1 a unit when char ∤ k-1, so
+    e' = 0; in characteristic p that puts e in M_1[x^p], where the same
+    argument lowers the degree, so e is constant and both evaluations agree.
     """
     field = a.field
-    slice_monos = a.standard_monomials(degree)
-    if level1 is None:
-        level1 = mapspace_presentation(a, _line_algebra(field), 1)
-    identity = linalg.identity_matrix(len(slice_monos), field)
-    cut = linalg.row_basis(
-        _equalizer_cut(level1, slice_monos, identity, degree), field)
     r = len(cut)
     # generic element over the cut's coordinates u, in A ⊗ F[u]
     ring = tensor_product(a, AlgebraPresentation(
@@ -202,8 +207,7 @@ def _root_solutions(a: AlgebraPresentation, k: int, degree: int,
 
 def idempotent_search(a: AlgebraPresentation, degree: int) -> IdempotentReport:
     """All idempotents supported on the slice, with an exactness flag."""
-    elems, complete = _root_solutions(a, 2, degree)
-    return IdempotentReport(elems, complete)
+    return IdempotentReport(*_root_solutions(a, 2, *_level1_cut(a, degree)))
 
 
 def primitive_idempotents(report: IdempotentReport) -> list[ElementRep]:
@@ -234,8 +238,7 @@ def iskp_subalgebra(a: AlgebraPresentation, k: int, degree: int
     char = a.field.char
     if char and (k - 1) % char == 0:
         raise HypothesisError(f"characteristic {char} divides k-1 = {k - 1}")
-    elems, complete = _root_solutions(a, k, degree)
-    return RootSubalgebra(k, elems, complete)
+    return RootSubalgebra(k, *_root_solutions(a, k, *_level1_cut(a, degree)))
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +264,14 @@ def pi0_presentation(a: AlgebraPresentation, degree: int,
                      tower: int = 3) -> Pi0Result:
     """Present the path-component subalgebra and count components.
 
-    Characteristic zero only: the de Rham kernel is the subalgebra (the
-    equalizer route cross-checks it), presented on fresh variables through an
-    elimination ideal.  The component count is emitted only when the
-    idempotent search is certified complete, and either A is
-    finite-dimensional (the search then covers all of A, beyond the slice if
-    need be) or A looks reduced on the computed slice.  The equalizer
-    cross-check runs on levels 1..min(tower, 2); tower < 1 would check no
-    level, so it is a HypothesisError, as in `equalizer_subspace`.
+    Characteristic zero only: the de Rham kernel is the subalgebra, presented
+    on fresh variables through an elimination ideal.  Each kernel element
+    must pass the equalizer at levels 1..min(tower, 2), and the slice's
+    level-1 cut must have the kernel's dimension (tower < 1 would check no
+    level: a HypothesisError).  The component count is emitted only when the
+    idempotent search is complete, and either A is finite-dimensional (the
+    search then covers all of A) or A looks reduced on the slice and the
+    count is no lower than the presented subalgebra's.
     """
     if not a.field.is_rational:
         raise UnsupportedFieldError(
@@ -284,22 +287,40 @@ def pi0_presentation(a: AlgebraPresentation, degree: int,
             raise PropertyViolationError(
                 "derham kernel element fails the equalizer route",
                 witness=(elem, verdict.level))
-    basis = kernel.basis
-    pres, incl = _subalgebra_presentation(a, basis)
-    level1 = levels[0]
-    idem = IdempotentReport(*_root_solutions(a, 2, degree, level1))
+    # the loop above proves containment, so equal dimensions prove equality
+    slice_monos, cut = _level1_cut(a, degree, levels[0])
+    if len(cut) != kernel.dimension:
+        raise PropertyViolationError(
+            "derham kernel and level-1 equalizer cut differ in dimension",
+            witness=(kernel.dimension, len(cut)))
+    pres, incl = _subalgebra_presentation(a, kernel.basis)
+    idem = IdempotentReport(*_root_solutions(a, 2, slice_monos, cut))
     search = idem
     whole = a.finite_basis()
     if whole is not None:
         top = max(map(sum, whole), default=0)
         if top > degree:
-            search = IdempotentReport(*_root_solutions(a, 2, top, level1))
+            search = IdempotentReport(*_root_solutions(
+                a, 2, *_level1_cut(a, top, levels[0])))
     count = None
     if search.complete and (whole is not None
                             or _no_nilpotents_on_slice(a, degree)):
         prims = primitive_idempotents(search)
         count = len(prims) if prims else (0 if a.is_zero_algebra() else 1)
-    return Pi0Result(basis, pres, incl, idem, count, degree, tower)
+        if whole is None and count < _components_at_least(pres):
+            count = None
+    return Pi0Result(kernel.basis, pres, incl, idem, count, degree, tower)
+
+
+def _components_at_least(pres: AlgebraPresentation) -> int:
+    """A certified lower bound on the component count of A: the count of
+    the presented subalgebra, whose idempotents are idempotents of A, when
+    it is finite and its search completes; 0 otherwise."""
+    whole = pres.finite_basis()
+    if whole is None:
+        return 0
+    search = idempotent_search(pres, max(map(sum, whole), default=0))
+    return len(primitive_idempotents(search)) if search.complete else 0
 
 
 def _subalgebra_presentation(a: AlgebraPresentation,

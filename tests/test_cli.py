@@ -577,14 +577,60 @@ def test_unexpected_exception_is_an_internal_report(files, capsys,
 
 
 def test_derham_certificate_failure_exit_1(files, capsys, monkeypatch):
-    """A kernel element whose differential is not certified zero is a
-    property failure: t has dt != 0 in Ω(Q[t]/(t^2 - t)) as a raw form."""
+    """A kernel element whose differential does not reduce to zero in Ω¹ is
+    a property failure.  A normal form shifted by a constant is affine, not
+    linear: the slice monomials 1 and t of Q[t]/(t^2 - t) both reduce to 1,
+    so the kernel holds t - 1, whose own normal form is then 1."""
     from affpi0 import derham
-    monkeypatch.setattr(derham, "_in_jacobian_span",
-                        lambda omega, span: False)
+    from affpi0.polyring import Polynomial
+    reduced = derham._reduced
+
+    def shifted(omega, omega_gb):
+        nf = reduced(omega, omega_gb)
+        return nf + Polynomial.one(nf.arity, nf.field)
+
+    monkeypatch.setattr(derham, "_reduced", shifted)
     code, rep = run_json(["derham", "h0", files["idem"]], capsys)
     assert code == 1 and rep["kind"] == "property"
     assert rep["error"] == "kernel element failed its certificate"
+
+
+FOUR_PARABOLAS = {"field": "Q", "vars": ["x", "y"],
+                  "relations": ["(y - x^2)*(y - x^2 - 1)*(y - x^2 - 2)"
+                                "*(y - x^2 - 3)"]}
+
+
+def test_derham_h0_of_four_parabolas_is_exact(files, capsys):
+    """d(y - x^2) = 0, since f'(u) is a unit for u = y - x^2; the multiplier
+    that shows it has degree 6."""
+    doc = files["tmp"] / "four.json"
+    doc.write_text(json.dumps(FOUR_PARABOLAS))
+    code, rep = run_json(["derham", "h0", str(doc), "--deg", "2"], capsys)
+    assert code == 0
+    assert rep["result"]["dimension"] == 2
+    assert rep["result"]["basis"] == ["1", "-x^2 + y"]
+    code, rep = run_json(["pi0", str(doc), "--method", "all", "--deg", "2",
+                          "--tower", "1"], capsys)
+    assert code == 0
+    res = rep["result"]
+    assert res["derham"]["dimension"] == res["equalizer"]["dimension"] == 2
+    assert res["derham"]["component_count"] is None
+
+
+def test_pi0_with_a_dropped_derham_element_exit_1(files, capsys,
+                                                 monkeypatch):
+    from affpi0 import pi0
+    kernel = pi0.derham_h0
+
+    def short(a, degree):
+        k = kernel(a, degree)
+        k.basis = k.basis[:-1]
+        return k
+
+    monkeypatch.setattr(pi0, "derham_h0", short)
+    code, rep = run_json(["pi0", files["cubic"], "--deg", "2"], capsys)
+    assert code == 1 and rep["kind"] == "property"
+    assert "level-1 equalizer" in rep["error"]
 
 
 def test_derham_integration_with_a_doubled_phi1_exit_1(files, capsys,

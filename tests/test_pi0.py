@@ -61,6 +61,49 @@ def test_equalizer_subspace_matches_derham_on_desk_examples():
         assert eq.dimension == dr.dimension
 
 
+def parabolas(copies: int) -> str:
+    """The relation of `copies` disjoint parabolas y = x^2 + i."""
+    return "*".join(f"(y - x^2 - {i})" for i in range(copies))
+
+
+LEVEL1_LAW_ALGEBRAS = {
+    # algebras the tests use
+    "three_points": (["x"], ["x^3 - x"]),
+    "two_points": (["e"], ["e^2 - e"]),
+    "four_points": (["x"], ["x^4 - 1"]),
+    "line": (["t"], []),
+    "circle": (["x", "y"], ["x^2 + y^2 - 1"]),
+    "node": (["x", "y"], ["x*y"]),
+    "cusp": (["x", "y"], ["y^2 - x^3"]),
+    "nodal_cubic": (["x", "y"], ["y^2 - x^2 - x^3"]),
+    "hyperbola": (["x", "y"], ["x*y - 1"]),
+    "two_lines": (["x", "y"], ["y^2 - y"]),
+    "line_and_point": (["x", "y"], ["x*y", "x^2 - x"]),
+    # families whose component counts the slice misses
+    "two_cubics": (["x", "y"], ["(y - x^3)*(y - x^3 - 1)"]),
+    "two_hyperbolas": (["x", "y"], ["(x*y - 1)*(x*y - 2)"]),
+    "two_parabolas": (["x", "y"], [parabolas(2)]),
+    "three_parabolas": (["x", "y"], [parabolas(3)]),
+    "four_parabolas": (["x", "y"], [parabolas(4)]),
+    # nonreduced
+    "x2": (["x"], ["x^2"]),
+    "x3": (["x"], ["x^3"]),
+    "x2_xy": (["x", "y"], ["x^2", "x*y"]),
+}
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", sorted(LEVEL1_LAW_ALGEBRAS))
+def test_derham_slice_kernel_is_the_level_one_equalizer_cut(name, degree):
+    """In characteristic 0, da = 0 exactly when a passes the equalizer at
+    level 1, since M_1(A, F[t]) maps to A ⊕ Ω¹_A by p -> x, q -> dx.  Both
+    routes give the canonical (row-reduced) basis of their span."""
+    a = A_of(QQ, *LEVEL1_LAW_ALGEBRAS[name])
+    derham_span = [e.to_string() for e in derham.derham_h0(a, degree).basis]
+    cut = [e.to_string() for e in equalizer_subspace(a, degree, 1).basis]
+    assert derham_span == cut
+
+
 def test_equalizer_subspace_connected_circle():
     a = A_of(QQ, ["x", "y"], ["x^2 + y^2 - 1"])
     eq = equalizer_subspace(a, 4, 2)
@@ -245,6 +288,32 @@ def test_pi0_whole_algebra_search_reports_its_guard():
     a = A_of(QQ, ["x"], ["(x - 1)*(x + 2)*(x - 4)*(x + 5)"])
     with pytest.raises(ResourceLimitError):
         pi0_presentation(a, 1, 2)
+
+
+@pytest.mark.parametrize("copies, degree, count", [
+    (3, 2, None), (3, 4, 3), (4, 2, None), (4, 4, None)])
+def test_pi0_never_counts_below_the_presented_subalgebra(copies, degree,
+                                                         count):
+    """The presented subalgebra's idempotents are idempotents of A, so its
+    count bounds A's from below; a slice count under it is withheld.  At
+    tower 1, since the level-2 check costs seconds on these algebras."""
+    a = A_of(QQ, ["x", "y"], [parabolas(copies)])
+    assert pi0_presentation(a, degree, 1).component_count == count
+
+
+def test_pi0_with_a_dropped_derham_element_fails(monkeypatch):
+    """The elements left still pass the equalizer, so only the comparison
+    of dimensions with the level-1 cut sees the loss."""
+    kernel = pi0_mod.derham_h0
+
+    def short(a, degree):
+        k = kernel(a, degree)
+        k.basis = k.basis[:-1]
+        return k
+
+    monkeypatch.setattr(pi0_mod, "derham_h0", short)
+    with pytest.raises(PropertyViolationError, match="level-1 equalizer"):
+        pi0_presentation(CUBIC, 2)
 
 
 def _record_line_levels(monkeypatch) -> list:
