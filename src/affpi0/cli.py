@@ -184,6 +184,11 @@ def cmd_pi0(args) -> dict:
                             "basis": [e.to_string() for e in eq.basis],
                             "label": ("pi0" if a.field.is_rational
                                       else "pi0-candidate")}
+        # both bases are canonical, and equal in characteristic 0
+        if "derham" in out and eq.basis != res.basis:
+            raise PropertyViolationError(
+                "equalizer and derham bases differ",
+                witness=(out["derham"]["basis"], out["equalizer"]["basis"]))
     if args.method in ("idempotent", "all"):
         if rep is None:
             rep = pi0_mod.idempotent_search(a, args.deg)

@@ -28,10 +28,6 @@ from .solve import SolveResult, solve_system
 # equalizer route
 
 
-def _line_algebra(field) -> AlgebraPresentation:
-    return AlgebraPresentation(field, ["x"], [])
-
-
 @dataclass
 class EqualizerVerdict:
     passed: bool
@@ -46,10 +42,17 @@ def equalizer_membership(a: AlgebraPresentation, elem: ElementRep,
     At each level d = 1..towerdepth the image of the element in
     F[x] ⊗ M_d(A, F[x]) is evaluated at x=0 and x=1; the difference must lie
     in the level ideal.  Returns the first failing level with its residual.
+    With towerdepth < 1 no level would be checked, so that is a
+    HypothesisError.
     """
     if elem.algebra != a:
         raise ValueError("element of a different algebra")
-    return _verdict(_line_levels(a, towerdepth), elem.poly, towerdepth)
+    _require_tower(towerdepth)
+    for d, m in enumerate(_line_levels(a, towerdepth), start=1):
+        diff = _evaluation_difference(m, elem.poly)
+        if not diff.is_zero:
+            return EqualizerVerdict(False, d, diff)
+    return EqualizerVerdict(True, towerdepth, None)
 
 
 def _line_levels(a: AlgebraPresentation, towerdepth: int
@@ -59,19 +62,9 @@ def _line_levels(a: AlgebraPresentation, towerdepth: int
     Level 0 is degenerate: the image of every element is x-free there, so
     the equalizer test never fails on it.
     """
-    line = _line_algebra(a.field)
+    line = AlgebraPresentation(a.field, ["x"], [])
     return (mapspace_presentation(a, line, d)
             for d in range(1, towerdepth + 1))
-
-
-def _verdict(levels: Iterable[MapSpacePresentation], poly: Polynomial,
-             towerdepth: int) -> EqualizerVerdict:
-    """The equalizer test of one element on levels 1..towerdepth, in order."""
-    for d, m in enumerate(levels, start=1):
-        diff = _evaluation_difference(m, poly)
-        if not diff.is_zero:
-            return EqualizerVerdict(False, d, diff)
-    return EqualizerVerdict(True, towerdepth, None)
 
 
 def _evaluation_difference(m: MapSpacePresentation, poly: Polynomial
@@ -107,16 +100,9 @@ def equalizer_subspace(a: AlgebraPresentation, degree: int, tower: int
     tower < 1 no level would be checked, so that is a HypothesisError.
     """
     _require_tower(tower)
-    slice_monos = a.standard_monomials(degree)
-    current = linalg.identity_matrix(len(slice_monos), a.field)
-    for m in _line_levels(a, tower):
-        current = _equalizer_cut(m, slice_monos, current, degree)
-        if not current:
-            break
-    basis = [a.element(Polynomial.combination(a.arity, a.field, slice_monos,
-                                              row))
-             for row in linalg.row_basis(current, a.field)]
-    return EqualizerSubspace(a, degree, tower, basis)
+    slice_monos, cut = _cut(a, degree, _line_levels(a, tower))
+    return EqualizerSubspace(a, degree, tower,
+                             _slice_elements(a, slice_monos, cut))
 
 
 def _require_tower(tower: int) -> None:
@@ -141,6 +127,28 @@ def _equalizer_cut(m: MapSpacePresentation, slice_monos: Sequence,
     return linalg.mat_mul(linalg.left_nullspace(rows, field), current, field)
 
 
+def _cut(a: AlgebraPresentation, degree: int,
+         levels: Iterable[MapSpacePresentation]) -> tuple[list, list[list]]:
+    """The slice's monomials and the canonical basis (the RREF rows) of the
+    slice vectors that pass the equalizer at every level in `levels`; a
+    lazy `levels` is not built past the level that empties the cut."""
+    slice_monos = a.standard_monomials(degree)
+    current = linalg.identity_matrix(len(slice_monos), a.field)
+    for m in levels:
+        current = _equalizer_cut(m, slice_monos, current, degree)
+        if not current:
+            break
+    return slice_monos, linalg.row_basis(current, a.field)
+
+
+def _slice_elements(a: AlgebraPresentation, slice_monos: Sequence,
+                    rows: Iterable[Sequence]) -> list[ElementRep]:
+    """The elements whose coordinates over `slice_monos` are `rows`."""
+    return [a.element(Polynomial.combination(a.arity, a.field, slice_monos,
+                                             row))
+            for row in rows]
+
+
 # ---------------------------------------------------------------------------
 # idempotent and k-th root solvers
 
@@ -153,19 +161,6 @@ class IdempotentReport:
     @property
     def count(self) -> int:
         return len(self.idempotents)
-
-
-def _level1_cut(a: AlgebraPresentation, degree: int,
-                level1: MapSpacePresentation | None = None
-                ) -> tuple[list, list[list]]:
-    """The slice's monomials and a basis of its level-1 equalizer cut;
-    `level1` is M_1(A, F[x]) when the caller has already built it."""
-    if level1 is None:
-        level1 = mapspace_presentation(a, _line_algebra(a.field), 1)
-    slice_monos = a.standard_monomials(degree)
-    identity = linalg.identity_matrix(len(slice_monos), a.field)
-    return slice_monos, linalg.row_basis(
-        _equalizer_cut(level1, slice_monos, identity, degree), a.field)
 
 
 def _root_solutions(a: AlgebraPresentation, k: int, slice_monos: Sequence,
@@ -196,8 +191,7 @@ def _root_solutions(a: AlgebraPresentation, k: int, slice_monos: Sequence,
     result: SolveResult = solve_system(system, r, field)
     # slice coordinates, sorted as the solver sorts them
     vectors = sorted(map(tuple, linalg.mat_mul(result.solutions, cut, field)))
-    elems = [a.element(Polynomial.combination(a.arity, field, slice_monos, v))
-             for v in vectors]
+    elems = _slice_elements(a, slice_monos, vectors)
     for e in elems:
         if (e ** k) != e:
             raise PropertyViolationError("solver returned a non-solution",
@@ -207,7 +201,8 @@ def _root_solutions(a: AlgebraPresentation, k: int, slice_monos: Sequence,
 
 def idempotent_search(a: AlgebraPresentation, degree: int) -> IdempotentReport:
     """All idempotents supported on the slice, with an exactness flag."""
-    return IdempotentReport(*_root_solutions(a, 2, *_level1_cut(a, degree)))
+    return IdempotentReport(*_root_solutions(
+        a, 2, *_cut(a, degree, _line_levels(a, 1))))
 
 
 def primitive_idempotents(report: IdempotentReport) -> list[ElementRep]:
@@ -238,7 +233,8 @@ def iskp_subalgebra(a: AlgebraPresentation, k: int, degree: int
     char = a.field.char
     if char and (k - 1) % char == 0:
         raise HypothesisError(f"characteristic {char} divides k-1 = {k - 1}")
-    return RootSubalgebra(k, *_root_solutions(a, k, *_level1_cut(a, degree)))
+    return RootSubalgebra(k, *_root_solutions(
+        a, k, *_cut(a, degree, _line_levels(a, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +249,6 @@ class Pi0Result:
     idempotents: IdempotentReport
     component_count: int | None
     degree: int
-    tower: int | None
 
     @property
     def dimension(self) -> int:
@@ -265,13 +260,15 @@ def pi0_presentation(a: AlgebraPresentation, degree: int,
     """Present the path-component subalgebra and count components.
 
     Characteristic zero only: the de Rham kernel is the subalgebra, presented
-    on fresh variables through an elimination ideal.  Each kernel element
-    must pass the equalizer at levels 1..min(tower, 2), and the slice's
-    level-1 cut must have the kernel's dimension (tower < 1 would check no
-    level: a HypothesisError).  The component count is emitted only when the
-    idempotent search is complete, and either A is finite-dimensional (the
-    search then covers all of A) or A looks reduced on the slice and the
-    count is no lower than the presented subalgebra's.
+    on fresh variables through an elimination ideal.  In characteristic 0
+    the slice's level-1 equalizer cut is that kernel, so both are computed
+    and their canonical bases (RREF rows over the slice monomials) must be
+    equal; no level above 1 is built.  `tower` is only checked, since the
+    equalizer route has no level below 1 (tower < 1 is a HypothesisError);
+    ROADMAP item 8 may drop it.  The component count is emitted only when
+    the idempotent search is complete, and either A is finite-dimensional
+    (the search then covers all of A) or A looks reduced on the slice and
+    the count is no lower than the presented subalgebra's.
     """
     if not a.field.is_rational:
         raise UnsupportedFieldError(
@@ -279,20 +276,12 @@ def pi0_presentation(a: AlgebraPresentation, degree: int,
             "equalizer and idempotent routes run")
     _require_tower(tower)
     kernel = derham_h0(a, degree)
-    depth = min(tower, 2)
-    levels = list(_line_levels(a, depth))
-    for elem in kernel.basis:
-        verdict = _verdict(levels, elem.poly, depth)
-        if not verdict.passed:
-            raise PropertyViolationError(
-                "derham kernel element fails the equalizer route",
-                witness=(elem, verdict.level))
-    # the loop above proves containment, so equal dimensions prove equality
-    slice_monos, cut = _level1_cut(a, degree, levels[0])
-    if len(cut) != kernel.dimension:
+    level1 = list(_line_levels(a, 1))
+    slice_monos, cut = _cut(a, degree, level1)
+    if [e.poly.coefficients(slice_monos) for e in kernel.basis] != cut:
         raise PropertyViolationError(
-            "derham kernel and level-1 equalizer cut differ in dimension",
-            witness=(kernel.dimension, len(cut)))
+            "derham kernel and level-1 equalizer cut differ",
+            witness=(kernel.basis, _slice_elements(a, slice_monos, cut)))
     pres, incl = _subalgebra_presentation(a, kernel.basis)
     idem = IdempotentReport(*_root_solutions(a, 2, slice_monos, cut))
     search = idem
@@ -301,7 +290,7 @@ def pi0_presentation(a: AlgebraPresentation, degree: int,
         top = max(map(sum, whole), default=0)
         if top > degree:
             search = IdempotentReport(*_root_solutions(
-                a, 2, *_level1_cut(a, top, levels[0])))
+                a, 2, *_cut(a, top, level1)))
     count = None
     if search.complete and (whole is not None
                             or _no_nilpotents_on_slice(a, degree)):
@@ -309,7 +298,7 @@ def pi0_presentation(a: AlgebraPresentation, degree: int,
         count = len(prims) if prims else (0 if a.is_zero_algebra() else 1)
         if whole is None and count < _components_at_least(pres):
             count = None
-    return Pi0Result(kernel.basis, pres, incl, idem, count, degree, tower)
+    return Pi0Result(kernel.basis, pres, incl, idem, count, degree)
 
 
 def _components_at_least(pres: AlgebraPresentation) -> int:

@@ -1,8 +1,9 @@
-"""The names that the benchmark in perfbench/ binds are still in affpi0.
+"""The names and calls that the benchmark in perfbench/ binds still work.
 
 perfbench/ is read and never written: its modules are loaded without
 bytecode caches.  A change that deletes a function, method or module the
-benchmark calls or traces fails here instead of in a benchmark run.
+benchmark calls or traces, or changes the signature of a call it makes,
+fails here instead of in a benchmark run.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ def bench():
     saved = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
     try:
-        modules = {name: _load(name) for name in ("jobs", "tracer", "worker")}
+        modules = {name: _load(name) for name in ("checks", "jobs", "tracer",
+                                               "worker")}
     finally:
         sys.dont_write_bytecode = saved
     for short in modules["tracer"].MODULES:
@@ -56,3 +58,16 @@ def test_worker_builds_every_seed_one_job(bench, workload, tmp_path):
     for job in jobs:
         call, answer = bench["worker"].build(job, str(tmp_path))
         assert callable(call) and callable(answer), job["name"]
+
+
+@pytest.mark.parametrize("workload", ["gb-systems", "pi0-routes"])
+def test_worker_answers_the_first_seed_one_job_of_each_kind(bench, workload,
+                                                            tmp_path):
+    _, jobs = bench["jobs"].job_list(workload, 1)
+    first = {}
+    for job in jobs:
+        first.setdefault(job["kind"], job)
+    checker = bench["checks"].Checker()
+    for job in first.values():
+        call, answer = bench["worker"].build(job, str(tmp_path))
+        assert checker.check(job, answer(call())) is None, job["name"]

@@ -633,6 +633,25 @@ def test_pi0_with_a_dropped_derham_element_exit_1(files, capsys,
     assert "level-1 equalizer" in rep["error"]
 
 
+def test_pi0_all_with_a_short_equalizer_basis_exit_1(files, capsys,
+                                                    monkeypatch):
+    """`--method all` compares the equalizer basis at the requested tower
+    with the de Rham basis; both are canonical, so they must be equal."""
+    from affpi0 import pi0
+    subspace = pi0.equalizer_subspace
+
+    def short(a, degree, tower):
+        eq = subspace(a, degree, tower)
+        eq.basis = eq.basis[:-1]
+        return eq
+
+    monkeypatch.setattr(pi0, "equalizer_subspace", short)
+    code, rep = run_json(["pi0", files["cubic"], "--deg", "2"], capsys)
+    assert code == 1 and rep["kind"] == "property"
+    assert "equalizer and derham bases differ" in rep["error"]
+    assert rep["witness"] == str((["1", "x", "x^2"], ["1", "x"]))
+
+
 def test_derham_integration_with_a_doubled_phi1_exit_1(files, capsys,
                                                       monkeypatch):
     from affpi0 import derham

@@ -46,6 +46,13 @@ def test_equalizer_free_variable_fails_at_level_one():
     assert verdict.residual.total_degree() == 1
 
 
+def test_equalizer_membership_needs_a_checked_level():
+    # tower 0 checks no level, so a pass would say nothing about t
+    a = A_of(QQ, ["t"], [])
+    with pytest.raises(HypothesisError, match="tower >= 1"):
+        equalizer_membership(a, a.element("t"), 0)
+
+
 def test_equalizer_unit_always_passes():
     verdict = equalizer_membership(CUBIC, CUBIC.one_element(), 3)
     assert verdict.passed
@@ -296,14 +303,15 @@ def test_pi0_never_counts_below_the_presented_subalgebra(copies, degree,
                                                          count):
     """The presented subalgebra's idempotents are idempotents of A, so its
     count bounds A's from below; a slice count under it is withheld.  At
-    tower 1, since the level-2 check costs seconds on these algebras."""
+    tower 1 and at the CLI's default tower 2."""
     a = A_of(QQ, ["x", "y"], [parabolas(copies)])
-    assert pi0_presentation(a, degree, 1).component_count == count
+    for tower in (1, 2):
+        assert pi0_presentation(a, degree, tower).component_count == count
 
 
 def test_pi0_with_a_dropped_derham_element_fails(monkeypatch):
     """The elements left still pass the equalizer, so only the comparison
-    of dimensions with the level-1 cut sees the loss."""
+    with the level-1 cut sees the loss."""
     kernel = pi0_mod.derham_h0
 
     def short(a, degree):
@@ -314,6 +322,23 @@ def test_pi0_with_a_dropped_derham_element_fails(monkeypatch):
     monkeypatch.setattr(pi0_mod, "derham_h0", short)
     with pytest.raises(PropertyViolationError, match="level-1 equalizer"):
         pi0_presentation(CUBIC, 2)
+
+
+def test_pi0_with_a_derham_basis_of_the_wrong_span_fails(monkeypatch):
+    """A kernel basis of the cut's dimension but another span: comparing
+    dimensions would miss it, comparing canonical bases does not."""
+    kernel = pi0_mod.derham_h0
+
+    def moved(a, degree):
+        k = kernel(a, degree)
+        assert k.basis == [a.one_element()]
+        k.basis = [a.element("x")]
+        return k
+
+    monkeypatch.setattr(pi0_mod, "derham_h0", moved)
+    circle = A_of(QQ, ["x", "y"], ["x^2 + y^2 - 1"])
+    with pytest.raises(PropertyViolationError, match="level-1 equalizer"):
+        pi0_presentation(circle, 2)
 
 
 def _record_line_levels(monkeypatch) -> list:
@@ -329,9 +354,13 @@ def _record_line_levels(monkeypatch) -> list:
 
 
 def test_pi0_presentation_never_builds_level_zero(monkeypatch):
+    """Nor any level above 1, at any tower: the de Rham kernel is checked
+    against the level-1 cut alone."""
     levels = _record_line_levels(monkeypatch)
-    pi0_presentation(CUBIC, 2, 3)
-    assert levels == [1, 2]
+    for tower in (1, 2, 3):
+        levels.clear()
+        pi0_presentation(CUBIC, 2, tower)
+        assert levels == [1], tower
 
 
 def test_equalizer_routes_never_build_level_zero(monkeypatch):
