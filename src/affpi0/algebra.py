@@ -67,6 +67,14 @@ class AlgebraPresentation:
     def element(self, p: Polynomial | str) -> "ElementRep":
         return ElementRep(self, self.nf(p))
 
+    def elements(self, monomials: Sequence[Monomial],
+                 rows: Iterable[Sequence]) -> list["ElementRep"]:
+        """The elements whose coefficient vectors over `monomials` are
+        `rows`."""
+        return [self.element(Polynomial.combination(self.arity, self.field,
+                                                    monomials, row))
+                for row in rows]
+
     def zero_element(self) -> "ElementRep":
         return ElementRep(self, Polynomial.zero(self.arity, self.field))
 

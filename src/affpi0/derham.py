@@ -202,12 +202,8 @@ def _kernel_basis(a: AlgebraPresentation, degree: int,
     reduced = [_reduced(universal_derivation(
         a.element(Polynomial.monomial(m, a.field))), omega_gb)
         for m in slice_monos]
-    support = sorted({m for r in reduced for m in r.terms})
     # the relations sum c_m·nf(d(m)) = 0 are the kernel, as slice vectors
-    null = linalg.left_nullspace([r.coefficients(support) for r in reduced],
-                                 a.field)
-    return [a.element(Polynomial.combination(a.arity, a.field, slice_monos, row))
-            for row in linalg.row_basis(null, a.field)]
+    return a.elements(slice_monos, linalg.relations(reduced, a.field))
 
 
 def subalgebra_closure_check(kernel: TruncatedKernel) -> bool:

@@ -2,7 +2,8 @@
 
 Matrices are lists of rows of field scalars (Fraction or residues).  The
 vocabulary the geometry modules share: RREF, the canonical row basis, rank,
-right and left kernels, membership of a vector in a row span, and products.
+right and left kernels, the relations among polynomials, membership of a
+vector in a row span, and products.
 Everything is exact; no pivoting heuristics needed.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .polyring import FieldDescriptor
+from .polyring import FieldDescriptor, Polynomial
 
 
 def rref(rows: list[list], field: FieldDescriptor) -> tuple[list[list], list[int]]:
@@ -69,6 +70,15 @@ def nullspace(rows: list[list], ncols: int, field: FieldDescriptor) -> list[list
 def left_nullspace(rows: list[list], field: FieldDescriptor) -> list[list]:
     """Basis of the relations {w : w·rows = 0} among the rows."""
     return nullspace([list(col) for col in zip(*rows)], len(rows), field)
+
+
+def relations(polys: Sequence[Polynomial], field: FieldDescriptor
+              ) -> list[list]:
+    """The canonical basis (the RREF rows) of {w : Σ w_i·polys_i = 0}, read
+    over the monomials the polynomials use."""
+    support = sorted({m for p in polys for m in p.terms})
+    return row_basis(left_nullspace([p.coefficients(support) for p in polys],
+                                    field), field)
 
 
 def in_span(rows: list[list], target: list, field: FieldDescriptor) -> bool:

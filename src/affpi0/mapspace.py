@@ -27,7 +27,7 @@ from .algebra import (AlgebraMorphism, AlgebraPresentation, ElementRep,
                       TensorPresentation, direct_sum, enumerate_hom,
                       enumerate_points, field_algebra, tensor_morphism,
                       tensor_product)
-from .errors import (MorphismError, PropertyViolationError,
+from .errors import (HypothesisError, MorphismError, PropertyViolationError,
                      RingMismatchError, TruncationError)
 from .polyring import Monomial, Polynomial, monomial_divides
 
@@ -130,6 +130,15 @@ def mapspace_presentation(a: AlgebraPresentation, b: AlgebraPresentation,
     if isinstance(trunc, int):
         trunc = b.standard_monomials(trunc)
     return MapSpacePresentation(a, b, trunc)
+
+
+def require_tower(tower: int) -> None:
+    """Level 0 of a tower holds only the constant families (B's degree-0
+    monomials), so nothing varies along it: a route over levels 1..tower
+    needs tower >= 1, else it is a HypothesisError."""
+    if tower < 1:
+        raise HypothesisError(f"the map-space tower needs tower >= 1 (level 0 "
+                              f"is degenerate), got {tower}")
 
 
 def structural_morphism(small: MapSpacePresentation, big: MapSpacePresentation

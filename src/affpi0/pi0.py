@@ -11,7 +11,7 @@ other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from . import linalg
 from .algebra import (AlgebraMorphism, AlgebraPresentation, ElementRep,
@@ -19,7 +19,8 @@ from .algebra import (AlgebraMorphism, AlgebraPresentation, ElementRep,
 from .derham import derham_h0
 from .errors import (HypothesisError, PropertyViolationError,
                      UnsupportedFieldError)
-from .mapspace import MapSpacePresentation, mapspace_presentation
+from .mapspace import (MapSpacePresentation, mapspace_presentation,
+                       require_tower)
 from .polyring import Polynomial, elimination_ideal
 from .solve import SolveResult, solve_system
 
@@ -47,35 +48,29 @@ def equalizer_membership(a: AlgebraPresentation, elem: ElementRep,
     """
     if elem.algebra != a:
         raise ValueError("element of a different algebra")
-    _require_tower(towerdepth)
-    for d, m in enumerate(_line_levels(a, towerdepth), start=1):
-        diff = _evaluation_difference(m, elem.poly)
+    require_tower(towerdepth)
+    for d in range(1, towerdepth + 1):
+        diff = _evaluation_difference(_line_level(a, d), elem.poly)
         if not diff.is_zero:
             return EqualizerVerdict(False, d, diff)
     return EqualizerVerdict(True, towerdepth, None)
 
 
-def _line_levels(a: AlgebraPresentation, towerdepth: int
-                 ) -> Iterator[MapSpacePresentation]:
-    """Levels 1..towerdepth of M(A, F[x]), built as they are consumed.
-
-    Level 0 is degenerate: the image of every element is x-free there, so
-    the equalizer test never fails on it.
-    """
-    line = AlgebraPresentation(a.field, ["x"], [])
-    return (mapspace_presentation(a, line, d)
-            for d in range(1, towerdepth + 1))
+def _line_level(a: AlgebraPresentation, d: int) -> MapSpacePresentation:
+    """Level d of M(A, F[x]).  Level 0 is degenerate: the image of every
+    element is x-free there, so the equalizer test never fails on it."""
+    return mapspace_presentation(a, AlgebraPresentation(a.field, ["x"], []), d)
 
 
 def _evaluation_difference(m: MapSpacePresentation, poly: Polynomial
                            ) -> Polynomial:
-    """(x->1) - (x->0) of the universal image, reduced modulo the level ideal."""
-    up = m.upsilon_poly(poly)
+    """(x->1) - (x->0) of the universal image, in the level algebra; υ's
+    coefficients are reduced, so their sum is too."""
     acc = Polynomial.zero(m.n_z, m.field)
-    for v, coeff in up.items():
+    for v, coeff in m.upsilon_poly(poly).items():
         if sum(v) > 0:          # x^k with k >= 1 contributes only at x=1
             acc = acc + coeff
-    return m.algebra.nf(acc)
+    return acc
 
 
 @dataclass
@@ -94,59 +89,25 @@ def equalizer_subspace(a: AlgebraPresentation, degree: int, tower: int
                        ) -> EqualizerSubspace:
     """Slice elements passing the equalizer test at levels 1..tower.
 
-    Level 0 is degenerate and is excluded from the cut; the verdict is
-    monotone in the level, so the constraint at the top level subsumes the
-    lower ones, but each level is still applied as a cross-check.  With
+    Only level `tower` is built: the structural map M_T -> M_d carries the
+    level-T family to the level-d one, so the verdict is monotone and an
+    element that passes at level T passes at every level below.  With
     tower < 1 no level would be checked, so that is a HypothesisError.
     """
-    _require_tower(tower)
-    slice_monos, cut = _cut(a, degree, _line_levels(a, tower))
-    return EqualizerSubspace(a, degree, tower,
-                             _slice_elements(a, slice_monos, cut))
+    require_tower(tower)
+    return EqualizerSubspace(a, degree, tower, a.elements(
+        *_cut(a, degree, _line_level(a, tower))))
 
 
-def _require_tower(tower: int) -> None:
-    if tower < 1:
-        raise HypothesisError(f"the equalizer needs tower >= 1 (level 0 is "
-                              f"degenerate), got {tower}")
-
-
-def _equalizer_cut(m: MapSpacePresentation, slice_monos: Sequence,
-                   current: list[list], degree: int) -> list[list]:
-    """The combinations of the slice vectors `current` that pass the
-    equalizer test at level m, as slice vectors."""
-    field = m.field
-    # upsilon images of generators are linear in the coordinates, so the
-    # difference of a degree-<=D slice element has coordinate degree <= D
-    level_monos = m.algebra.standard_monomials(max(degree, 1))
-    rows = []
-    for vec in current:
-        poly = Polynomial.combination(m.a.arity, field, slice_monos, vec)
-        rows.append(_evaluation_difference(m, poly).coefficients(level_monos))
-    # kernel of the linear map current -> level algebra slice
-    return linalg.mat_mul(linalg.left_nullspace(rows, field), current, field)
-
-
-def _cut(a: AlgebraPresentation, degree: int,
-         levels: Iterable[MapSpacePresentation]) -> tuple[list, list[list]]:
+def _cut(a: AlgebraPresentation, degree: int, m: MapSpacePresentation
+         ) -> tuple[list, list[list]]:
     """The slice's monomials and the canonical basis (the RREF rows) of the
-    slice vectors that pass the equalizer at every level in `levels`; a
-    lazy `levels` is not built past the level that empties the cut."""
+    slice vectors that pass the equalizer at level m: the relations among
+    the slice monomials' evaluation differences."""
     slice_monos = a.standard_monomials(degree)
-    current = linalg.identity_matrix(len(slice_monos), a.field)
-    for m in levels:
-        current = _equalizer_cut(m, slice_monos, current, degree)
-        if not current:
-            break
-    return slice_monos, linalg.row_basis(current, a.field)
-
-
-def _slice_elements(a: AlgebraPresentation, slice_monos: Sequence,
-                    rows: Iterable[Sequence]) -> list[ElementRep]:
-    """The elements whose coordinates over `slice_monos` are `rows`."""
-    return [a.element(Polynomial.combination(a.arity, a.field, slice_monos,
-                                             row))
-            for row in rows]
+    diffs = [_evaluation_difference(m, Polynomial.monomial(v, a.field))
+             for v in slice_monos]
+    return slice_monos, linalg.relations(diffs, a.field)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +152,7 @@ def _root_solutions(a: AlgebraPresentation, k: int, slice_monos: Sequence,
     result: SolveResult = solve_system(system, r, field)
     # slice coordinates, sorted as the solver sorts them
     vectors = sorted(map(tuple, linalg.mat_mul(result.solutions, cut, field)))
-    elems = _slice_elements(a, slice_monos, vectors)
+    elems = a.elements(slice_monos, vectors)
     for e in elems:
         if (e ** k) != e:
             raise PropertyViolationError("solver returned a non-solution",
@@ -202,7 +163,7 @@ def _root_solutions(a: AlgebraPresentation, k: int, slice_monos: Sequence,
 def idempotent_search(a: AlgebraPresentation, degree: int) -> IdempotentReport:
     """All idempotents supported on the slice, with an exactness flag."""
     return IdempotentReport(*_root_solutions(
-        a, 2, *_cut(a, degree, _line_levels(a, 1))))
+        a, 2, *_cut(a, degree, _line_level(a, 1))))
 
 
 def primitive_idempotents(report: IdempotentReport) -> list[ElementRep]:
@@ -219,7 +180,6 @@ def primitive_idempotents(report: IdempotentReport) -> list[ElementRep]:
 
 @dataclass
 class RootSubalgebra:
-    k: int
     generators: list[ElementRep]
     complete: bool
 
@@ -233,8 +193,8 @@ def iskp_subalgebra(a: AlgebraPresentation, k: int, degree: int
     char = a.field.char
     if char and (k - 1) % char == 0:
         raise HypothesisError(f"characteristic {char} divides k-1 = {k - 1}")
-    return RootSubalgebra(k, *_root_solutions(
-        a, k, *_cut(a, degree, _line_levels(a, 1))))
+    return RootSubalgebra(*_root_solutions(
+        a, k, *_cut(a, degree, _line_level(a, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +208,6 @@ class Pi0Result:
     inclusion: AlgebraMorphism | None
     idempotents: IdempotentReport
     component_count: int | None
-    degree: int
 
     @property
     def dimension(self) -> int:
@@ -274,14 +233,14 @@ def pi0_presentation(a: AlgebraPresentation, degree: int,
         raise UnsupportedFieldError(
             "pi0 needs characteristic zero; over a prime field only the "
             "equalizer and idempotent routes run")
-    _require_tower(tower)
+    require_tower(tower)
     kernel = derham_h0(a, degree)
-    level1 = list(_line_levels(a, 1))
+    level1 = _line_level(a, 1)
     slice_monos, cut = _cut(a, degree, level1)
     if [e.poly.coefficients(slice_monos) for e in kernel.basis] != cut:
         raise PropertyViolationError(
             "derham kernel and level-1 equalizer cut differ",
-            witness=(kernel.basis, _slice_elements(a, slice_monos, cut)))
+            witness=(kernel.basis, a.elements(slice_monos, cut)))
     pres, incl = _subalgebra_presentation(a, kernel.basis)
     idem = IdempotentReport(*_root_solutions(a, 2, slice_monos, cut))
     search = idem
@@ -298,7 +257,7 @@ def pi0_presentation(a: AlgebraPresentation, degree: int,
         count = len(prims) if prims else (0 if a.is_zero_algebra() else 1)
         if whole is None and count < _components_at_least(pres):
             count = None
-    return Pi0Result(kernel.basis, pres, incl, idem, count, degree)
+    return Pi0Result(kernel.basis, pres, incl, idem, count)
 
 
 def _components_at_least(pres: AlgebraPresentation) -> int:

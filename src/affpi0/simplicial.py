@@ -20,7 +20,7 @@ from .algebra import (AlgebraMorphism, AlgebraPresentation, ElementRep,
                       TensorPresentation, tensor_morphism, tensor_product)
 from .errors import HypothesisError, PropertyViolationError
 from .mapspace import (MapSpacePresentation, functor_action,
-                       mapspace_presentation)
+                       mapspace_presentation, require_tower)
 from .polyring import FieldDescriptor, Monomial, Polynomial
 
 
@@ -260,10 +260,9 @@ def check_cosimplicial_identities(space: CosimplicialSpace) -> dict:
 class MooreComplex:
     space: CosimplicialSpace
     normalized_bases: list[list[list]]   # per level: coordinate vectors
-    differentials: list[list[list]]      # full-slice differential matrices
     dd_zero: bool
-    h0_dimension: int
-    h1_dimension: int | None
+    h0_dimension: int | None             # None with no d^0 (levels < 1)
+    h1_dimension: int | None             # None with no d^1 (levels < 2)
 
     def level_dimensions(self) -> list[int]:
         return [len(b) for b in self.normalized_bases]
@@ -271,7 +270,10 @@ class MooreComplex:
 
 def moore_complex(a: AlgebraPresentation, tower: int, degree: int,
                   levels: int) -> MooreComplex:
-    """Build the normalized complex on slices and check d∘d = 0 exactly."""
+    """Build the normalized complex on slices and check d∘d = 0 exactly;
+    truncation level 0 is degenerate (every coface is the identity), so
+    tower < 1 is a HypothesisError."""
+    require_tower(tower)
     space = CosimplicialSpace(a, tower, degree, levels)
     field = a.field
     diffs = [space.differential_matrix(n) for n in range(levels)]
@@ -290,7 +292,7 @@ def moore_complex(a: AlgebraPresentation, tower: int, degree: int,
                    space.structure_matrix(_degeneracy_alpha(i, n - 1), n - 1)]
         normalized.append(linalg.nullspace(stacked, dim, field))
     h0 = len(linalg.nullspace(diffs[0], space.levels[0].dimension, field)) \
-        if levels >= 1 else space.levels[0].dimension
+        if levels >= 1 else None
     h1 = None
     if levels >= 2:
         # ker(delta^1) ∩ N^1 modulo the image of delta^0
@@ -298,7 +300,7 @@ def moore_complex(a: AlgebraPresentation, tower: int, degree: int,
             + diffs[1]
         kernel = linalg.nullspace(stacked, space.levels[1].dimension, field)
         h1 = len(kernel) - linalg.rank(diffs[0], field)
-    return MooreComplex(space, normalized, diffs, dd_zero, h0, h1)
+    return MooreComplex(space, normalized, dd_zero, h0, h1)
 
 
 # ---------------------------------------------------------------------------
@@ -317,26 +319,23 @@ class SingLevel:
 
 @dataclass
 class SingH0Result:
-    algebra: AlgebraPresentation
-    degree: int
     levels: list[SingLevel]
     note: str = "tower level 0 is degenerate and excluded"
 
 
 def sing_h0(a: AlgebraPresentation, tower: int, degree: int) -> SingH0Result:
-    """Kernel of d^0 - d^1 on the level-0 slice, per tower level 1..T."""
+    """Kernel of d^0 - d^1 on the level-0 slice, per tower level 1..T; with
+    T < 1 no level would be reported, so that is a HypothesisError."""
+    require_tower(tower)
     out = []
     for d in range(1, tower + 1):
         space = CosimplicialSpace(a, d, degree, 1)
-        field = a.field
         kernel = linalg.nullspace(space.differential_matrix(0),
-                                  space.levels[0].dimension, field)
+                                  space.levels[0].dimension, a.field)
         # level-0 coordinates mirror the generators of A
-        basis = [a.element(Polynomial.combination(
-            a.arity, field, space.levels[0].basis, row))
-            for row in linalg.row_basis(kernel, field)]
-        out.append(SingLevel(d, basis))
-    return SingH0Result(a, degree, out)
+        out.append(SingLevel(d, a.elements(
+            space.levels[0].basis, linalg.row_basis(kernel, a.field))))
+    return SingH0Result(out)
 
 
 # ---------------------------------------------------------------------------

@@ -29,12 +29,14 @@ def files(tmp_path):
                              "relations": ["t^2 - 1"]})
     f3x = write("f3x.json", {"field": {"p": 3}, "vars": ["x"],
                              "relations": ["x^2 - 1"]})
+    circle = write("circle.json", {"field": "Q", "vars": ["x", "y"],
+                                   "relations": ["x^2 + y^2 - 1"]})
     rat = write("rat.json", {"field": "Q", "vars": []})
     f0 = write("f0.json", {"source": "idem.json", "target": "rat.json",
                            "images": ["0"]})
     g1 = write("g1.json", {"source": "idem.json", "target": "rat.json",
                            "images": ["1"]})
-    return {"tmp": tmp_path, "cubic": cubic, "idem": idem,
+    return {"tmp": tmp_path, "cubic": cubic, "idem": idem, "circle": circle,
             "f3t": f3t, "f3x": f3x, "f0": f0, "g1": g1}
 
 
@@ -180,6 +182,27 @@ def test_sing_h0_and_complex(files, capsys):
     res = rep["result"]
     assert res["dd_zero"] and res["cosimplicial_identities"]
     assert res["h0_dimension"] == 2 and res["h1_dimension"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["sing", "complex", "{circle}", "--trunc", "0", "--deg", "2"],
+    ["sing", "h0", "{circle}", "--tower", "0", "--deg", "2"],
+])
+def test_sing_at_truncation_level_zero_is_an_input_error(files, capsys,
+                                                         argv):
+    """Level 0 is degenerate: the complex would report the whole slice (5
+    on the circle at degree 2) as H^0, and h0 would report no level."""
+    code, rep = run_json([a.format(**files) for a in argv], capsys)
+    assert code == 2 and rep["kind"] == "input"
+    assert "tower >= 1" in rep["error"]
+
+
+def test_sing_complex_without_a_differential_reports_no_h0(files, capsys):
+    code, rep = run_json(["sing", "complex", files["circle"], "--levels", "0",
+                          "--deg", "2"], capsys)
+    assert code == 0
+    assert rep["result"]["h0_dimension"] is None
+    assert rep["result"]["h1_dimension"] is None
 
 
 def sing_complex(path):

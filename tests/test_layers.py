@@ -109,3 +109,33 @@ def test_every_private_definition_has_a_caller_in_the_package():
     """A helper that only tests reach belongs in `tests/`."""
     unused = _private_definitions_unreferenced()
     assert not unused, f"private definitions nothing in affpi0 uses: {unused}"
+
+
+def _imported_names_unused(module: str) -> list[str]:
+    """The names that `module` binds by an import statement and never
+    reads; `__all__` counts as a read, for the package's re-exports."""
+    with open(os.path.join(PACKAGE, module + ".py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), module)
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            used.update(elt.value for elt in node.value.elts)
+    return sorted(f"{module}:{line} {name}" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_every_imported_name_is_used():
+    unused = [entry for module in MODULES
+              for entry in _imported_names_unused(module)]
+    assert not unused, f"imported names the module never uses: {unused}"

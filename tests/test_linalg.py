@@ -43,6 +43,12 @@ def cases(field, seeds=3):
             yield random_matrix(rng, nrows, ncols, field, rank), ncols, rng
 
 
+def as_polynomials(rows, ncols, field):
+    """Row i as the polynomial sum_j rows[i][j]·x^j."""
+    monos = [(j,) for j in range(ncols)]
+    return [Polynomial.combination(1, field, monos, row) for row in rows]
+
+
 def to_sympy(rows, ncols):
     return sympy.Matrix(len(rows), ncols,
                         [sympy.Rational(v.numerator, v.denominator)
@@ -87,6 +93,9 @@ def test_nullspaces_match_sympy():
         assert len(left) == len(rows) - m.rank()
         for w in left:
             assert linalg.mat_mul([w], rows, QQ) == [[Fraction(0)] * ncols]
+        # the same relations among the rows read as polynomials, canonical
+        assert linalg.relations(as_polynomials(rows, ncols, QQ), QQ) \
+            == span_rref(want, len(rows))
 
 
 def test_in_span_matches_sympy():
@@ -152,6 +161,9 @@ def test_nullspaces_by_brute_force():
         relations = {tuple(w) for w in vectors(len(rows))
                      if not any(combine(w, rows, ncols))}
         assert span(linalg.left_nullspace(rows, F3), len(rows)) == relations
+        among = linalg.relations(as_polynomials(rows, ncols, F3), F3)
+        assert span(among, len(rows)) == relations
+        assert linalg.row_basis(among, F3) == among
 
 
 def test_mat_mul_by_brute_force():

@@ -111,6 +111,46 @@ def test_derham_slice_kernel_is_the_level_one_equalizer_cut(name, degree):
     assert derham_span == cut
 
 
+# the top level each monotonicity case builds, at degree 2: level 3 where
+# its basis is cheap; the plane curves' level 3 takes 0.5-4 s and the
+# families' level 2 takes seconds, so they stop lower
+LAW_TOWERS = {"circle": 2, "cusp": 2, "nodal_cubic": 2, "two_cubics": 1,
+              "two_hyperbolas": 1, "two_parabolas": 1, "three_parabolas": 1,
+              "four_parabolas": 1}
+# over F_p, at degree 3, the cut shrinks with the level: over F_3 the
+# cusp's cut is [1, y^2, y^3] at level 1, [1, y^3] at level 2, [1] at 3
+FP_LAW_CASES = {"f2-cusp": (2, ["x", "y"], ["y^2 - x^3"], 3),
+                "f2-hyperbola": (2, ["x", "y"], ["x*y - 1"], 2),
+                "f3-cusp": (3, ["x", "y"], ["y^2 - x^3"], 3),
+                "f3-artin_schreier": (3, ["x", "y"], ["y^3 - y - x^2"], 2),
+                "f3-nonreduced_point": (3, ["x"], ["x^3*(x - 1)"], 3),
+                "f5-four_points": (5, ["x"], ["x^4 - 1"], 3)}
+MONOTONE_CASES = ([pytest.param(QQ, *LEVEL1_LAW_ALGEBRAS[name],
+                                LAW_TOWERS.get(name, 3), id=name)
+                   for name in sorted(LEVEL1_LAW_ALGEBRAS)]
+                  + [pytest.param(GF(p), names, rels, tower, id=name)
+                     for name, (p, names, rels, tower)
+                     in FP_LAW_CASES.items()])
+
+
+@pytest.mark.parametrize("field, names, rels, tower", MONOTONE_CASES)
+def test_equalizer_subspace_passes_every_level_below_its_tower(field, names,
+                                                              rels, tower):
+    """The subspace builds level T alone, which holds only because the
+    verdict is monotone: each basis element passes membership, which checks
+    every level 1..T."""
+    a = A_of(field, names, rels)
+    for e in equalizer_subspace(a, 3 if field.char else 2, tower).basis:
+        verdict = equalizer_membership(a, e, tower)
+        assert verdict.passed, (e, verdict.level)
+
+
+def test_equalizer_subspace_of_the_cusp_over_f3_shrinks_with_the_tower():
+    cusp = A_of(GF(3), ["x", "y"], ["y^2 - x^3"])
+    assert [[e.to_string() for e in equalizer_subspace(cusp, 3, t).basis]
+            for t in (1, 2, 3)] == [["1", "y^2", "y^3"], ["1", "y^3"], ["1"]]
+
+
 def test_equalizer_subspace_connected_circle():
     a = A_of(QQ, ["x", "y"], ["x^2 + y^2 - 1"])
     eq = equalizer_subspace(a, 4, 2)
@@ -364,10 +404,12 @@ def test_pi0_presentation_never_builds_level_zero(monkeypatch):
 
 
 def test_equalizer_routes_never_build_level_zero(monkeypatch):
+    """Membership reports the first failing level, so it builds each; the
+    subspace builds its top level alone."""
     levels = _record_line_levels(monkeypatch)
     assert equalizer_membership(IDEMP, IDEMP.element("e"), 2).passed
     equalizer_subspace(IDEMP, 2, 2)
-    assert levels == [1, 2, 1, 2]
+    assert levels == [1, 2, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,24 @@ def test_sing_h0_desk_examples():
     assert res_field.levels[0].dimension == 1
 
 
+CIRCLE = A_of(QQ, ["x", "y"], ["x^2 + y^2 - 1"])
+
+
+def test_truncation_level_zero_is_rejected():
+    """At level 0 every face map is the identity, so the whole slice of the
+    circle (5 at degree 2, against a true H^0 of 1) would pass as H^0."""
+    with pytest.raises(HypothesisError, match="tower >= 1"):
+        moore_complex(CIRCLE, 0, 2, 2)
+    with pytest.raises(HypothesisError, match="tower >= 1"):
+        sing_h0(CIRCLE, 0, 2)
+
+
+def test_moore_complex_without_a_differential_has_no_h0():
+    cx = moore_complex(CIRCLE, 1, 2, 0)
+    assert cx.h0_dimension is None and cx.h1_dimension is None
+    assert moore_complex(CIRCLE, 1, 2, 1).h0_dimension == 1
+
+
 def test_sing_h0_matches_pi0_equalizer_route():
     from affpi0.pi0 import equalizer_subspace
 
