@@ -250,7 +250,7 @@ def cmd_sing(args) -> dict:
                          "dd_zero": cx.dd_zero})
         return {"level_dimensions": [lvl.dimension
                                      for lvl in cx.space.levels],
-                "normalized_dimensions": cx.level_dimensions(),
+                "normalized_dimensions": cx.normalized_dimensions,
                 "dd_zero": cx.dd_zero,
                 "h0_dimension": cx.h0_dimension,
                 "h1_dimension": cx.h1_dimension,

@@ -297,9 +297,18 @@ def integration_homotopy_check(a: AlgebraPresentation,
     """Verify (p1-p0) = phi∘d + d∘phi on the supplied samples, exactly.
 
     Degree 0: (p1-p0)(a) = phi^1(da).  Degree 1: (p1-p0)(w) = phi^2(dw)
-    + d(phi^1(w)).  Characteristic-p inputs fail with an explicit error as
-    soon as a needed 1/(k+1) does not exist.
+    + d(phi^1(w)).  The identity holds in characteristic 0; an input that
+    needs a 1/k the field lacks fails with `UnsupportedFieldError`.  That
+    is checked first for each x-exponent k that d brings down as a factor k,
+    in the degree-0 samples and the dx-free part of the degree-1 samples:
+    there d can vanish, so phi never asks for the 1/k.
     """
+    x = ext.x_index
+    polys = [elem.poly for elem in degree0_samples]
+    polys += [c for omega in degree1_samples
+              for (i,), c in omega.coeffs.items() if i != x]
+    for k in sorted({m[x] for p in polys for m in p.terms} - {0}):
+        _invert_int(a.field, k)
     failures = []
     for elem in degree0_samples:
         lhs = ext.p1.apply(elem) - ext.p0.apply(elem)

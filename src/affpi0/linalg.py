@@ -102,8 +102,3 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence],
                 acc = [field.add(s, field.mul(w, v)) for s, v in zip(acc, row)]
         out.append(acc)
     return out
-
-
-def identity_matrix(n: int, field: FieldDescriptor) -> list[list]:
-    zero, one = field.zero(), field.one()
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]

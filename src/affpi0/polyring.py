@@ -7,22 +7,20 @@ a rational polynomial is an integer term map over one common scale, reduced by
 integer multiples of its divisors, so no step builds a `Fraction`.  Monomials
 are exponent tuples at the API and guard-bit packed ints (`_Packing`) inside
 the kernel, the pair update and the minimalization of a basis; polynomials
-are sparse term maps.  All values are immutable
-after construction and every operation is a pure function, so concurrent use
-on distinct values is safe.  The writes after construction are memos: under
-the last order asked about, a polynomial's leading data, its reducer record,
-and a `GroebnerBasis`'s table of reducer records; and the packed layout of
-each order and arity (`_packing`).
-Each caches a value derived from immutable data and is replaced whole, so
-concurrent writers store equal values and a reader never sees a half-written
-entry.
+are sparse term maps and carry no caches.  All values are immutable after
+construction and every operation is a pure function, so concurrent use on
+distinct values is safe.  The only writes after construction are a
+`GroebnerBasis`'s table of reducer records, built once on first use, and the
+packed layout of each order and arity (`_packing`).  Each caches a value
+derived from immutable data and is stored whole, so concurrent writers store
+equal values and a reader never sees a half-written entry.
 """
 
 from __future__ import annotations
 
 import re as _re
 import struct as _struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -339,20 +337,16 @@ def _check_width(monomials: Iterable[Monomial]) -> None:
 class Polynomial:
     """Sparse multivariate polynomial over an exact field.
 
-    Treat instances as immutable; arithmetic returns fresh objects.  `_lead`
-    memoizes the leading data and `_rec` the reducer record, each for the
-    last order asked about.
+    Treat instances as immutable; arithmetic returns fresh objects.
     """
 
-    __slots__ = ("arity", "field", "terms", "_lead", "_rec")
+    __slots__ = ("arity", "field", "terms")
 
     def __init__(self, arity: int, field: FieldDescriptor,
                  terms: dict[Monomial, Scalar] | None = None):
         self.arity = arity
         self.field = field
         self.terms = terms if terms is not None else {}
-        self._lead = None
-        self._rec = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -417,39 +411,21 @@ class Polynomial:
     def constant_term(self):
         return self.terms.get((0,) * self.arity, self.field.zero())
 
-    def _leading(self, order: MonomialOrder):
-        """(order, leading monomial, leading coefficient, tail terms); over
-        F_p the last three begin the reducer record.
-
-        The terms never change once a polynomial is handed out (`split`
-        fills its parts before returning them), so the memo only has to match
-        the order; asking about another order replaces it.
-        """
-        lead = self._lead
-        if lead is not None and (lead[0] is order or lead[0] == order):
-            return lead
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading monomial")
-        lm = max(self.terms, key=order.key)
-        lead = self._lead = (order, lm, self.terms[lm], tuple(
-            (m, c) for m, c in self.terms.items() if m != lm))
-        return lead
-
     def _record(self, order: MonomialOrder) -> tuple:
         """The reducer record (lm, lc, tail, packed lm, packed tail) that
-        `_reduce` divides by; the packed tail pairs each packed tail monomial
-        (`_Packing`) with its coefficient, in the order of `tail`.
+        `_reduce` divides by: tail holds the other terms in the order of
+        `terms`, and the packed tail pairs each packed tail monomial
+        (`_Packing`) with its coefficient, in the same order.
 
-        Over F_p the first three are the leading data.  Over Q they are those
+        Over F_p lc is the leading coefficient.  Over Q lc and tail are those
         of the integer multiple D·self, where D is the lcm of the
         denominators, signed so that the leading coefficient L = D·lc is
         positive: the remainder modulo D·self is the remainder modulo self.
-        Memoized for the last order asked about, replaced whole like `_lead`.
+        Built afresh on every call; a `GroebnerBasis` keeps its elements'.
         """
-        rec = self._rec
-        if rec is not None and (rec[0] is order or rec[0] == order):
-            return rec[1]
-        _, lm, lc, tail = self._leading(order)
+        lm = self.leading_monomial(order)
+        lc = self.terms[lm]
+        tail = tuple((m, c) for m, c in self.terms.items() if m != lm)
         if self.field.p is None:
             ratios = [lc.as_integer_ratio()]
             ratios += [c.as_integer_ratio() for _, c in tail]
@@ -460,16 +436,15 @@ class Polynomial:
             tail = tuple(zip([m for m, _ in tail], ints))
         _check_width(self.terms)
         pack = _packing(order, self.arity).pack
-        record = (lm, lc, tail, pack(lm),
-                  tuple([(pack(m), c) for m, c in tail]))
-        self._rec = (order, record)
-        return record
+        return (lm, lc, tail, pack(lm), tuple([(pack(m), c) for m, c in tail]))
 
     def leading_monomial(self, order: MonomialOrder = DEGREVLEX) -> Monomial:
-        return self._leading(order)[1]
+        if self.is_zero:
+            raise ValueError("zero polynomial has no leading monomial")
+        return max(self.terms, key=order.key)
 
     def leading_coeff(self, order: MonomialOrder = DEGREVLEX):
-        return self._leading(order)[2]
+        return self.terms[self.leading_monomial(order)]
 
     def _same_ring(self, other: "Polynomial") -> None:
         if self.arity != other.arity or self.field != other.field:
@@ -844,31 +819,32 @@ class GroebnerBasis:
     """A Gröbner basis under `order`; `groebner` returns it reduced, monic
     and sorted.
 
-    `_table` memoizes the reducer records of `polys` (`Polynomial._record`:
-    over Q, those of integer multiples of the elements) for the last order
-    asked about, replaced whole like a polynomial's `_lead`.
+    `_records` holds the reducer records of `polys` under `order`
+    (`Polynomial._record`: over Q, those of integer multiples of the
+    elements), parallel to `polys`: handed over by `groebner`, or built on
+    first use.
     """
 
     polys: tuple[Polynomial, ...]
     order: MonomialOrder
+    _records: list[tuple] | None = field(default=None, init=False,
+                                         repr=False, compare=False)
 
     def __post_init__(self):
         rings = {(g.arity, g.field) for g in self.polys}
         if len(rings) > 1:
             raise RingMismatchError("Gröbner basis elements live in different "
                                     "rings")
-        object.__setattr__(self, "_table", None)
 
-    def _reducers(self, order: MonomialOrder) -> list[tuple]:
-        table = self._table
-        if table is None or not (table[0] is order or table[0] == order):
-            table = (order, [g._record(order) for g in self.polys])
-            object.__setattr__(self, "_table", table)
-        return table[1]
+    def _reducers(self) -> list[tuple]:
+        if self._records is None:
+            object.__setattr__(self, "_records",
+                               [g._record(self.order) for g in self.polys])
+        return self._records
 
     @property
     def leading_monomials(self) -> tuple[Monomial, ...]:
-        return tuple(g.leading_monomial(self.order) for g in self.polys)
+        return tuple(r[0] for r in self._reducers())
 
     def __iter__(self):
         return iter(self.polys)
@@ -880,21 +856,13 @@ class GroebnerBasis:
         return any(g.total_degree() == 0 for g in self.polys)
 
 
-def normal_form(p: Polynomial, basis: Iterable[Polynomial] | GroebnerBasis,
-                order: MonomialOrder | None = None) -> Polynomial:
-    """Full remainder of multivariate division: no term divisible by any LT."""
-    if isinstance(basis, GroebnerBasis):
-        order = order or basis.order
-        reducers = basis._reducers(order)
-        checked = basis.polys[:1]       # __post_init__ checked the rest
-    else:
-        order = order or DEGREVLEX
-        checked = [g for g in basis if not g.is_zero]
-        reducers = [g._record(order) for g in checked]
-    for g in checked:
+def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
+    """Full remainder of multivariate division by the elements of `gb`, monic
+    or not: no term divisible by any LT."""
+    for g in gb.polys[:1]:      # __post_init__ checked the rest
         if g.arity != p.arity or g.field != p.field:
             raise RingMismatchError("normal form: basis lives in another ring")
-    return _reduce(p, reducers, order)
+    return _reduce(p, gb._reducers(), gb.order)
 
 
 def _reduce(p: Polynomial, reducers: Sequence[tuple],
@@ -993,16 +961,15 @@ def _reduce(p: Polynomial, reducers: Sequence[tuple],
     return Polynomial(p.arity, p.field, result)
 
 
-def _s_polynomial(g1: Polynomial, g2: Polynomial, order: MonomialOrder) -> Polynomial:
-    """S-polynomial of two monic polynomials: q1·tail1 − q2·tail2, where
-    q_i·lm_i is the lcm of the leading monomials."""
-    _, lm1, _, tail1 = g1._leading(order)
-    _, lm2, _, tail2 = g2._leading(order)
+def _s_polynomial(g1: Polynomial, lm1: Monomial, g2: Polynomial,
+                  lm2: Monomial) -> Polynomial:
+    """S-polynomial q1·g1 − q2·g2 of two monic polynomials with leading
+    monomials lm1 and lm2, where q_i·lm_i is their lcm; the lcm cancels."""
     lcm = monomial_lcm(lm1, lm2)
     q1, q2 = monomial_div(lcm, lm1), monomial_div(lcm, lm2)
     modulus = g1.field.p
-    terms = {monomial_mul(m, q1): c for m, c in tail1}
-    for m, c in tail2:
+    terms = {monomial_mul(m, q1): c for m, c in g1.terms.items()}
+    for m, c in g2.terms.items():
         m = monomial_mul(m, q2)
         v = terms.get(m, 0) - c
         if modulus is not None:
@@ -1066,7 +1033,7 @@ def groebner(gens: Iterable[Polynomial],
     Output is deterministic: monic, auto-reduced, sorted by leading monomial.
     Pairs are drawn smallest lcm first, ties broken by their indices.  Every
     reduction goes through one reducer table, parallel to G, so the ring is
-    checked once, on entry.
+    checked once, on entry; the basis returned keeps the records built here.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -1096,7 +1063,7 @@ def groebner(gens: Iterable[Polynomial],
         if P.pop(pair, None) is None:
             continue
         i, j = pair
-        s = _s_polynomial(G[i], G[j], order)
+        s = _s_polynomial(G[i], reducers[i][0], G[j], reducers[j][0])
         h = _reduce(s, reducers, order)
         if h.is_zero:
             continue
@@ -1106,7 +1073,8 @@ def groebner(gens: Iterable[Polynomial],
                 f"basis size exceeds guard {LIMITS.max_basis}")
         insert(h)
     # minimalize: drop elements whose LT is divisible by another LT, on
-    # packed leading monomials, smallest first
+    # packed leading monomials, smallest first; packed ints compare as the
+    # order does, so the basis comes out sorted
     guard = _packing(order, arity).guard
     lms = [r[3] for r in reducers]
     minimal: list[int] = []
@@ -1114,15 +1082,20 @@ def groebner(gens: Iterable[Polynomial],
         if all((lms[k] - lms[i]) & guard for i in minimal):
             minimal.append(k)
     # interreduce tails; an element the others leave as it was is already
-    # monic, and is kept with its memos
+    # monic, and keeps its record
     table = [reducers[k] for k in minimal]
-    reduced = []
+    reduced, records = [], []
     for n, k in enumerate(minimal):
         r = _reduce(G[k], table[:n] + table[n + 1:], order)
-        same = list(r.terms.items()) == list(G[k].terms.items())
-        reduced.append(G[k] if same else r.monic(order))
-    reduced.sort(key=lambda q: order.key(q.leading_monomial(order)))
-    return GroebnerBasis(tuple(reduced), order)
+        if list(r.terms.items()) == list(G[k].terms.items()):
+            reduced.append(G[k])
+            records.append(table[n])
+        else:
+            reduced.append(r.monic(order))
+            records.append(reduced[-1]._record(order))
+    basis = GroebnerBasis(tuple(reduced), order)
+    object.__setattr__(basis, "_records", records)
+    return basis
 
 
 def ideal_membership(p: Polynomial, gb: GroebnerBasis) -> bool:

@@ -259,13 +259,10 @@ def check_cosimplicial_identities(space: CosimplicialSpace) -> dict:
 @dataclass
 class MooreComplex:
     space: CosimplicialSpace
-    normalized_bases: list[list[list]]   # per level: coordinate vectors
+    normalized_dimensions: list[int]     # per level: dim N^n
     dd_zero: bool
     h0_dimension: int | None             # None with no d^0 (levels < 1)
     h1_dimension: int | None             # None with no d^1 (levels < 2)
-
-    def level_dimensions(self) -> list[int]:
-        return [len(b) for b in self.normalized_bases]
 
 
 def moore_complex(a: AlgebraPresentation, tower: int, degree: int,
@@ -282,15 +279,13 @@ def moore_complex(a: AlgebraPresentation, tower: int, degree: int,
         prod = linalg.mat_mul(diffs[n + 1], diffs[n], field)
         if any(v != field.zero() for row in prod for v in row):
             dd_zero = False
+    # N^n is the joint kernel of the codegeneracies out of level n
     normalized = []
     for n in range(levels + 1):
-        dim = space.levels[n].dimension
-        if n == 0:
-            normalized.append(linalg.identity_matrix(dim, field))
-            continue
         stacked = [row for i in range(n) for row in
                    space.structure_matrix(_degeneracy_alpha(i, n - 1), n - 1)]
-        normalized.append(linalg.nullspace(stacked, dim, field))
+        normalized.append(space.levels[n].dimension
+                          - linalg.rank(stacked, field))
     h0 = len(linalg.nullspace(diffs[0], space.levels[0].dimension, field)) \
         if levels >= 1 else None
     h1 = None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 import re
 import sys
 from pathlib import Path
@@ -69,5 +70,18 @@ def test_worker_answers_the_first_seed_one_job_of_each_kind(bench, workload,
         first.setdefault(job["kind"], job)
     checker = bench["checks"].Checker()
     for job in first.values():
+        call, answer = bench["worker"].build(job, str(tmp_path))
+        assert checker.check(job, answer(call())) is None, job["name"]
+
+
+def test_worker_answers_every_seed_one_cli_request(bench, tmp_path):
+    """Every request of `cli-requests` passes the benchmark's own check, so a
+    report change it would count as a wrong answer fails here first."""
+    docs, jobs = bench["jobs"].job_list("cli-requests", 1)
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    checker = bench["checks"].Checker(docs)
+    assert len(jobs) == 23
+    for job in jobs:
         call, answer = bench["worker"].build(job, str(tmp_path))
         assert checker.check(job, answer(call())) is None, job["name"]

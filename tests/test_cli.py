@@ -171,6 +171,22 @@ def test_derham_h0_and_integration(files, capsys):
     assert code == 0 and rep["result"]["ok"]
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_derham_integration_over_a_prime_field(files, capsys, p):
+    """The CLI's samples reach x^4: over F_2 and F_3 the formal integral
+    lacks 1/2 and 1/3, which is bad input, not a failed identity."""
+    path = files["tmp"] / f"unit_f{p}.json"
+    path.write_text(json.dumps({"field": {"p": p}, "vars": ["x", "y"],
+                                "relations": ["x*y - 1"]}))
+    code, rep = run_json(["derham", "check-integration", str(path)], capsys)
+    if p <= 3:
+        assert code == 2 and rep["kind"] == "input"
+        assert rep["error"] == (f"characteristic divides {p}: the formal "
+                                f"integral needs 1/{p}")
+    else:
+        assert code == 0 and rep["result"]["ok"]
+
+
 def test_sing_h0_and_complex(files, capsys):
     code, rep = run_json(["sing", "h0", files["idem"], "--tower", "2",
                           "--deg", "2"], capsys)

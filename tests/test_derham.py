@@ -210,6 +210,24 @@ def test_integral_char_p_unsupported_when_needed():
         integral_phi1(omega, ext)  # dx·(x^2·1) needs 1/3
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_integration_check_needs_each_brought_down_exponent(p):
+    """d(x^p·w) = p·x^(p-1)·w·dx is zero in characteristic p, so phi^1 never
+    asks for 1/p; the check still refuses a field without it, in degree 0
+    and in the dx-free part of degree 1, instead of reporting a failure."""
+    a = A_of(GF(p), ["y"], [])
+    ext = polynomial_extension(a)
+    x_p = ext.algebra.parse(f"x^{p}")
+    with pytest.raises(UnsupportedFieldError, match=f"needs 1/{p}$"):
+        integration_homotopy_check(a, [ext.algebra.element(x_p)], [], ext)
+    omega = DifferentialForm(ext.algebra, 1, {(0,): x_p})
+    with pytest.raises(UnsupportedFieldError, match=f"needs 1/{p}$"):
+        integration_homotopy_check(a, [], [omega], ext)
+    # a dx coefficient x^p only needs 1/(p+1)
+    omega = DifferentialForm(ext.algebra, 1, {(1,): x_p})
+    assert integration_homotopy_check(a, [], [omega], ext)["ok"]
+
+
 def test_integral_degree1_identity_with_dx_coefficient():
     a = A_of(QQ, ["y"], [])
     ext = polynomial_extension(a)

@@ -135,9 +135,11 @@ def test_lifted_bases_are_groebner_bases_of_the_big_ring(names, target):
     for basis in (small, big):
         assert basis.order == BlockOrder(m.n_b)
         polys = basis.polys
+        lms = tuple(g.leading_monomial(basis.order) for g in polys)
+        assert basis.leading_monomials == lms
         for i in range(len(polys)):
             for j in range(i):
-                s = _s_polynomial(polys[i], polys[j], basis.order)
+                s = _s_polynomial(polys[i], lms[i], polys[j], lms[j])
                 assert normal_form(s, basis).is_zero
 
 

@@ -12,8 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from affpi0.polyring import (DEGREVLEX, GF, LEX, QQ, BlockOrder, Polynomial,
-                             elimination_ideal, groebner, normal_form)
+from affpi0.polyring import (DEGREVLEX, GF, LEX, QQ, BlockOrder,
+                             GroebnerBasis, Polynomial, elimination_ideal,
+                             groebner, normal_form)
 from affpi0.solve import solve_system
 
 sympy = pytest.importorskip("sympy")
@@ -118,11 +119,12 @@ def test_leading_data_memo_is_keyed_by_order():
         divisors += [random_poly(rng, field) for _ in range(2)]
         divisors = [g for g in divisors if not g.is_zero]
         for order in (DEGREVLEX, LEX, BlockOrder(1), DEGREVLEX):
+            basis = GroebnerBasis(tuple(divisors), order)
             for _ in range(4):
                 p = random_poly(rng, field, nterms=6, maxdeg=5)
                 fresh = [Polynomial(3, field, dict(g.terms)) for g in divisors]
-                assert (normal_form(p, divisors, order)
-                        == normal_form(p, fresh, order))
+                assert (normal_form(p, basis)
+                        == normal_form(p, GroebnerBasis(tuple(fresh), order)))
             for g in divisors:
                 lm = max(g.terms, key=order.key)
                 assert g.leading_monomial(order) == lm

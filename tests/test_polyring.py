@@ -513,9 +513,10 @@ def test_groebner_property_by_independent_spolynomial_reduction():
         for g in gens:
             assert normal_form(g, gb).is_zero
         polys = list(gb)
+        lms = [g.leading_monomial(gb.order) for g in polys]
         for i in range(len(polys)):
             for j in range(i + 1, len(polys)):
-                s = _s_polynomial(polys[i], polys[j], gb.order)
+                s = _s_polynomial(polys[i], lms[i], polys[j], lms[j])
                 assert normal_form(s, gb).is_zero
 
 
@@ -577,7 +578,8 @@ def test_groebner_spolynomial_soak_over_prime_field():
         for g in gens:
             assert normal_form(g, gb).is_zero
         polys = list(gb)
+        lms = [g.leading_monomial(gb.order) for g in polys]
         for i in range(len(polys)):
             for j in range(i + 1, len(polys)):
-                s = _s_polynomial(polys[i], polys[j], gb.order)
+                s = _s_polynomial(polys[i], lms[i], polys[j], lms[j])
                 assert normal_form(s, gb).is_zero

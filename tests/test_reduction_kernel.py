@@ -22,9 +22,10 @@ import pytest
 from affpi0 import polyring
 from affpi0.algebra import AlgebraPresentation
 from affpi0.mapspace import mapspace_presentation
-from affpi0.polyring import (DEGREVLEX, GF, LEX, QQ, BlockOrder, Polynomial,
-                             groebner, monomial_div, monomial_divides,
-                             monomial_lcm, monomial_mul, normal_form)
+from affpi0.polyring import (DEGREVLEX, GF, LEX, QQ, BlockOrder,
+                             GroebnerBasis, Polynomial, groebner, monomial_div,
+                             monomial_divides, monomial_lcm, monomial_mul,
+                             normal_form)
 
 FIELDS = (QQ, GF(32003))
 
@@ -81,12 +82,11 @@ def reference_remainder(p, records, order):
     return Polynomial(p.arity, f, result)
 
 
-def reference_s_polynomial(g1, g2, order):
-    lm1, lm2 = g1.leading_monomial(order), g2.leading_monomial(order)
+def reference_s_polynomial(g1, lm1, g2, lm2):
     lcm = monomial_lcm(lm1, lm2)
     f = g1.field
-    a = g1.mul_monomial(monomial_div(lcm, lm1), f.inv(g1.leading_coeff(order)))
-    b = g2.mul_monomial(monomial_div(lcm, lm2), f.inv(g2.leading_coeff(order)))
+    a = g1.mul_monomial(monomial_div(lcm, lm1), f.inv(g1.terms[lm1]))
+    b = g2.mul_monomial(monomial_div(lcm, lm2), f.inv(g2.terms[lm2]))
     return a - b
 
 
@@ -119,8 +119,13 @@ def reference_update_pairs(G, lmG, P, queue, h, order):
 
 
 def records(basis, order):
-    """The divisors' leading data, in Fractions over Q."""
-    return [g._leading(order)[1:] for g in basis if not g.is_zero]
+    """The divisors' leading data (lm, lc, tail), in Fractions over Q."""
+    out = []
+    for g in basis:
+        lm = g.leading_monomial(order)
+        out.append((lm, g.terms[lm],
+                    [(m, c) for m, c in g.terms.items() if m != lm]))
+    return out
 
 
 def typed(p):
@@ -151,9 +156,9 @@ def checked_engine(monkeypatch):
         calls["reduce"] += 1
         return out
 
-    def s_polynomial(g1, g2, order):
-        out = s_poly(g1, g2, order)
-        assert same(out, reference_s_polynomial(g1, g2, order))
+    def s_polynomial(g1, lm1, g2, lm2):
+        out = s_poly(g1, lm1, g2, lm2)
+        assert same(out, reference_s_polynomial(g1, lm1, g2, lm2))
         calls["s"] += 1
         return out
 
@@ -202,11 +207,14 @@ def check_cases(checked_engine, seeded):
     for field, order, gens, polys in seeded:
         gb = groebner(gens, order)
         assert all(typed(g) for g in gb)
+        lms = [g.leading_monomial(order) for g in gb]
+        assert gb.leading_monomials == tuple(lms)
+        assert lms == sorted(lms, key=order.key)
         for p in polys:
-            # a reduced basis, and the non-monic plain list it came from
+            # a reduced basis, and the non-monic generators it came from
             assert same(normal_form(p, gb),
                         reference_remainder(p, records(gb, order), order))
-            assert same(normal_form(p, gens, order),
+            assert same(normal_form(p, GroebnerBasis(tuple(gens), order)),
                         reference_remainder(p, records(gens, order), order))
     # the engine really went through the checked kernel
     assert checked_engine["reduce"] > 0 and checked_engine["s"] > 0
@@ -241,7 +249,7 @@ def test_masks_wider_than_a_machine_word(checked_engine):
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_ring_without_variables(checked_engine, field):
     three = Polynomial.constant(3, 0, field)
-    assert same(normal_form(three, []), three)
+    assert same(normal_form(three, GroebnerBasis((), DEGREVLEX)), three)
     gb = groebner([three])
     assert [list(g.terms.items()) for g in gb] == [[((), field.one())]]
     assert normal_form(three, gb).is_zero
@@ -249,14 +257,19 @@ def test_ring_without_variables(checked_engine, field):
 
 
 def test_basis_tables_are_kept_per_order(checked_engine):
+    """One set of divisors, reduced under several orders in turn, reduces as
+    fresh copies do; each basis builds its table once."""
     for field, _, gens, polys in cases(7, 10, 3):
         gb = groebner(gens, DEGREVLEX)
         for order in (LEX, DEGREVLEX, LEX):
+            basis = GroebnerBasis(gb.polys, order)
+            fresh = GroebnerBasis(tuple(Polynomial(3, field, dict(g.terms))
+                                        for g in gb), order)
             for p in polys:
-                assert same(normal_form(p, gb, order),
+                assert same(normal_form(p, basis),
                             reference_remainder(p, records(gb, order), order))
-        assert gb._table[0] == LEX
-        assert gb._reducers(LEX) is gb._table[1]
+                assert same(normal_form(p, basis), normal_form(p, fresh))
+            assert basis._reducers() is basis._reducers()
 
 
 def s_pair_sequence(monkeypatch, gens, order, update):
@@ -264,9 +277,9 @@ def s_pair_sequence(monkeypatch, gens, order, update):
     seen = []
     s_poly = polyring._s_polynomial
 
-    def spy(g1, g2, order):
+    def spy(g1, lm1, g2, lm2):
         seen.append((g1.key(), g2.key()))
-        return s_poly(g1, g2, order)
+        return s_poly(g1, lm1, g2, lm2)
 
     with monkeypatch.context() as patch:
         patch.setattr(polyring, "_s_polynomial", spy)
@@ -303,3 +316,25 @@ def test_pair_update_keeps_the_s_pair_sequence(monkeypatch):
         assert [same(g, r) for g, r in zip(gb, ref)] == [True] * len(ref)
     # the map-space rings need real pair pruning
     assert len(ours) > 10
+
+
+def test_a_normal_form_against_groebner_output_builds_no_record(
+        monkeypatch):
+    """`groebner` hands the records it built to the basis it returns, so a
+    normal form against that basis builds none, and they are the records a
+    fresh build gives."""
+    built = []
+    record = Polynomial._record
+
+    def spy(g, order):
+        built.append(g)
+        return record(g, order)
+
+    for field, order, gens, polys in cases(9, 12, 3):
+        gb = groebner(gens, order)
+        with monkeypatch.context() as patch:
+            patch.setattr(Polynomial, "_record", spy)
+            for p in polys:
+                normal_form(p, gb)
+        assert built == []
+        assert gb._reducers() == [g._record(order) for g in gb]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 
 from affpi0 import simplicial
@@ -157,6 +159,25 @@ def test_sing_h0_matches_pi0_equalizer_route():
         got = {e.to_string() for e in sres.levels[-1].basis}
         want = {e.to_string() for e in eq.basis}
         assert got == want
+
+
+DOLD_KAN_ALGEBRAS = [field_algebra(QQ), A_of(QQ, ["t"], []),
+                     A_of(QQ, ["t"], ["t^2"]), IDEMP,
+                     A_of(QQ, ["x", "y"], ["x^2 + y^2 - 1"]),
+                     A_of(GF(3), ["t"], ["t^2 - 1"])]
+
+
+@pytest.mark.parametrize("tower, degree, levels",
+                         [(1, 2, 2), (1, 2, 3), (2, 2, 2), (1, 1, 3)])
+def test_moore_normalized_dimensions_obey_dold_kan(tower, degree, levels):
+    """X^n splits as the sum over k of C(n, k) copies of N^k."""
+    for a in DOLD_KAN_ALGEBRAS:
+        cx = moore_complex(a, tower, degree, levels)
+        dims = cx.normalized_dimensions
+        assert len(dims) == levels + 1
+        for n, level in enumerate(cx.space.levels):
+            assert level.dimension == sum(comb(n, k) * dims[k]
+                                          for k in range(n + 1))
 
 
 def test_sing_h1_truncated_zero_for_desk_examples():
