@@ -2,12 +2,15 @@
 
 Coefficients are exact: `fractions.Fraction` over the rationals, reduced
 residues in ``[0, p)`` over a prime field.  Rational coefficients are
-`Fraction`s wherever a polynomial is handed out; inside the reduction kernel
-a rational polynomial is an integer term map over one common scale, reduced by
-integer multiples of its divisors, so no step builds a `Fraction`.  Monomials
-are exponent tuples at the API and guard-bit packed ints (`_Packing`) inside
-the kernel, the pair update and the minimalization of a basis; polynomials
-are sparse term maps and carry no caches.  All values are immutable after
+`Fraction`s wherever a polynomial is handed out; inside the reduction loop
+(`_divide`) a rational polynomial is an integer term map over one common
+scale, reduced by integer multiples of its divisors, so no step builds a
+`Fraction`.  Buchberger's loop runs on reducer records alone: S-pairs are
+built and reduced as packed integer term maps, and `Fraction`s are built only
+for the basis returned.  Monomials are exponent tuples at the API and
+guard-bit packed ints (`_Packing`) inside the reduction loop, the S-pairs,
+the pair update and the minimalization of a basis; polynomials are sparse
+term maps and carry no caches.  All values are immutable after
 construction and every operation is a pure function, so concurrent use on
 distinct values is safe.  The only writes after construction are a
 `GroebnerBasis`'s table of reducer records, built once on first use, and the
@@ -321,13 +324,25 @@ class _Packing:
 _packing = lru_cache(maxsize=64)(_Packing)
 
 
-def _check_width(monomials: Iterable[Monomial]) -> None:
-    """Raise before packing monomials whose fields could reach a guard bit."""
-    deg = max(map(sum, monomials), default=0)
+def _pack(p: "Polynomial", packing: _Packing) -> dict[int, Scalar]:
+    """p's term map with packed monomials (`_Packing`), in the order of its
+    terms.  A degree whose fields could reach a guard bit is a
+    `ResourceLimitError`, raised before anything is packed."""
+    deg = max(map(sum, p.terms), default=0)
     if deg >= _FIELD_BOUND:
         raise ResourceLimitError(
             f"degree {deg} does not fit the {_WIDTH}-bit fields of a packed "
             f"monomial")
+    units = packing.units
+    return {sum(map(_mul, m, units)): c for m, c in p.terms.items()}
+
+
+def _integral(work: dict[int, Fraction]) -> tuple[dict[int, int], int]:
+    """A rational term map as integers over the lcm S of its denominators,
+    standing for map / S, and S."""
+    ratios = [c.as_integer_ratio() for c in work.values()]
+    scale = int_lcm(*[d for _, d in ratios])
+    return dict(zip(work, [n * (scale // d) for n, d in ratios])), scale
 
 
 # ---------------------------------------------------------------------------
@@ -412,31 +427,21 @@ class Polynomial:
         return self.terms.get((0,) * self.arity, self.field.zero())
 
     def _record(self, order: MonomialOrder) -> tuple:
-        """The reducer record (lm, lc, tail, packed lm, packed tail) that
-        `_reduce` divides by: tail holds the other terms in the order of
-        `terms`, and the packed tail pairs each packed tail monomial
-        (`_Packing`) with its coefficient, in the same order.
-
-        Over F_p lc is the leading coefficient.  Over Q lc and tail are those
-        of the integer multiple D·self, where D is the lcm of the
-        denominators, signed so that the leading coefficient L = D·lc is
-        positive: the remainder modulo D·self is the remainder modulo self.
-        Built afresh on every call; a `GroebnerBasis` keeps its elements'.
-        """
-        lm = self.leading_monomial(order)
-        lc = self.terms[lm]
-        tail = tuple((m, c) for m, c in self.terms.items() if m != lm)
+        """The reducer record (lm, lc, packed lm, packed tail) that
+        `_divide` divides by; the packed tail is in the order of `terms`.
+        Over Q it is that of the integer multiple D·self (`_integral`),
+        signed so that lc is positive: the remainder modulo D·self is the
+        remainder modulo self.  Built afresh on every call; a `GroebnerBasis`
+        keeps its elements'."""
+        packing = _packing(order, self.arity)
+        work = _pack(self, packing)
         if self.field.p is None:
-            ratios = [lc.as_integer_ratio()]
-            ratios += [c.as_integer_ratio() for _, c in tail]
-            den = int_lcm(*[d for _, d in ratios])
-            if ratios[0][0] < 0:
-                den = -den
-            lc, *ints = [n * (den // d) for n, d in ratios]
-            tail = tuple(zip([m for m, _ in tail], ints))
-        _check_width(self.terms)
-        pack = _packing(order, self.arity).pack
-        return (lm, lc, tail, pack(lm), tuple([(pack(m), c) for m, c in tail]))
+            work, _ = _integral(work)
+        lm = max(work)
+        lc = work.pop(lm)
+        if lc < 0:
+            lc, work = -lc, {m: -c for m, c in work.items()}
+        return (packing.unpack(lm), lc, lm, tuple(work.items()))
 
     def leading_monomial(self, order: MonomialOrder = DEGREVLEX) -> Monomial:
         if self.is_zero:
@@ -821,8 +826,8 @@ class GroebnerBasis:
 
     `_records` holds the reducer records of `polys` under `order`
     (`Polynomial._record`: over Q, those of integer multiples of the
-    elements), parallel to `polys`: handed over by `groebner`, or built on
-    first use.
+    elements), parallel to `polys`: those `groebner` built the elements
+    from, or built on first use.
     """
 
     polys: tuple[Polynomial, ...]
@@ -858,56 +863,58 @@ class GroebnerBasis:
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Full remainder of multivariate division by the elements of `gb`, monic
-    or not: no term divisible by any LT."""
+    or not: no term divisible by any LT.  p is packed (`_pack`), reduced by
+    `_divide` and unpacked, its terms in the order found; over Q a term
+    whose value did not change keeps p's `Fraction`."""
     for g in gb.polys[:1]:      # __post_init__ checked the rest
         if g.arity != p.arity or g.field != p.field:
             raise RingMismatchError("normal form: basis lives in another ring")
-    return _reduce(p, gb._reducers(), gb.order)
-
-
-def _reduce(p: Polynomial, reducers: Sequence[tuple],
-            order: MonomialOrder) -> Polynomial:
-    """The reduction kernel: the remainder of p by reducer records
-    (lm, lc, tail, packed lm, packed tail) of its own ring
-    (`Polynomial._record`); p itself when there are none or p is zero.
-
-    Monomials are packed ints inside (`_Packing`): the queue is a heap of
-    negated packed monomials, so it pops the largest first; a product is one
-    `+` and a divisibility test one `-` and one `&`.  A degree too large for
-    the fields, in p or in a product, is a `ResourceLimitError`.  Remainder
-    terms are unpacked to tuples, in the order they are found.
-
-    Each term is reduced by the first record, in list order, whose leading
-    monomial divides it.
-
-    Over Q the records are integral.  At the first step the polynomial
-    being reduced becomes an integer term map `work` over one positive scale
-    S, standing for work / S.  To reduce the term c·m by L·lm + tail, with
-    g = gcd(c, L), the work and S are multiplied by L/g and then
-    (c/g)·q·tail is subtracted: exact, with no `Fraction` built.  A
-    remainder term becomes c/S, or keeps its original `Fraction` when
-    neither its integer nor the scale has changed.
-    """
+    reducers = gb._reducers()
     if not reducers or p.is_zero:
         return p
-    modulus = p.field.p
-    packing = _packing(order, p.arity)
-    units, guard, unpack = packing.units, packing.guard, packing.unpack
-    _check_width(p.terms)
-    work = {sum(map(_mul, m, units)): c for m, c in p.terms.items()}
-    # over Q: 0 until the first step puts the work in integers
-    scale = start_scale = 0
+    packing = _packing(gb.order, p.arity)
+    unpack = packing.unpack
+    result: dict[Monomial, Scalar] = {}
+    for m, c, scale in _divide(_pack(p, packing), 0, reducers, packing,
+                               p.field.p):
+        t = unpack(m)
+        if scale:               # c stands for c / scale
+            old = p.terms.get(t)
+            if old is None or old.numerator * scale != c * old.denominator:
+                old = Fraction(c, scale)
+            c = old
+        result[t] = c
+    return Polynomial(p.arity, p.field, result)
+
+
+def _divide(work: dict[int, Scalar], scale: int, reducers: Sequence[tuple],
+            packing: _Packing, modulus: int | None) -> list[tuple]:
+    """The one reduction loop: the remainder of the packed term map `work`,
+    which it uses up, by reducer records (`Polynomial._record`), as
+    (packed monomial, coefficient, scale) triples, largest first.  Each term
+    is reduced by the first record, in list order, whose leading monomial
+    divides it; a product that does not fit the fields is a
+    `ResourceLimitError`.
+
+    Over Q `work` stands for work / scale: integers, or `Fraction`s under
+    scale 0 until the first step (`_integral`).  To reduce c·m by
+    L·lm + tail, with g = gcd(c, L), the work and the scale are multiplied
+    by L/g and (c/g)·q·tail is subtracted, so no `Fraction` is built.  The
+    scale only grows by whole factors: the last term's is a multiple of the
+    others'.  Over F_p the scale is left as given.
+    """
+    guard = packing.guard
     # terms are popped largest first; a popped monomial missing from `work`
     # was cancelled after it was queued
     queue = list(map(_neg, work))
     heapify(queue)
-    result: dict[Monomial, Scalar] = {}
+    result = []
     while queue:
         m = -heappop(queue)
         c = work.pop(m, None)
         if c is None:
             continue
-        for _, lc, _, lm, tail in reducers:
+        for _, lc, lm, tail in reducers:
             q = m - lm
             if not q & guard:
                 # c becomes the quotient term's coefficient
@@ -916,14 +923,9 @@ def _reduce(p: Polynomial, reducers: Sequence[tuple],
                         c = c * pow(lc, -1, modulus) % modulus
                 else:
                     if not scale:
-                        c, cd = c.as_integer_ratio()
-                        ratios = [v.as_integer_ratio() for v in work.values()]
-                        scale = start_scale = int_lcm(
-                            cd, *[d for _, d in ratios])
-                        start = dict(zip(work, [n * (scale // d)
-                                                for n, d in ratios]))
-                        work = start.copy()
-                        c *= scale // cd
+                        work[m] = c
+                        work, scale = _integral(work)
+                        c = work.pop(m)
                     if lc != 1:
                         g = gcd(c, lc)
                         if g != lc:
@@ -951,34 +953,61 @@ def _reduce(p: Polynomial, reducers: Sequence[tuple],
                 _check_terms(len(work))
                 break
         else:
-            if not scale:       # c is still the polynomial's own scalar
-                result[unpack(m)] = c
-            elif scale == start_scale and start.get(m) == c:
-                t = unpack(m)
-                result[t] = p.terms[t]
-            else:
-                result[unpack(m)] = Fraction(c, scale)
-    return Polynomial(p.arity, p.field, result)
+            result.append((m, c, scale))
+    return result
 
 
-def _s_polynomial(g1: Polynomial, lm1: Monomial, g2: Polynomial,
-                  lm2: Monomial) -> Polynomial:
-    """S-polynomial q1·g1 − q2·g2 of two monic polynomials with leading
-    monomials lm1 and lm2, where q_i·lm_i is their lcm; the lcm cancels."""
-    lcm = monomial_lcm(lm1, lm2)
-    q1, q2 = monomial_div(lcm, lm1), monomial_div(lcm, lm2)
-    modulus = g1.field.p
-    terms = {monomial_mul(m, q1): c for m, c in g1.terms.items()}
-    for m, c in g2.terms.items():
-        m = monomial_mul(m, q2)
-        v = terms.get(m, 0) - c
-        if modulus is not None:
-            v %= modulus
-        if v:
-            terms[m] = v
-        else:
-            del terms[m]
-    return Polynomial(g1.arity, g1.field, terms)
+def _s_remainder(reducers: list[tuple], i: int, j: int, lcm: int,
+                 packing: _Packing, modulus: int | None) -> list[tuple]:
+    """The remainder (`_divide`) by `reducers` of the S-pair of records i
+    and j, whose leading monomials have the packed lcm `lcm`.
+
+    The S-pair is a packed integer term map built from the tails alone, with
+    q·lm = lcm: (L_j/g)·q_i·tail_i − (L_i/g)·q_j·tail_j for leading
+    coefficients L and g = gcd(L_i, L_j), which over F_p, where records are
+    monic, is q_i·tail_i − q_j·tail_j.  A lex tail can have a higher degree
+    than its leading monomial, so every shifted term is tested for a field
+    that does not fit: a `ResourceLimitError`.
+    """
+    _, lc_i, lm_i, tail_i = reducers[i]
+    _, lc_j, lm_j, tail_j = reducers[j]
+    g = gcd(lc_i, lc_j)
+    guard = packing.guard
+    work: dict[int, int] = {}
+    for q, factor, tail in ((lcm - lm_i, lc_j // g, tail_i),
+                            (lcm - lm_j, -(lc_i // g), tail_j)):
+        for m, c in tail:
+            m += q
+            if m & guard:
+                raise ResourceLimitError(
+                    f"an S-pair does not fit the {_WIDTH}-bit fields of a "
+                    f"packed monomial")
+            v = work.get(m, 0) + factor * c
+            if modulus is not None:
+                v %= modulus
+            if v:
+                work[m] = v
+            else:               # a term of tail_i cancelled
+                del work[m]
+    return _divide(work, 1, reducers, packing, modulus)
+
+
+def _remainder_record(rem: list[tuple], unpack, modulus: int | None
+                      ) -> tuple:
+    """The reducer record of a nonzero remainder (`_divide`) made monic:
+    over Q its primitive part with a positive leading coefficient, over F_p
+    its monic residues, as `Polynomial._record` builds it."""
+    monomials = [m for m, _, _ in rem]
+    if modulus is None:
+        top = rem[-1][2]
+        coeffs = [c if s == top else c * (top // s) for _, c, s in rem]
+        g = gcd(*coeffs) if coeffs[0] > 0 else -gcd(*coeffs)
+        coeffs = [c // g for c in coeffs]
+    else:
+        inv = pow(rem[0][1], -1, modulus)
+        coeffs = [c * inv % modulus for _, c, _ in rem]
+    return (unpack(monomials[0]), coeffs[0], monomials[0],
+            tuple(zip(monomials[1:], coeffs[1:])))
 
 
 def _update_pairs(records: list[tuple], record: tuple,
@@ -994,7 +1023,7 @@ def _update_pairs(records: list[tuple], record: tuple,
     that, so a field the lcm overflows sets its guard bit: an lcm that does
     not fit is a `ResourceLimitError`.
     """
-    lmh, plmh = record[0], record[3]
+    lmh, _, plmh, _ = record
     t = len(records)
     packing = _packing(order, len(lmh))
     units, guard = packing.units, packing.guard
@@ -1019,7 +1048,7 @@ def _update_pairs(records: list[tuple], record: tuple,
             minimal.append(L)
     for L in minimal:
         # product (coprime) criterion: the lcm is the product
-        if any(L == records[i][3] + plmh for i in groups[L]):
+        if any(L == records[i][2] + plmh for i in groups[L]):
             continue
         pair = (groups[L][0], t)
         P[pair] = L
@@ -1031,9 +1060,12 @@ def groebner(gens: Iterable[Polynomial],
     """Reduced Gröbner basis by Buchberger with Gebauer-Möller elimination.
 
     Output is deterministic: monic, auto-reduced, sorted by leading monomial.
-    Pairs are drawn smallest lcm first, ties broken by their indices.  Every
-    reduction goes through one reducer table, parallel to G, so the ring is
-    checked once, on entry; the basis returned keeps the records built here.
+    Pairs are drawn smallest lcm first, ties broken by their indices.  The
+    loop runs on reducer records alone: generators and S-pairs
+    (`_s_remainder`) are reduced by `_divide`, and a nonzero remainder
+    becomes a record (`_remainder_record`) and counts against `max_basis`.
+    Polynomials are built only for the reduced basis, which keeps its
+    records.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -1042,58 +1074,64 @@ def groebner(gens: Iterable[Polynomial],
     for g in gens:
         if g.arity != arity or g.field != field:
             raise RingMismatchError("generators live in different rings")
-    G: list[Polynomial] = []
+    gens.sort(key=lambda q: order.key(q.leading_monomial(order)))
+    packing = _packing(order, arity)
+    modulus, unpack = field.p, packing.unpack
     reducers: list[tuple] = []
     P: dict[tuple[int, int], int] = {}
     queue: list = []
 
-    def insert(h: Polynomial) -> None:
-        h = h.monic(order)
-        record = h._record(order)
-        _update_pairs(reducers, record, P, queue, order)
-        G.append(h)
-        reducers.append(record)
+    def reduce(record: tuple, table: list[tuple]) -> list[tuple]:
+        _, lc, lm, tail = record
+        work = dict(tail)
+        work[lm] = lc
+        return _divide(work, 1, table, packing, modulus)
 
-    for g in sorted(gens, key=lambda q: order.key(q.leading_monomial(order))):
-        h = _reduce(g, reducers, order)
-        if not h.is_zero:
-            insert(h)
-    while P:
-        pair = heappop(queue)[1]
-        if P.pop(pair, None) is None:
-            continue
-        i, j = pair
-        s = _s_polynomial(G[i], reducers[i][0], G[j], reducers[j][0])
-        h = _reduce(s, reducers, order)
-        if h.is_zero:
-            continue
-        _check_degree(h.total_degree())
-        if len(G) >= LIMITS.max_basis:
+    def insert(rem: list[tuple]) -> None:
+        if len(reducers) >= LIMITS.max_basis:
             raise ResourceLimitError(
                 f"basis size exceeds guard {LIMITS.max_basis}")
-        insert(h)
+        record = _remainder_record(rem, unpack, modulus)
+        _update_pairs(reducers, record, P, queue, order)
+        reducers.append(record)
+
+    for g in gens:
+        rem = reduce(g._record(order), reducers)
+        if rem:
+            insert(rem)
+    while P:
+        pair = heappop(queue)[1]
+        lcm = P.pop(pair, None)
+        if lcm is None:
+            continue
+        rem = _s_remainder(reducers, *pair, lcm, packing, modulus)
+        if rem:
+            _check_degree(max([sum(unpack(m)) for m, _, _ in rem]))
+            insert(rem)
     # minimalize: drop elements whose LT is divisible by another LT, on
     # packed leading monomials, smallest first; packed ints compare as the
     # order does, so the basis comes out sorted
-    guard = _packing(order, arity).guard
-    lms = [r[3] for r in reducers]
+    lms = [r[2] for r in reducers]
     minimal: list[int] = []
-    for k in sorted(range(len(G)), key=lms.__getitem__):
-        if all((lms[k] - lms[i]) & guard for i in minimal):
+    for k in sorted(range(len(reducers)), key=lms.__getitem__):
+        if all((lms[k] - lms[i]) & packing.guard for i in minimal):
             minimal.append(k)
-    # interreduce tails; an element the others leave as it was is already
-    # monic, and keeps its record
-    table = [reducers[k] for k in minimal]
-    reduced, records = [], []
-    for n, k in enumerate(minimal):
-        r = _reduce(G[k], table[:n] + table[n + 1:], order)
-        if list(r.terms.items()) == list(G[k].terms.items()):
-            reduced.append(G[k])
-            records.append(table[n])
-        else:
-            reduced.append(r.monic(order))
-            records.append(reduced[-1]._record(order))
-    basis = GroebnerBasis(tuple(reduced), order)
+    if minimal == [0]:
+        # the first generator, which nothing reduced, keeps its term order
+        polys = [gens[0].monic(order)]
+        records = [polys[0]._record(order)]
+    else:
+        # interreduce each element by the others
+        table = [reducers[k] for k in minimal]
+        records = []
+        for n, record in enumerate(table):
+            records.append(_remainder_record(
+                reduce(record, table[:n] + table[n + 1:]), unpack, modulus))
+        one = field.one()
+        polys = [Polynomial(arity, field, {lm: one, **{
+            unpack(m): c if modulus else Fraction(c, lc) for m, c in tail}})
+            for lm, lc, _, tail in records]
+    basis = GroebnerBasis(tuple(polys), order)
     object.__setattr__(basis, "_records", records)
     return basis
 

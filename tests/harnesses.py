@@ -8,7 +8,8 @@ from affpi0 import derham, pi0, simplicial
 from affpi0.matrix_homotopy import _transpose
 from affpi0.algebra import AlgebraPresentation, polynomial_extension
 from affpi0.errors import PropertyViolationError
-from affpi0.polyring import DEGREVLEX, Monomial
+from affpi0.polyring import (DEGREVLEX, Monomial, monomial_div,
+                             monomial_lcm)
 
 
 def monomials_up_to(arity: int, maxdeg: int) -> Iterator[Monomial]:
@@ -60,3 +61,14 @@ def reversed_entry_products(mat_mul):
     """mat_mul with every entry product taken as b·a instead of a·b: the same
     over commuting entries, a different word over noncommuting ones."""
     return lambda a, b: _transpose(mat_mul(_transpose(b), _transpose(a)))
+
+
+def reference_s_polynomial(g1, lm1, g2, lm2):
+    """The S-polynomial of g1 and g2, with leading monomials lm1 and lm2,
+    on exponent tuples and field scalars: q1·g1/lc1 − q2·g2/lc2, where
+    q_i·lm_i is the lcm of lm1 and lm2."""
+    lcm = monomial_lcm(lm1, lm2)
+    f = g1.field
+    a = g1.mul_monomial(monomial_div(lcm, lm1), f.inv(g1.terms[lm1]))
+    b = g2.mul_monomial(monomial_div(lcm, lm2), f.inv(g2.terms[lm2]))
+    return a - b

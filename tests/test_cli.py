@@ -473,6 +473,26 @@ def test_lowered_guards_exit_3(files, capsys, monkeypatch, limit, argv):
     assert run_json(argv, capsys)[0] == 0
 
 
+def test_max_basis_counts_the_generators(files, capsys, monkeypatch):
+    """x − 1, y − 2, z − 3 are a basis of three elements with no S-pair to
+    reduce: past a guard of 2 at the third generator, as x^2 − y, xy − 1
+    are at their first S-pair."""
+    doc = files["tmp"] / "point.json"
+    argv = ["alg", "gb", str(doc)]
+    for relations in (["x - 1", "y - 2", "z - 3"], ["x^2 - y", "x*y - 1"]):
+        doc.write_text(json.dumps({"field": "Q", "vars": ["x", "y", "z"],
+                                   "relations": relations}))
+        code, rep = run_json(argv, capsys)
+        assert code == 0 and len(rep["result"]["basis"]) == 3
+        monkeypatch.setenv("AFFPI0_MAX_BASIS", "2")
+        code, rep = run_json(argv, capsys)
+        assert code == 3 and rep["kind"] == "resource-limit"
+        assert "basis size exceeds guard 2" in rep["error"]
+        monkeypatch.setenv("AFFPI0_MAX_BASIS", "3")
+        assert run_json(argv, capsys)[0] == 0
+        monkeypatch.delenv("AFFPI0_MAX_BASIS")
+
+
 @pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
 def test_malformed_limit_in_the_environment_is_an_input_error(
         files, capsys, monkeypatch, value):

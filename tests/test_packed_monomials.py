@@ -1,10 +1,10 @@
 """The packed monomials of the reduction kernel.
 
-Inside `_record` and `_reduce` a monomial is one int of guard-bit fields
-(`polyring._Packing`).  These tests check the layout as a property under
-every order the engine uses, check that a degree the fields cannot hold
-trips a guard instead of wrapping, and run the checked kernel of
-`test_reduction_kernel` on the system shapes of the benchmark.
+Inside the reducer records, the reduction loop and the S-pairs a monomial is
+one int of guard-bit fields (`polyring._Packing`).  These tests check the
+layout as a property under every order the engine uses, check that a degree
+the fields cannot hold trips a guard instead of wrapping, and run the checked
+kernel of `test_reduction_kernel` on the system shapes of the benchmark.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from affpi0.polyring import (DEGREVLEX, LEX, BlockOrder, GroebnerBasis,
                              monomial_divides, normal_form, poly_parse)
 from test_reduction_kernel import (FIELDS, checked_engine,  # noqa: F401
                                    level_two_relations, reference_remainder,
-                                   same)
+                                   same, unpacked)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=60,
@@ -116,6 +116,27 @@ def test_an_lcm_past_the_field_width_raises(field):
         groebner([x_e, y_e])
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_an_s_pair_past_the_field_width_raises(field):
+    """Under lex the tail y^a of x·z − y^a has a higher degree than its
+    leading monomial.  Neither x·z − y^a nor x·y^b − 1 reduces the other, so
+    y^(a+b) first appears when their S-pair is formed, and crosses the width
+    (a = 20000, b = 13000 for 16-bit fields)."""
+    a, b = 20000 << (polyring._WIDTH - 16), 13000 << (polyring._WIDTH - 16)
+    assert a < BOUND and b < BOUND <= a + b
+    x, y = Polynomial.variable(0, 3, field), Polynomial.variable(1, 3, field)
+    y_a = Polynomial.monomial((0, a, 0), field)
+    xz, xy_b = (Polynomial.monomial(m, field) for m in ((1, 0, 1), (1, b, 0)))
+    gens = [xz - y_a, xy_b - Polynomial.one(3, field)]
+    assert normal_form(gens[1], GroebnerBasis((gens[0],), LEX)) == gens[1]
+    with pytest.raises(ResourceLimitError,
+                       match=f"S-pair does not fit the {polyring._WIDTH}-bit"):
+        groebner(gens, LEX)
+    # with x·y − 1 the S-pair's y^(a+1) fits, and trips the degree guard
+    with pytest.raises(ResourceLimitError, match=f"degree {a + 1} exceeds"):
+        groebner([xz - y_a, x * y - Polynomial.one(3, field)], LEX)
+
+
 # ---------------------------------------------------------------------------
 # the checked kernel on the benchmark's system shapes
 
@@ -133,8 +154,9 @@ def test_kernel_matches_linear_scan_on_the_benchmark_systems(checked_engine):
     for relations, order in level_two_relations():
         gb = groebner(relations, order)
         p = relations[0] * relations[-1] + relations[1]
+        divisors = unpacked(gb._reducers(), polyring._packing(order, p.arity))
         assert same(normal_form(p, gb),
-                    reference_remainder(p, gb._reducers(), order))
+                    reference_remainder(p, divisors, order))
     for field in FIELDS:
         us = ["u0", "u1", "u2", "u3"]
         gens = [poly_parse(s, us, field) for s in KATSURA3]
@@ -144,8 +166,9 @@ def test_kernel_matches_linear_scan_on_the_benchmark_systems(checked_engine):
         assert all(m[:3] == (0, 0, 0) for m in gb.polys[0].terms)
         sextic = poly_parse("(u0 + 2*u1 - u2 + 3*u3 - 1)^3 * (u1 - u3)^3",
                             us, field)
+        divisors = unpacked(gb._reducers(), polyring._packing(LEX, 4))
         assert same(normal_form(sextic, gb),
-                    reference_remainder(sextic, gb._reducers(), LEX))
+                    reference_remainder(sextic, divisors, LEX))
 
         # elimination of t runs under BlockOrder(1)
         curve = [poly_parse(f"{v} - ({f})", ["t", "x", "y", "z"], field)

@@ -5,10 +5,11 @@ list order is tried with `monomial_divides`, and the field arithmetic goes
 through `FieldDescriptor` in `Fraction`s over Q, where the kernel computes in
 integers under one scale.  The kernel must pick the same reducer for every
 term, so remainders agree term by term, insertion order and coefficient type
-included, and so do the S-polynomials and bases that `groebner` builds from
-them.  `reference_update_pairs` is the Gebauer-Möller update on exponent
-tuples that the packed one replaced; both must give the same S-pair
-sequence.
+included, and so do the bases that `groebner` builds from them.  Each S-pair
+`groebner` forms on packed records and reduces must, made monic, be the
+remainder of the tuple S-polynomial (`reference_s_polynomial`), made monic.
+`reference_update_pairs` is the Gebauer-Möller update on exponent tuples
+that the packed one replaced; both must give the same S-pair sequence.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +28,7 @@ from affpi0.polyring import (DEGREVLEX, GF, LEX, QQ, BlockOrder,
                              GroebnerBasis, Polynomial, groebner, monomial_div,
                              monomial_divides, monomial_lcm, monomial_mul,
                              normal_form)
+from harnesses import reference_s_polynomial
 
 FIELDS = (QQ, GF(32003))
 
@@ -43,9 +46,10 @@ def descending(key):
 
 
 def reference_remainder(p, records, order):
-    """Linear-scan division of p by records (lm, lc, tail, ...), whose
+    """Linear-scan division of p by records (lm, lc, tail), whose
     coefficients are read as field scalars: the leading data of a divisor,
-    or a kernel record, which over Q is an integer multiple of it."""
+    or an unpacked kernel record (`unpacked`), which over Q is an integer
+    multiple of it.  Any `order` with a `key` will do."""
     if not records:
         return p
     f = p.field
@@ -59,7 +63,7 @@ def reference_remainder(p, records, order):
         c = work.pop(m, None)
         if c is None:
             continue
-        for lm, lc, tail, *_ in records:
+        for lm, lc, tail in records:
             if monomial_divides(lm, m):
                 q = monomial_div(m, lm)
                 factor = f.div(c, f.scalar(lc))
@@ -80,14 +84,6 @@ def reference_remainder(p, records, order):
         else:
             result[m] = c
     return Polynomial(p.arity, f, result)
-
-
-def reference_s_polynomial(g1, lm1, g2, lm2):
-    lcm = monomial_lcm(lm1, lm2)
-    f = g1.field
-    a = g1.mul_monomial(monomial_div(lcm, lm1), f.inv(g1.terms[lm1]))
-    b = g2.mul_monomial(monomial_div(lcm, lm2), f.inv(g2.terms[lm2]))
-    return a - b
 
 
 def reference_update_pairs(G, lmG, P, queue, h, order):
@@ -128,6 +124,56 @@ def records(basis, order):
     return out
 
 
+def unpacked(reducers, packing):
+    """Kernel records (lm, lc, packed lm, packed tail) as (lm, lc, tail)
+    on exponent tuples."""
+    return [(lm, lc, [(packing.unpack(m), c) for m, c in tail])
+            for lm, lc, _, tail in reducers]
+
+
+def packed_order(packing):
+    """The order of `packing` as a sort key: packed ints compare as the
+    monomial order does."""
+    return SimpleNamespace(key=packing.pack)
+
+
+def field_of(modulus):
+    return QQ if modulus is None else GF(modulus)
+
+
+def packed_polynomial(terms, packing, field):
+    """A polynomial from (packed monomial, coefficient, scale) triples, or
+    a record's (packed monomial, coefficient) pairs: over Q the `Fraction`
+    c/scale, or c itself under scale 0; over F_p the residue as it is."""
+    out = {}
+    for m, c, *scale in terms:
+        if field.is_rational:
+            c = Fraction(c, scale[0] if scale and scale[0] else 1)
+        out[packing.unpack(m)] = c
+    return Polynomial(len(packing.units), field, out)
+
+
+def record_polynomial(record, packing, field):
+    """The integer multiple of a basis element that a kernel record holds."""
+    lm, lc, plm, tail = record
+    return packed_polynomial([(plm, lc), *tail], packing, field)
+
+
+def check_s_remainder(out, reducers, i, j, lcm, packing, modulus):
+    """The S-pair remainder `out` of records i and j, made monic, is the
+    linear-scan remainder of their tuple S-polynomial, made monic."""
+    field, order = field_of(modulus), packed_order(packing)
+    (lm_i, *_), (lm_j, *_) = reducers[i], reducers[j]
+    assert lcm == packing.pack(monomial_lcm(lm_i, lm_j))
+    s = reference_s_polynomial(record_polynomial(reducers[i], packing, field),
+                               lm_i,
+                               record_polynomial(reducers[j], packing, field),
+                               lm_j)
+    expected = reference_remainder(s, unpacked(reducers, packing), order)
+    got = packed_polynomial(out, packing, field)
+    assert same(got.monic(order), expected.monic(order))
+
+
 def typed(p):
     """Whether every coefficient has the field's type: Fraction over Q,
     int over F_p."""
@@ -144,26 +190,32 @@ def same(p, q):
 
 @pytest.fixture
 def checked_engine(monkeypatch):
-    """Every kernel reduction and S-polynomial inside the engine is checked
-    against the reference; yields the number of checks made."""
-    kernel, s_poly = polyring._reduce, polyring._s_polynomial
+    """Every run of the reduction loop, in `normal_form` and inside
+    `groebner`, and every S-pair remainder is checked against the
+    reference; yields the number of checks made."""
+    kernel, s_remainder = polyring._divide, polyring._s_remainder
     calls = {"reduce": 0, "s": 0}
 
-    def reduce(p, reducers, order):
-        out = kernel(p, reducers, order)
-        assert typed(out)
-        assert same(out, reference_remainder(p, reducers, order))
+    def divide(work, scale, reducers, packing, modulus):
+        field = field_of(modulus)
+        # largest first, the order of a remainder, also of one by no record
+        p = packed_polynomial(sorted([(m, c, scale) for m, c in work.items()],
+                                     reverse=True), packing, field)
+        expected = reference_remainder(p, unpacked(reducers, packing),
+                                       packed_order(packing))
+        out = kernel(work, scale, reducers, packing, modulus)
+        assert same(packed_polynomial(out, packing, field), expected)
         calls["reduce"] += 1
         return out
 
-    def s_polynomial(g1, lm1, g2, lm2):
-        out = s_poly(g1, lm1, g2, lm2)
-        assert same(out, reference_s_polynomial(g1, lm1, g2, lm2))
+    def s_pair(reducers, i, j, lcm, packing, modulus):
+        out = s_remainder(reducers, i, j, lcm, packing, modulus)
+        check_s_remainder(out, reducers, i, j, lcm, packing, modulus)
         calls["s"] += 1
         return out
 
-    monkeypatch.setattr(polyring, "_reduce", reduce)
-    monkeypatch.setattr(polyring, "_s_polynomial", s_polynomial)
+    monkeypatch.setattr(polyring, "_divide", divide)
+    monkeypatch.setattr(polyring, "_s_remainder", s_pair)
     return calls
 
 
@@ -273,26 +325,33 @@ def test_basis_tables_are_kept_per_order(checked_engine):
 
 
 def s_pair_sequence(monkeypatch, gens, order, update):
-    """The S-pairs `groebner` forms, in order, under a pair update."""
+    """The S-pairs `groebner` forms, in order, under a pair update, as the
+    records of their two elements."""
     seen = []
-    s_poly = polyring._s_polynomial
+    s_remainder = polyring._s_remainder
 
-    def spy(g1, lm1, g2, lm2):
-        seen.append((g1.key(), g2.key()))
-        return s_poly(g1, lm1, g2, lm2)
+    def spy(reducers, i, j, lcm, packing, modulus):
+        seen.append((reducers[i], reducers[j]))
+        return s_remainder(reducers, i, j, lcm, packing, modulus)
 
     with monkeypatch.context() as patch:
-        patch.setattr(polyring, "_s_polynomial", spy)
+        patch.setattr(polyring, "_s_remainder", spy)
         patch.setattr(polyring, "_update_pairs", update)
         gb = groebner(gens, order)
     return seen, gb
 
 
 def parent_update(records, record, P, queue, order):
-    """The reference update behind the kernel's calling convention."""
+    """The reference update behind the kernel's calling convention: `P`
+    maps each pair to its packed lcm, which `groebner` builds the S-pair
+    from."""
+    packing = polyring._packing(order, len(record[0]))
     h = Polynomial.monomial(record[0], QQ)
+    lcms = {pair: packing.unpack(L) for pair, L in P.items()}
     reference_update_pairs([None] * len(records), [r[0] for r in records],
-                           P, queue, h, order)
+                           lcms, queue, h, order)
+    P.clear()
+    P.update({pair: packing.pack(L) for pair, L in lcms.items()})
 
 
 def level_two_relations():
@@ -304,11 +363,36 @@ def level_two_relations():
             yield level.relations, DEGREVLEX
 
 
+def s_pair_systems():
+    """(generators, order): every seeded case, the 70-variable systems and
+    the level-2 map-space rings."""
+    yield from ((gens, order) for _, order, gens, _ in all_cases())
+    yield from ((gens, order) for _, order, gens, _ in cases(70, 12, 70, WIDE))
+    yield from level_two_relations()
+
+
+def test_s_pair_remainders_match_the_reference(monkeypatch):
+    """Each S-pair `groebner` builds on packed records and reduces is, made
+    monic, the linear-scan remainder of the tuple S-polynomial of its two
+    elements, made monic."""
+    s_remainder = polyring._s_remainder
+    checked = []
+
+    def spy(reducers, i, j, lcm, packing, modulus):
+        out = s_remainder(reducers, i, j, lcm, packing, modulus)
+        check_s_remainder(out, reducers, i, j, lcm, packing, modulus)
+        checked.append(bool(out))
+        return out
+
+    monkeypatch.setattr(polyring, "_s_remainder", spy)
+    for gens, order in s_pair_systems():
+        groebner(gens, order)
+    # both kinds of remainder were seen, and many of each
+    assert checked.count(True) > 100 and checked.count(False) > 100
+
+
 def test_pair_update_keeps_the_s_pair_sequence(monkeypatch):
-    systems = [(gens, order) for _, order, gens, _ in all_cases()]
-    systems += [(gens, order) for _, order, gens, _ in cases(70, 12, 70, WIDE)]
-    systems += list(level_two_relations())
-    for gens, order in systems:
+    for gens, order in s_pair_systems():
         ours, gb = s_pair_sequence(monkeypatch, gens, order,
                                    polyring._update_pairs)
         theirs, ref = s_pair_sequence(monkeypatch, gens, order, parent_update)
@@ -322,7 +406,9 @@ def test_a_normal_form_against_groebner_output_builds_no_record(
         monkeypatch):
     """`groebner` hands the records it built to the basis it returns, so a
     normal form against that basis builds none, and they are the records a
-    fresh build gives."""
+    fresh build gives: over Q with fractional inputs too, where a record
+    built from a remainder is its primitive part with a positive leading
+    coefficient."""
     built = []
     record = Polynomial._record
 
@@ -330,7 +416,8 @@ def test_a_normal_form_against_groebner_output_builds_no_record(
         built.append(g)
         return record(g, order)
 
-    for field, order, gens, polys in cases(9, 12, 3):
+    seeded = [*cases(9, 12, 3), *cases(103, 12, 3, coeffs=FRACTIONAL)]
+    for field, order, gens, polys in seeded:
         gb = groebner(gens, order)
         with monkeypatch.context() as patch:
             patch.setattr(Polynomial, "_record", spy)
