@@ -21,7 +21,7 @@ from .errors import (HypothesisError, PropertyViolationError,
                      UnsupportedFieldError)
 from .mapspace import (MapSpacePresentation, mapspace_presentation,
                        require_tower)
-from .polyring import Polynomial, elimination_ideal
+from .polyring import DEGREVLEX, Polynomial, elimination_ideal
 from .solve import SolveResult, solve_system
 
 
@@ -225,9 +225,10 @@ def pi0_presentation(a: AlgebraPresentation, degree: int,
     equal; no level above 1 is built.  `tower` is only checked, since the
     equalizer route has no level below 1 (tower < 1 is a HypothesisError);
     ROADMAP item 8 may drop it.  The component count is emitted only when
-    the idempotent search is complete, and either A is finite-dimensional
-    (the search then covers all of A) or A looks reduced on the slice and
-    the count is no lower than the presented subalgebra's.
+    the idempotent search is complete, and either it covers a degree that
+    holds every idempotent of A (`_idempotent_degree`), so the count is
+    exact, or A looks reduced on the slice and the count is no lower than
+    the presented subalgebra's.
     """
     if not a.field.is_rational:
         raise UnsupportedFieldError(
@@ -244,20 +245,45 @@ def pi0_presentation(a: AlgebraPresentation, degree: int,
     pres, incl = _subalgebra_presentation(a, kernel.basis)
     idem = IdempotentReport(*_root_solutions(a, 2, slice_monos, cut))
     search = idem
-    whole = a.finite_basis()
-    if whole is not None:
-        top = max(map(sum, whole), default=0)
-        if top > degree:
-            search = IdempotentReport(*_root_solutions(
-                a, 2, *_cut(a, top, level1)))
+    top = _idempotent_degree(a)
+    if top is not None and top > degree:
+        search = IdempotentReport(*_root_solutions(
+            a, 2, *_cut(a, top, level1)))
     count = None
-    if search.complete and (whole is not None
+    if search.complete and (top is not None
                             or _no_nilpotents_on_slice(a, degree)):
         prims = primitive_idempotents(search)
         count = len(prims) if prims else (0 if a.is_zero_algebra() else 1)
-        if whole is None and count < _components_at_least(pres):
+        if top is None and count < _components_at_least(pres):
             count = None
     return Pi0Result(kernel.basis, pres, incl, idem, count)
+
+
+def _idempotent_degree(a: AlgebraPresentation) -> int | None:
+    """A degree whose slice holds the normal form of every idempotent of A,
+    or None when none is known.
+
+    When A is finite-dimensional, the top degree of its standard monomials.
+    When A = F[x_1..x_n]/(f), infinite-dimensional (so n >= 2) with the
+    single polynomial f of degree δ as its reduced degrevlex basis,
+    D* = ⌊δ²/4⌋: an idempotent e splits f = c·G·H over F, with G and H
+    collecting the irreducible factors where e is 0 and where e is 1, so
+    V(G) and V(H) are disjoint and (G, H) = (1).  Jelonek's effective
+    Nullstellensatz (Z. Jelonek, Invent. Math. 162, 2005) gives
+    1 = aG + bH with deg aG <= deg G·deg H <= D*, over F since the
+    certificate is a linear system.  aG is idempotent mod f, 0 on V(G) and
+    1 on V(H), so it is e; and reduction by f, whose leading monomial has
+    its top degree, raises no degree, so e's normal form lies in the
+    D*-slice.
+    """
+    whole = a.finite_basis()
+    if whole is not None:
+        return max(map(sum, whole), default=0)
+    gb = a.gb()
+    if len(gb) != 1 or gb.order != DEGREVLEX:
+        return None
+    delta = gb.polys[0].total_degree()
+    return delta * delta // 4
 
 
 def _components_at_least(pres: AlgebraPresentation) -> int:

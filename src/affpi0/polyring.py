@@ -2,17 +2,19 @@
 
 Coefficients are exact: `fractions.Fraction` over the rationals, reduced
 residues in ``[0, p)`` over a prime field.  Rational coefficients are
-`Fraction`s wherever a polynomial is handed out; inside the reduction loop
-(`_divide`) a rational polynomial is an integer term map over one common
-scale, reduced by integer multiples of its divisors, so no step builds a
-`Fraction`.  Buchberger's loop runs on reducer records alone: S-pairs are
-built and reduced as packed integer term maps, and `Fraction`s are built only
-for the basis returned.  Monomials are exponent tuples at the API and
-guard-bit packed ints (`_Packing`) inside the reduction loop, the S-pairs,
-the pair update and the minimalization of a basis; polynomials are sparse
-term maps and carry no caches.  All values are immutable after
-construction and every operation is a pure function, so concurrent use on
-distinct values is safe.  The only writes after construction are a
+`Fraction`s wherever a polynomial is handed out.  A polynomial enters the
+engine one way (`_packed`), over Q as integers under one common scale, and
+the reduction loop (`_divide`) reduces by integer multiples of its
+divisors, so no step builds a `Fraction`.  Every reducer record is
+normalized one way (`_remainder_record`): primitive over Q, monic over F_p.
+Buchberger's loop runs on reducer records alone: S-pairs are built and
+reduced as packed integer term maps, and `Fraction`s are built only for the
+basis returned.  Monomials are exponent tuples at the API and guard-bit
+packed ints (`_Packing`) inside the reduction loop, the S-pairs, the pair
+update and the minimalization of a basis; polynomials are sparse term maps
+and carry no caches.  All values are immutable after construction and
+every operation is a pure function, so concurrent use on distinct values is
+safe.  The only writes after construction are a
 `GroebnerBasis`'s table of reducer records, built once on first use, and the
 packed layout of each order and arity (`_packing`).  Each caches a value
 derived from immutable data and is stored whole, so concurrent writers store
@@ -139,10 +141,10 @@ class FieldDescriptor:
         return value % self.p
 
     def zero(self):
-        return Fraction(0) if self.p is None else 0
+        return _ZERO if self.p is None else 0
 
     def one(self):
-        return Fraction(1) if self.p is None else 1
+        return _ONE if self.p is None else 1
 
     def add(self, a, b):
         return a + b if self.p is None else (a + b) % self.p
@@ -176,6 +178,8 @@ class FieldDescriptor:
 
 
 Scalar = object  # Fraction over Q, int over F_p
+
+_ZERO, _ONE = Fraction(0), Fraction(1)     # immutable, so shared
 
 QQ = FieldDescriptor()
 
@@ -324,25 +328,26 @@ class _Packing:
 _packing = lru_cache(maxsize=64)(_Packing)
 
 
-def _pack(p: "Polynomial", packing: _Packing) -> dict[int, Scalar]:
-    """p's term map with packed monomials (`_Packing`), in the order of its
-    terms.  A degree whose fields could reach a guard bit is a
-    `ResourceLimitError`, raised before anything is packed."""
+def _packed(p: "Polynomial", packing: _Packing) -> tuple[dict[int, int], int]:
+    """The one way into the engine: p's terms with packed monomials
+    (`_Packing`), largest first, and a scale.  Over Q the coefficients are
+    integers standing for p·scale, with scale the lcm of p's denominators;
+    over F_p they are p's residues, under scale 1.  A degree whose fields
+    could reach a guard bit is a `ResourceLimitError`, raised before
+    anything is packed."""
     deg = max(map(sum, p.terms), default=0)
     if deg >= _FIELD_BOUND:
         raise ResourceLimitError(
             f"degree {deg} does not fit the {_WIDTH}-bit fields of a packed "
             f"monomial")
     units = packing.units
-    return {sum(map(_mul, m, units)): c for m, c in p.terms.items()}
-
-
-def _integral(work: dict[int, Fraction]) -> tuple[dict[int, int], int]:
-    """A rational term map as integers over the lcm S of its denominators,
-    standing for map / S, and S."""
-    ratios = [c.as_integer_ratio() for c in work.values()]
-    scale = int_lcm(*[d for _, d in ratios])
-    return dict(zip(work, [n * (scale // d) for n, d in ratios])), scale
+    coeffs, scale = p.terms.values(), 1
+    if p.field.p is None:
+        ratios = [c.as_integer_ratio() for c in coeffs]
+        scale = int_lcm(*[d for _, d in ratios])
+        coeffs = [n * (scale // d) for n, d in ratios]
+    return dict(sorted(zip([sum(map(_mul, m, units)) for m in p.terms],
+                           coeffs), reverse=True)), scale
 
 
 # ---------------------------------------------------------------------------
@@ -428,20 +433,13 @@ class Polynomial:
 
     def _record(self, order: MonomialOrder) -> tuple:
         """The reducer record (lm, lc, packed lm, packed tail) that
-        `_divide` divides by; the packed tail is in the order of `terms`.
-        Over Q it is that of the integer multiple D·self (`_integral`),
-        signed so that lc is positive: the remainder modulo D·self is the
-        remainder modulo self.  Built afresh on every call; a `GroebnerBasis`
-        keeps its elements'."""
+        `_divide` divides by, normalized as a remainder's
+        (`_remainder_record`).  Built afresh on every call; a
+        `GroebnerBasis` keeps its elements'."""
         packing = _packing(order, self.arity)
-        work = _pack(self, packing)
-        if self.field.p is None:
-            work, _ = _integral(work)
-        lm = max(work)
-        lc = work.pop(lm)
-        if lc < 0:
-            lc, work = -lc, {m: -c for m, c in work.items()}
-        return (packing.unpack(lm), lc, lm, tuple(work.items()))
+        work, scale = _packed(self, packing)
+        return _remainder_record([(m, c, scale) for m, c in work.items()],
+                                 packing.unpack, self.field.p)
 
     def leading_monomial(self, order: MonomialOrder = DEGREVLEX) -> Monomial:
         if self.is_zero:
@@ -825,9 +823,9 @@ class GroebnerBasis:
     and sorted.
 
     `_records` holds the reducer records of `polys` under `order`
-    (`Polynomial._record`: over Q, those of integer multiples of the
-    elements), parallel to `polys`: those `groebner` built the elements
-    from, or built on first use.
+    (`Polynomial._record`: primitive over Q, monic over F_p), parallel to
+    `polys`: those `groebner` built the elements from, or built on first
+    use.
     """
 
     polys: tuple[Polynomial, ...]
@@ -863,9 +861,10 @@ class GroebnerBasis:
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Full remainder of multivariate division by the elements of `gb`, monic
-    or not: no term divisible by any LT.  p is packed (`_pack`), reduced by
+    or not: no term divisible by any LT.  p is packed (`_packed`), reduced by
     `_divide` and unpacked, its terms in the order found; over Q a term
-    whose value did not change keeps p's `Fraction`."""
+    that comes out under the entry scale with its entry value keeps p's
+    `Fraction`."""
     for g in gb.polys[:1]:      # __post_init__ checked the rest
         if g.arity != p.arity or g.field != p.field:
             raise RingMismatchError("normal form: basis lives in another ring")
@@ -873,16 +872,15 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     if not reducers or p.is_zero:
         return p
     packing = _packing(gb.order, p.arity)
-    unpack = packing.unpack
+    unpack, modulus = packing.unpack, p.field.p
+    work, scale = _packed(p, packing)
+    entry = dict(work)
     result: dict[Monomial, Scalar] = {}
-    for m, c, scale in _divide(_pack(p, packing), 0, reducers, packing,
-                               p.field.p):
+    for m, c, s in _divide(work, scale, reducers, packing, modulus):
         t = unpack(m)
-        if scale:               # c stands for c / scale
-            old = p.terms.get(t)
-            if old is None or old.numerator * scale != c * old.denominator:
-                old = Fraction(c, scale)
-            c = old
+        if modulus is None:     # c stands for c / s
+            c = (p.terms[t] if s == scale and entry.get(m) == c
+                 else Fraction(c, s))
         result[t] = c
     return Polynomial(p.arity, p.field, result)
 
@@ -896,12 +894,12 @@ def _divide(work: dict[int, Scalar], scale: int, reducers: Sequence[tuple],
     divides it; a product that does not fit the fields is a
     `ResourceLimitError`.
 
-    Over Q `work` stands for work / scale: integers, or `Fraction`s under
-    scale 0 until the first step (`_integral`).  To reduce c·m by
-    L·lm + tail, with g = gcd(c, L), the work and the scale are multiplied
-    by L/g and (c/g)·q·tail is subtracted, so no `Fraction` is built.  The
-    scale only grows by whole factors: the last term's is a multiple of the
-    others'.  Over F_p the scale is left as given.
+    Over Q `work` holds integers standing for work / scale.  To reduce c·m
+    by L·lm + tail, with g = gcd(c, L), the work and the scale are
+    multiplied by L/g and (c/g)·q·tail is subtracted, so no `Fraction` is
+    built.  The scale only grows by whole factors: the last term's is a
+    multiple of the others'.  Over F_p every record is monic, so c·q·tail is
+    subtracted as it is, and the scale is left as given.
     """
     guard = packing.guard
     # terms are popped largest first; a popped monomial missing from `work`
@@ -918,22 +916,14 @@ def _divide(work: dict[int, Scalar], scale: int, reducers: Sequence[tuple],
             q = m - lm
             if not q & guard:
                 # c becomes the quotient term's coefficient
-                if modulus is not None:
-                    if lc != 1:
-                        c = c * pow(lc, -1, modulus) % modulus
-                else:
-                    if not scale:
-                        work[m] = c
-                        work, scale = _integral(work)
-                        c = work.pop(m)
-                    if lc != 1:
-                        g = gcd(c, lc)
-                        if g != lc:
-                            a = lc // g
-                            scale *= a
-                            for k in work:
-                                work[k] *= a
-                        c //= g
+                if lc != 1:     # over Q only: F_p records are monic
+                    g = gcd(c, lc)
+                    if g != lc:
+                        a = lc // g
+                        scale *= a
+                        for k in work:
+                            work[k] *= a
+                    c //= g
                 for gm, gc in tail:
                     mm = gm + q
                     if mm & guard:
@@ -994,9 +984,10 @@ def _s_remainder(reducers: list[tuple], i: int, j: int, lcm: int,
 
 def _remainder_record(rem: list[tuple], unpack, modulus: int | None
                       ) -> tuple:
-    """The reducer record of a nonzero remainder (`_divide`) made monic:
-    over Q its primitive part with a positive leading coefficient, over F_p
-    its monic residues, as `Polynomial._record` builds it."""
+    """The reducer record of nonzero (packed monomial, coefficient, scale)
+    triples, largest first, such as a remainder (`_divide`): over Q their
+    primitive part with a positive leading coefficient, over F_p their monic
+    residues.  Every record is normalized here, `Polynomial._record`'s too."""
     monomials = [m for m, _, _ in rem]
     if modulus is None:
         top = rem[-1][2]
@@ -1059,13 +1050,14 @@ def groebner(gens: Iterable[Polynomial],
              order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
     """Reduced Gröbner basis by Buchberger with Gebauer-Möller elimination.
 
-    Output is deterministic: monic, auto-reduced, sorted by leading monomial.
-    Pairs are drawn smallest lcm first, ties broken by their indices.  The
-    loop runs on reducer records alone: generators and S-pairs
-    (`_s_remainder`) are reduced by `_divide`, and a nonzero remainder
-    becomes a record (`_remainder_record`) and counts against `max_basis`.
-    Polynomials are built only for the reduced basis, which keeps its
-    records.
+    Output is deterministic: monic, auto-reduced, sorted by leading monomial,
+    each element's terms largest first.  Pairs are drawn smallest lcm first,
+    ties broken by their indices.  The loop runs on reducer records alone:
+    generators, packed (`_packed`) and sorted by packed leading monomial,
+    and S-pairs (`_s_remainder`) are reduced by `_divide`, and a nonzero
+    remainder becomes a record (`_remainder_record`) and counts against
+    `max_basis`.  Polynomials are built only for the reduced basis, which
+    keeps its records.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -1074,18 +1066,14 @@ def groebner(gens: Iterable[Polynomial],
     for g in gens:
         if g.arity != arity or g.field != field:
             raise RingMismatchError("generators live in different rings")
-    gens.sort(key=lambda q: order.key(q.leading_monomial(order)))
     packing = _packing(order, arity)
+    # each work is largest first, so its first key is its leading monomial
+    works = sorted((_packed(g, packing) for g in gens),
+                   key=lambda work: next(iter(work[0])))
     modulus, unpack = field.p, packing.unpack
     reducers: list[tuple] = []
     P: dict[tuple[int, int], int] = {}
     queue: list = []
-
-    def reduce(record: tuple, table: list[tuple]) -> list[tuple]:
-        _, lc, lm, tail = record
-        work = dict(tail)
-        work[lm] = lc
-        return _divide(work, 1, table, packing, modulus)
 
     def insert(rem: list[tuple]) -> None:
         if len(reducers) >= LIMITS.max_basis:
@@ -1095,8 +1083,8 @@ def groebner(gens: Iterable[Polynomial],
         _update_pairs(reducers, record, P, queue, order)
         reducers.append(record)
 
-    for g in gens:
-        rem = reduce(g._record(order), reducers)
+    for work, scale in works:
+        rem = _divide(work, scale, reducers, packing, modulus)
         if rem:
             insert(rem)
     while P:
@@ -1116,21 +1104,17 @@ def groebner(gens: Iterable[Polynomial],
     for k in sorted(range(len(reducers)), key=lms.__getitem__):
         if all((lms[k] - lms[i]) & packing.guard for i in minimal):
             minimal.append(k)
-    if minimal == [0]:
-        # the first generator, which nothing reduced, keeps its term order
-        polys = [gens[0].monic(order)]
-        records = [polys[0]._record(order)]
-    else:
-        # interreduce each element by the others
-        table = [reducers[k] for k in minimal]
-        records = []
-        for n, record in enumerate(table):
-            records.append(_remainder_record(
-                reduce(record, table[:n] + table[n + 1:]), unpack, modulus))
-        one = field.one()
-        polys = [Polynomial(arity, field, {lm: one, **{
-            unpack(m): c if modulus else Fraction(c, lc) for m, c in tail}})
-            for lm, lc, _, tail in records]
+    # interreduce each element by the others
+    table = [reducers[k] for k in minimal]
+    records = []
+    for n, (_, lc, lm, tail) in enumerate(table):
+        rem = _divide({lm: lc, **dict(tail)}, 1, table[:n] + table[n + 1:],
+                      packing, modulus)
+        records.append(_remainder_record(rem, unpack, modulus))
+    one = field.one()
+    polys = [Polynomial(arity, field, {lm: one, **{
+        unpack(m): c if modulus else Fraction(c, lc) for m, c in tail}})
+        for lm, lc, _, tail in records]
     basis = GroebnerBasis(tuple(polys), order)
     object.__setattr__(basis, "_records", records)
     return basis

@@ -74,6 +74,17 @@ def test_worker_answers_the_first_seed_one_job_of_each_kind(bench, workload,
         assert checker.check(job, answer(call())) is None, job["name"]
 
 
+def test_worker_answers_every_seed_one_pi0_route_job(bench, tmp_path):
+    """Every job of `pi0-routes` passes the benchmark's own check, so an
+    answer it would count as wrong fails here first."""
+    _, jobs = bench["jobs"].job_list("pi0-routes", 1)
+    checker = bench["checks"].Checker()
+    assert len(jobs) == 64
+    for job in jobs:
+        call, answer = bench["worker"].build(job, str(tmp_path))
+        assert checker.check(job, answer(call())) is None, job["name"]
+
+
 def test_worker_answers_every_seed_one_cli_request(bench, tmp_path):
     """Every request of `cli-requests` passes the benchmark's own check, so a
     report change it would count as a wrong answer fails here first."""

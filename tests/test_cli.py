@@ -673,7 +673,20 @@ def test_derham_h0_of_four_parabolas_is_exact(files, capsys):
     assert code == 0
     res = rep["result"]
     assert res["derham"]["dimension"] == res["equalizer"]["dimension"] == 2
-    assert res["derham"]["component_count"] is None
+    # principal: the search at ⌊8²/4⌋ = 16 holds every idempotent
+    assert res["derham"]["component_count"] == 4
+
+
+def test_pi0_of_two_cubics_counts_beyond_the_slice(files, capsys):
+    """The degree-1 slice holds no idempotent but 0 and 1; the principal
+    relation of degree 6 puts every idempotent in degree ⌊6²/4⌋ = 9."""
+    doc = files["tmp"] / "two_cubics.json"
+    doc.write_text(json.dumps({"field": "Q", "vars": ["x", "y"],
+                               "relations": ["(y - x^3)*(y - x^3 - 1)"]}))
+    code, rep = run_json(["pi0", str(doc), "--method", "derham", "--deg",
+                          "1"], capsys)
+    assert code == 0
+    assert rep["result"]["derham"]["component_count"] == 2
 
 
 def test_pi0_with_a_dropped_derham_element_exit_1(files, capsys,

@@ -337,16 +337,54 @@ def test_pi0_whole_algebra_search_reports_its_guard():
         pi0_presentation(a, 1, 2)
 
 
-@pytest.mark.parametrize("copies, degree, count", [
-    (3, 2, None), (3, 4, 3), (4, 2, None), (4, 4, None)])
-def test_pi0_never_counts_below_the_presented_subalgebra(copies, degree,
+@pytest.mark.parametrize("names, rels, degree, count", [
+    pytest.param(["x", "y"], [parabolas(3)], 2, 3, id="3-2-3"),
+    pytest.param(["x", "y"], [parabolas(3)], 4, 3, id="3-4-3"),
+    pytest.param(["x", "y"], [parabolas(4)], 2, 4, id="4-2-4"),
+    pytest.param(["x", "y"], [parabolas(4)], 4, 4, id="4-4-4"),
+    pytest.param(["x", "y", "z"], [parabolas(3), "z - x"], 2, None,
+                 id="graph-3-2-None"),
+    pytest.param(["x", "y", "z"], [parabolas(4), "z - x"], 2, None,
+                 id="graph-4-2-None"),
+    pytest.param(["x", "y", "z"], [parabolas(4), "z - x"], 4, None,
+                 id="graph-4-4-None")])
+def test_pi0_never_counts_below_the_presented_subalgebra(names, rels, degree,
                                                          count):
     """The presented subalgebra's idempotents are idempotents of A, so its
-    count bounds A's from below; a slice count under it is withheld.  At
-    tower 1 and at the CLI's default tower 2."""
-    a = A_of(QQ, ["x", "y"], [parabolas(copies)])
+    count bounds A's from below; a slice count under it is withheld.  The
+    parabolas are principal, so they are counted exactly; their graphs
+    (x = z) are not, and keep the lower-bound rule.  At tower 1 and at the
+    CLI's default tower 2."""
+    a = A_of(QQ, names, rels)
     for tower in (1, 2):
         assert pi0_presentation(a, degree, tower).component_count == count
+
+
+# principal hypersurfaces whose idempotents the slice at degree 1 or 2
+# misses, and their component counts
+PRINCIPAL_COUNTS = {"two_cubics": 2, "three_parabolas": 3,
+                    "two_parabolas": 2, "two_hyperbolas": 2,
+                    "four_parabolas": 4}
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("name", sorted(PRINCIPAL_COUNTS))
+def test_pi0_counts_a_principal_hypersurface_exactly(name, degree):
+    """A = F[x, y]/(f): every idempotent has a normal form of degree at most
+    ⌊deg(f)²/4⌋ (Jelonek's effective Nullstellensatz), so a complete search
+    there counts exactly, at any slice degree."""
+    a = A_of(QQ, *LEVEL1_LAW_ALGEBRAS[name])
+    assert pi0_presentation(a, degree, 1).component_count \
+        == PRINCIPAL_COUNTS[name]
+
+
+def test_pi0_counts_a_principal_hypersurface_with_nilpotents():
+    """Q[x,y]/(y^2) is principal, so the complete search at ⌊2²/4⌋ = 1
+    holds every idempotent, and the nilpotent y withholds nothing."""
+    res = pi0_presentation(A_of(QQ, ["x", "y"], ["y^2"]), 2)
+    assert res.component_count == 1
+    assert res.dimension == 1
+    assert res.idempotents.count == 2 and res.idempotents.complete
 
 
 def test_pi0_with_a_dropped_derham_element_fails(monkeypatch):
@@ -679,9 +717,10 @@ def test_line_plus_point_two_components():
 
 
 def test_pi0_count_withheld_when_the_slice_has_nilpotents():
-    """Q[x,y]/(y^2) is infinite-dimensional and y is nilpotent, so the
-    complete idempotent search {0, 1} gives no component count."""
-    res = pi0_presentation(A_of(QQ, ["x", "y"], ["y^2"]), 2)
+    """Q[x,y]/(y^2, xy) is infinite-dimensional, not principal, and y is
+    nilpotent, so the complete idempotent search {0, 1} gives no component
+    count."""
+    res = pi0_presentation(A_of(QQ, ["x", "y"], ["y^2", "x*y"]), 2)
     assert res.component_count is None
     assert res.dimension == 1
     assert res.idempotents.count == 2 and res.idempotents.complete

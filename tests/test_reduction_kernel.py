@@ -10,12 +10,15 @@ included, and so do the bases that `groebner` builds from them.  Each S-pair
 remainder of the tuple S-polynomial (`reference_s_polynomial`), made monic.
 `reference_update_pairs` is the Gebauer-Möller update on exponent tuples
 that the packed one replaced; both must give the same S-pair sequence.
+Every record the kernel divides by is normalized one way: primitive with a
+positive leading coefficient over Q, monic over F_p.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 from heapq import heapify, heappop, heappush
 from types import SimpleNamespace
 
@@ -144,11 +147,11 @@ def field_of(modulus):
 def packed_polynomial(terms, packing, field):
     """A polynomial from (packed monomial, coefficient, scale) triples, or
     a record's (packed monomial, coefficient) pairs: over Q the `Fraction`
-    c/scale, or c itself under scale 0; over F_p the residue as it is."""
+    c/scale, or c itself without a scale; over F_p the residue as it is."""
     out = {}
     for m, c, *scale in terms:
         if field.is_rational:
-            c = Fraction(c, scale[0] if scale and scale[0] else 1)
+            c = Fraction(c, scale[0] if scale else 1)
         out[packing.unpack(m)] = c
     return Polynomial(len(packing.units), field, out)
 
@@ -174,6 +177,15 @@ def check_s_remainder(out, reducers, i, j, lcm, packing, modulus):
     assert same(got.monic(order), expected.monic(order))
 
 
+def normalized(record, modulus):
+    """Whether a kernel record is monic over F_p, and primitive with a
+    positive leading coefficient over Q."""
+    _, lc, _, tail = record
+    if modulus is not None:
+        return lc == 1
+    return lc > 0 and gcd(lc, *[c for _, c in tail]) == 1
+
+
 def typed(p):
     """Whether every coefficient has the field's type: Fraction over Q,
     int over F_p."""
@@ -192,11 +204,13 @@ def same(p, q):
 def checked_engine(monkeypatch):
     """Every run of the reduction loop, in `normal_form` and inside
     `groebner`, and every S-pair remainder is checked against the
-    reference; yields the number of checks made."""
+    reference, and every record the loop divides by is checked to be
+    normalized; yields the number of checks made."""
     kernel, s_remainder = polyring._divide, polyring._s_remainder
     calls = {"reduce": 0, "s": 0}
 
     def divide(work, scale, reducers, packing, modulus):
+        assert all(normalized(r, modulus) for r in reducers)
         field = field_of(modulus)
         # largest first, the order of a remainder, also of one by no record
         p = packed_polynomial(sorted([(m, c, scale) for m, c in work.items()],
@@ -268,6 +282,11 @@ def check_cases(checked_engine, seeded):
                         reference_remainder(p, records(gb, order), order))
             assert same(normal_form(p, GroebnerBasis(tuple(gens), order)),
                         reference_remainder(p, records(gens, order), order))
+        # a record does not depend on the scalar multiple it is built from
+        for g in gens:
+            for c in (3, Fraction(-2, 5)):
+                assert GroebnerBasis((g,), order)._reducers() \
+                    == GroebnerBasis((g.scale(c),), order)._reducers()
     # the engine really went through the checked kernel
     assert checked_engine["reduce"] > 0 and checked_engine["s"] > 0
 
