@@ -330,8 +330,8 @@ _packing = lru_cache(maxsize=64)(_Packing)
 
 def _packed(p: "Polynomial", packing: _Packing) -> tuple[dict[int, int], int]:
     """The one way into the engine: p's terms with packed monomials
-    (`_Packing`), largest first, and a scale.  Over Q the coefficients are
-    integers standing for p·scale, with scale the lcm of p's denominators;
+    (`_Packing`), in p's term order, and a scale.  Over Q the coefficients
+    are integers standing for p·scale, with scale the lcm of p's denominators;
     over F_p they are p's residues, under scale 1.  A degree whose fields
     could reach a guard bit is a `ResourceLimitError`, raised before
     anything is packed."""
@@ -346,8 +346,8 @@ def _packed(p: "Polynomial", packing: _Packing) -> tuple[dict[int, int], int]:
         ratios = [c.as_integer_ratio() for c in coeffs]
         scale = int_lcm(*[d for _, d in ratios])
         coeffs = [n * (scale // d) for n, d in ratios]
-    return dict(sorted(zip([sum(map(_mul, m, units)) for m in p.terms],
-                           coeffs), reverse=True)), scale
+    return dict(zip([sum(map(_mul, m, units)) for m in p.terms],
+                    coeffs)), scale
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +438,8 @@ class Polynomial:
         `GroebnerBasis` keeps its elements'."""
         packing = _packing(order, self.arity)
         work, scale = _packed(self, packing)
-        return _remainder_record([(m, c, scale) for m, c in work.items()],
+        return _remainder_record([(m, c, scale) for m, c in
+                                  sorted(work.items(), reverse=True)],
                                  packing.unpack, self.field.p)
 
     def leading_monomial(self, order: MonomialOrder = DEGREVLEX) -> Monomial:
@@ -1002,48 +1003,68 @@ def _remainder_record(rem: list[tuple], unpack, modulus: int | None
 
 
 def _update_pairs(records: list[tuple], record: tuple,
-                  P: dict[tuple[int, int], int], queue: list,
-                  order: MonomialOrder) -> None:
+                  P: dict[tuple[int, int], int], order: MonomialOrder
+                  ) -> list[tuple[int, int]]:
     """Gebauer-Möller pair update on appending h, with reducer record
-    `record`, to the basis whose reducer records are `records`.
+    `record`, to the basis whose reducer records are `records`.  `P` maps
+    each live pair to the packed lcm (`_Packing`) of its leading monomials;
+    the update deletes the pairs it prunes from `P`, enters the new ones
+    and returns them.
 
-    Monomials are packed (`_Packing`): `P` maps each live pair to the
-    packed lcm of its leading monomials, and `queue` is a heap of (packed
-    lcm, pair) that may still hold pruned pairs.  Two leading monomials of
-    degree below `_FIELD_BOUND` have an lcm whose fields stay below twice
-    that, so a field the lcm overflows sets its guard bit: an lcm that does
-    not fit is a `ResourceLimitError`.
+    Equality, strict divisibility by lm(h) and the product criterion read
+    only the exponent fields (``& packing.low``): the row fields are sums
+    of exponents, so they agree and divide where the exponents do.  Every
+    exponent field of a record is below `_FIELD_BOUND`, so lcm(lm_i, lm_h)
+    is a field-wise max by the exponent fields' guard bits G (16-bit
+    fields shown): ge = ((a | G) − b) & G holds the guard bit of each field
+    where a ≥ b, mask = (ge >> 15)·0xFFFF fills those fields, and
+    lcm = b ^ ((a ^ b) & mask).  The full packed lcm, row fields included,
+    is built only for the new pairs.  A row field of lcm(lm_i, lm_h) is at
+    most that of lm_i·lm_h, so only where a product's row field reaches its
+    guard bit is every full lcm built; one that does not fit is a
+    `ResourceLimitError`, whether its pair is kept or not.
     """
     lmh, _, plmh, _ = record
     t = len(records)
     packing = _packing(order, len(lmh))
-    units, guard = packing.units, packing.guard
-    lcms = [sum(map(_mul, map(max, r[0], lmh), units)) for r in records]
-    if any(L & guard for L in lcms):
-        raise ResourceLimitError(
-            f"an lcm of leading monomials does not fit the {_WIDTH}-bit "
-            f"fields of a packed monomial")
+    guard, low = packing.guard, packing.low
+    G = guard & low             # the exponent fields' guard bits
+    if any((r[2] + plmh) & (guard ^ G) for r in records):
+        full = [packing.pack(map(max, r[0], lmh)) for r in records]
+        if any(L & guard for L in full):
+            raise ResourceLimitError(
+                f"an lcm of leading monomials does not fit the {_WIDTH}-bit "
+                f"fields of a packed monomial")
+    b = plmh & low
+    ones = (1 << _WIDTH) - 1
+    exps = [r[2] & low for r in records]
+    lcms = [b ^ (a ^ b) & ((((a | G) - b) & G) >> _WIDTH - 1) * ones
+            for a in exps]
     # drop old pairs whose lcm is strictly divisible by lm(h)
     drop = [(i, j) for (i, j), L in P.items()
-            if not (L - plmh) & guard and lcms[i] != L and lcms[j] != L]
+            if not (L - plmh) & guard
+            and lcms[i] != L & low and lcms[j] != L & low]
     for pair in drop:
         del P[pair]
-    # group candidate new pairs by lcm, keep minimal representatives; the
-    # order extends strict divisibility, so a divisor is seen first
+    # group candidate new pairs by lcm, keep minimal representatives; int
+    # order on exponent fields is lex, which extends strict divisibility,
+    # so a divisor is seen first
     groups: dict[int, list[int]] = {}
     for i, L in enumerate(lcms):
         groups.setdefault(L, []).append(i)
     minimal: list[int] = []
     for L in sorted(groups):
-        if all((L - L2) & guard for L2 in minimal):
+        if all((L - L2) & G for L2 in minimal):
             minimal.append(L)
+    new = []
     for L in minimal:
         # product (coprime) criterion: the lcm is the product
-        if any(L == records[i][2] + plmh for i in groups[L]):
+        if any(L == exps[i] + b for i in groups[L]):
             continue
         pair = (groups[L][0], t)
-        P[pair] = L
-        heappush(queue, (L, pair))
+        P[pair] = packing.pack(packing.unpack(L))
+        new.append(pair)
+    return new
 
 
 def groebner(gens: Iterable[Polynomial],
@@ -1051,13 +1072,18 @@ def groebner(gens: Iterable[Polynomial],
     """Reduced Gröbner basis by Buchberger with Gebauer-Möller elimination.
 
     Output is deterministic: monic, auto-reduced, sorted by leading monomial,
-    each element's terms largest first.  Pairs are drawn smallest lcm first,
-    ties broken by their indices.  The loop runs on reducer records alone:
-    generators, packed (`_packed`) and sorted by packed leading monomial,
-    and S-pairs (`_s_remainder`) are reduced by `_divide`, and a nonzero
-    remainder becomes a record (`_remainder_record`) and counts against
-    `max_basis`.  Polynomials are built only for the reduced basis, which
-    keeps its records.
+    each element's terms largest first.  Pairs are drawn by the sugar
+    strategy (A. Giovini, T. Mora, G. Niesi, L. Robbiano, C. Traverso, "One
+    sugar cube, please", ISSAC 1991): smallest sugar first, then smallest
+    packed lcm, then smallest indices.  A generator's sugar is its total
+    degree; a pair's is deg lcm + max(ecart_i, ecart_j), with an element's
+    ecart its sugar minus the degree of its leading monomial; a remainder's
+    is its pair's, raised to its own degree if that is higher.  The loop
+    runs on reducer records alone: generators, packed (`_packed`) and
+    sorted by packed leading monomial, and S-pairs (`_s_remainder`) are
+    reduced by `_divide`, and a nonzero remainder becomes a record
+    (`_remainder_record`) and counts against `max_basis`.  Polynomials are
+    built only for the reduced basis, which keeps its records.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -1067,35 +1093,40 @@ def groebner(gens: Iterable[Polynomial],
         if g.arity != arity or g.field != field:
             raise RingMismatchError("generators live in different rings")
     packing = _packing(order, arity)
-    # each work is largest first, so its first key is its leading monomial
-    works = sorted((_packed(g, packing) for g in gens),
-                   key=lambda work: next(iter(work[0])))
+    works = sorted(((*_packed(g, packing), max(map(sum, g.terms)))
+                    for g in gens), key=lambda work: max(work[0]))
     modulus, unpack = field.p, packing.unpack
     reducers: list[tuple] = []
+    ecarts: list[int] = []      # parallel to reducers
     P: dict[tuple[int, int], int] = {}
-    queue: list = []
+    queue: list = []            # (sugar, packed lcm, pair), pruned pairs too
 
-    def insert(rem: list[tuple]) -> None:
+    def insert(rem: list[tuple], sugar: int) -> None:
         if len(reducers) >= LIMITS.max_basis:
             raise ResourceLimitError(
                 f"basis size exceeds guard {LIMITS.max_basis}")
         record = _remainder_record(rem, unpack, modulus)
-        _update_pairs(reducers, record, P, queue, order)
+        ecart = sugar - sum(record[0])
+        for pair in _update_pairs(reducers, record, P, order):
+            lcm = P[pair]
+            heappush(queue, (sum(unpack(lcm)) + max(ecarts[pair[0]], ecart),
+                             lcm, pair))
         reducers.append(record)
+        ecarts.append(ecart)
 
-    for work, scale in works:
+    for work, scale, deg in works:
         rem = _divide(work, scale, reducers, packing, modulus)
         if rem:
-            insert(rem)
+            insert(rem, deg)
     while P:
-        pair = heappop(queue)[1]
-        lcm = P.pop(pair, None)
-        if lcm is None:
+        sugar, lcm, pair = heappop(queue)
+        if P.pop(pair, None) is None:
             continue
         rem = _s_remainder(reducers, *pair, lcm, packing, modulus)
         if rem:
-            _check_degree(max([sum(unpack(m)) for m, _, _ in rem]))
-            insert(rem)
+            deg = max([sum(unpack(m)) for m, _, _ in rem])
+            _check_degree(deg)
+            insert(rem, max(sugar, deg))
     # minimalize: drop elements whose LT is divisible by another LT, on
     # packed leading monomials, smallest first; packed ints compare as the
     # order does, so the basis comes out sorted

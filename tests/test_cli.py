@@ -677,6 +677,19 @@ def test_derham_h0_of_four_parabolas_is_exact(files, capsys):
     assert res["derham"]["component_count"] == 4
 
 
+def test_pi0_of_four_parabolas_at_the_defaults(files, capsys):
+    """`--method all --tower 2` builds M_2(A, Q[t]), whose equalizer basis
+    must equal the de Rham basis."""
+    doc = files["tmp"] / "four.json"
+    doc.write_text(json.dumps(FOUR_PARABOLAS))
+    code, rep = run_json(["pi0", str(doc), "--deg", "2"], capsys)
+    assert code == 0
+    res = rep["result"]
+    assert res["tower"] == 2
+    assert res["derham"]["component_count"] == 4
+    assert res["equalizer"]["basis"] == res["derham"]["basis"]
+
+
 def test_pi0_of_two_cubics_counts_beyond_the_slice(files, capsys):
     """The degree-1 slice holds no idempotent but 0 and 1; the principal
     relation of degree 6 puts every idempotent in degree ⌊6²/4⌋ = 9."""

@@ -9,6 +9,7 @@ kernel of `test_reduction_kernel` on the system shapes of the benchmark.
 
 from __future__ import annotations
 
+import random
 from functools import cache
 
 import pytest
@@ -18,10 +19,11 @@ from affpi0 import polyring
 from affpi0.errors import ResourceLimitError
 from affpi0.polyring import (DEGREVLEX, LEX, BlockOrder, GroebnerBasis,
                              Polynomial, elimination_ideal, groebner,
-                             monomial_divides, normal_form, poly_parse)
+                             monomial_divides, monomial_lcm, monomial_mul,
+                             normal_form, poly_parse)
 from test_reduction_kernel import (FIELDS, checked_engine,  # noqa: F401
-                                   level_two_relations, reference_remainder,
-                                   same, unpacked)
+                                   level_two_relations, parent_update,
+                                   reference_remainder, same, unpacked)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=60,
@@ -135,6 +137,60 @@ def test_an_s_pair_past_the_field_width_raises(field):
     # with x·y − 1 the S-pair's y^(a+1) fits, and trips the degree guard
     with pytest.raises(ResourceLimitError, match=f"degree {a + 1} exceeds"):
         groebner([xz - y_a, x * y - Polynomial.one(3, field)], LEX)
+
+
+# ---------------------------------------------------------------------------
+# the pair update on the exponent fields
+
+
+def seeded_leading_monomials(rng, packing, count):
+    """`count` monomials of three variables that pack under `packing`, with
+    exponents 0 to 3 and the largest a field holds, BOUND - 1."""
+    out = []
+    while len(out) < count:
+        m = tuple(rng.choice((0, 0, 0, 1, 1, 2, 3, BOUND - 1))
+                  for _ in range(3))
+        if not packing.pack(m) & packing.guard:
+            out.append(m)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_exponent_field_lcm_is_the_tuple_lcm(seed):
+    """`_update_pairs` takes lcm(lm_i, lm_h) as a field-wise max of the
+    exponent fields and tests equality, strict divisibility and the product
+    criterion there; the reference update does all of it on exponent
+    tuples.  Inserting seeded leading monomials one by one, both keep the
+    same pairs with the same packed lcms, and the update raises, leaving
+    the pairs as they were, exactly when a tuple lcm does not pack."""
+    rng = random.Random(seed)
+    seen = dict.fromkeys(("equal", "coprime", "dropped", "raised"), 0)
+    for order in (LEX, DEGREVLEX, BlockOrder(1), BlockOrder(2)):
+        packing = polyring._packing(order, 3)
+        records, ours, theirs = [], {}, {}
+        for lm in seeded_leading_monomials(rng, packing, 30):
+            record = (lm, 1, packing.pack(lm), ())
+            lcms = [monomial_lcm(r[0], lm) for r in records]
+            if any(packing.pack(L) & packing.guard for L in lcms):
+                before = dict(ours)
+                with pytest.raises(ResourceLimitError,
+                                   match=f"{polyring._WIDTH}-bit"):
+                    polyring._update_pairs(records, record, ours, order)
+                assert ours == before
+                seen["raised"] += 1
+                continue
+            live = len(ours)
+            new = polyring._update_pairs(records, record, ours, order)
+            assert sorted(new) == sorted(parent_update(records, record,
+                                                       theirs, order))
+            assert ours == theirs
+            seen["equal"] += len(lcms) - len(set(lcms))
+            seen["coprime"] += sum(L == monomial_mul(r[0], lm)
+                                   for r, L in zip(records, lcms))
+            seen["dropped"] += live + len(new) - len(ours)
+            records.append(record)
+    # every criterion decided some pairs, and the row-field guard tripped
+    assert min(seen.values()) > 0, seen
 
 
 # ---------------------------------------------------------------------------

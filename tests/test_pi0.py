@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from affpi0 import derham, linalg
+from affpi0 import derham, linalg, polyring
 from affpi0 import pi0 as pi0_mod
 from affpi0.algebra import (AlgebraPresentation, direct_sum, field_algebra,
                             tensor_product)
@@ -71,6 +71,27 @@ def test_equalizer_subspace_matches_derham_on_desk_examples():
 def parabolas(copies: int) -> str:
     """The relation of `copies` disjoint parabolas y = x^2 + i."""
     return "*".join(f"(y - x^2 - {i})" for i in range(copies))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+@pytest.mark.parametrize("relation, dimension, bound", [
+    pytest.param("(y - x^3)*(y - x^3 - 1)", 1, 150, id="two_cubics"),
+    pytest.param(parabolas(4), 2, 300, id="four_parabolas")])
+def test_level_two_needs_few_insertions(monkeypatch, field, relation,
+                                        dimension, bound):
+    """Building M_2(A, F[t]) is one Buchberger run, and the sugar strategy
+    keeps its insertions (calls of the pair update) under `bound`;
+    smallest-lcm selection made 541 and 1352."""
+    update, calls = polyring._update_pairs, []
+
+    def spy(*args):
+        calls.append(None)
+        return update(*args)
+
+    monkeypatch.setattr(polyring, "_update_pairs", spy)
+    a = A_of(field, ["x", "y"], [relation])
+    assert equalizer_subspace(a, 2, 2).dimension == dimension
+    assert len(calls) < bound
 
 
 LEVEL1_LAW_ALGEBRAS = {

@@ -360,17 +360,19 @@ def s_pair_sequence(monkeypatch, gens, order, update):
     return seen, gb
 
 
-def parent_update(records, record, P, queue, order):
+def parent_update(records, record, P, order):
     """The reference update behind the kernel's calling convention: `P`
     maps each pair to its packed lcm, which `groebner` builds the S-pair
-    from."""
+    from, and the pairs the update queued are returned."""
     packing = polyring._packing(order, len(record[0]))
     h = Polynomial.monomial(record[0], QQ)
     lcms = {pair: packing.unpack(L) for pair, L in P.items()}
+    queue = []
     reference_update_pairs([None] * len(records), [r[0] for r in records],
                            lcms, queue, h, order)
     P.clear()
     P.update({pair: packing.pack(L) for pair, L in lcms.items()})
+    return [pair for _, pair in queue]
 
 
 def level_two_relations():
