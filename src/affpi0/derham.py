@@ -184,7 +184,9 @@ def derham_h0(a: AlgebraPresentation, degree: int) -> TruncatedKernel:
     certified by the same normal form; the stabilization flag compares with
     the slice one degree lower.  That kernel is the part of this one with no
     term of degree D, so the two agree exactly when no basis element has
-    degree D.
+    degree D.  The flag certifies nothing above D: on the four parabolas
+    (y - x²)(y - x² - 1)(y - x² - 2)(y - x² - 3), D = 3 is stabilized with
+    dimension 2, while D = 4 finds (y - x²)², dimension 3.
     """
     omega_gb = _omega_basis(a)
     basis = _kernel_basis(a, degree, omega_gb)

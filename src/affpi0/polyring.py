@@ -295,7 +295,8 @@ class _Packing:
     - lm divides m exactly when ``not (m - lm) & guard``: a field of m
       smaller than lm's borrows from its own guard bit;
     - a sum whose field overflows sets that field's guard bit, which
-      `_reduce` tests on every product and `_update_pairs` on every lcm,
+      `_divide` and `_s_remainder` test on every product and
+      `_update_pairs` on every lcm,
       so an exponent never wraps.
 
     Every field is at most the total degree, so a monomial of degree below
@@ -595,16 +596,6 @@ class Polynomial:
                 exps[position_map[i]] = e
             terms[tuple(exps)] = c
         return Polynomial(new_arity, self.field, terms)
-
-    def restrict_arity(self, keep: Sequence[int]) -> "Polynomial":
-        """Project onto a subring; every term must be supported on `keep`."""
-        keepset = set(keep)
-        terms: dict[Monomial, Scalar] = {}
-        for m, c in self.terms.items():
-            if any(e and i not in keepset for i, e in enumerate(m)):
-                raise RingMismatchError("term uses a variable outside the subring")
-            terms[tuple(m[i] for i in keep)] = c
-        return Polynomial(len(keep), self.field, terms)
 
     def split(self, n: int) -> dict[Monomial, "Polynomial"]:
         """Group by the first n exponents: {front: polynomial in the rest}."""
@@ -1165,7 +1156,7 @@ def elimination_ideal(gens: Iterable[Polynomial], eliminate: Sequence[int]
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return []
-    arity, field = gens[0].arity, gens[0].field
+    arity = gens[0].arity
     elim = sorted(set(eliminate))
     keep = [i for i in range(arity) if i not in set(elim)]
     perm = elim + keep                      # new position j holds old var perm[j]
@@ -1173,12 +1164,11 @@ def elimination_ideal(gens: Iterable[Polynomial], eliminate: Sequence[int]
     moved = [g.extend_arity(arity, [old_to_new[i] for i in range(arity)])
              for g in gens]
     gb = groebner(moved, BlockOrder(len(elim)))
-    kept_positions = list(range(len(elim), arity))
-    out = []
-    for g in gb:
-        if all(all(m[i] == 0 for i in range(len(elim))) for m in g.terms):
-            out.append(g.restrict_arity(kept_positions))
-    return out
+    # an element lies in the smaller ring when its only part is free of the
+    # eliminated block
+    free = (0,) * len(elim)
+    split = (g.split(len(elim)) for g in gb)
+    return [parts[free] for parts in split if list(parts) == [free]]
 
 
 def standard_monomials(gb: GroebnerBasis, arity: int, maxdeg: int

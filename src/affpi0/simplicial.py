@@ -187,27 +187,31 @@ class CosimplicialSpace:
         key = (tuple(alpha), level)
         if key not in self._matrices:
             morphism = self.structure_map(alpha, level)
-            dst = self.levels[level].basis
-            cols = []
-            for mono in self.levels[len(alpha) - 1].basis:
-                img = morphism.apply_poly(Polynomial.monomial(mono, self.field))
-                col = img.coefficients(dst)
-                if col is None:
-                    raise PropertyViolationError(
-                        "image leaves the degree slice; raise the degree bound",
-                        witness=next(mm for mm in img.terms if mm not in dst))
-                cols.append(col)
-            self._matrices[key] = [list(row) for row in zip(*cols)]
+            self._matrices[key] = self._slice_matrix(
+                len(alpha) - 1, level, morphism.apply_poly)
         return self._matrices[key]
 
     def differential_matrix(self, n: int) -> list[list]:
-        """Alternating coface sum X^n -> X^{n+1} on the slices."""
-        total = self.structure_matrix(_face_alpha(0, n + 1), n + 1)
-        for i in range(1, n + 2):
-            op = self.field.add if i % 2 == 0 else self.field.sub
-            total = [list(map(op, row, other)) for row, other in zip(
-                total, self.structure_matrix(_face_alpha(i, n + 1), n + 1))]
-        return total
+        """The Moore coboundary X^n -> X^{n+1} (`alternating_sum`) on the
+        slices."""
+        return self._slice_matrix(n, n + 1,
+                                  lambda poly: alternating_sum(self, n, poly))
+
+    def _slice_matrix(self, source: int, target: int, image) -> list[list]:
+        """The matrix whose columns are `image` of the standard monomials of
+        slice `source`, read in slice `target`; an image outside that slice
+        is a PropertyViolationError."""
+        dst = self.levels[target].basis
+        cols = []
+        for mono in self.levels[source].basis:
+            img = image(Polynomial.monomial(mono, self.field))
+            col = img.coefficients(dst)
+            if col is None:
+                raise PropertyViolationError(
+                    "image leaves the degree slice; raise the degree bound",
+                    witness=next(mm for mm in img.terms if mm not in dst))
+            cols.append(col)
+        return [list(row) for row in zip(*cols)]
 
 
 def check_cosimplicial_identities(space: CosimplicialSpace) -> dict:
@@ -319,17 +323,19 @@ class SingH0Result:
 
 
 def sing_h0(a: AlgebraPresentation, tower: int, degree: int) -> SingH0Result:
-    """Kernel of d^0 - d^1 on the level-0 slice, per tower level 1..T; with
-    T < 1 no level would be reported, so that is a HypothesisError."""
+    """Kernel of d^0 - d^1 on the level-0 slice, per tower level 1..T: the
+    relations among the coboundaries of its standard monomials.  With T < 1
+    no level would be reported, so that is a HypothesisError."""
     require_tower(tower)
     out = []
     for d in range(1, tower + 1):
         space = CosimplicialSpace(a, d, degree, 1)
-        kernel = linalg.nullspace(space.differential_matrix(0),
-                                  space.levels[0].dimension, a.field)
+        basis = space.levels[0].basis
+        kernel = linalg.relations(
+            [alternating_sum(space, 0, Polynomial.monomial(mono, a.field))
+             for mono in basis], a.field)
         # level-0 coordinates mirror the generators of A
-        out.append(SingLevel(d, a.elements(
-            space.levels[0].basis, linalg.row_basis(kernel, a.field))))
+        out.append(SingLevel(d, a.elements(basis, kernel)))
     return SingH0Result(out)
 
 
@@ -354,15 +360,15 @@ def cup_product(space: CosimplicialSpace, cn: tuple[int, Polynomial],
 
 def alternating_sum(space: CosimplicialSpace, level: int,
                     poly: Polynomial) -> Polynomial:
-    """The Moore differential applied to one cochain, at the polynomial level."""
-    field = space.field
-    target = space.levels[level + 1].mspace.algebra
-    acc = Polynomial.zero(target.arity, field)
+    """The Moore coboundary of one cochain: the signed sum of its coface
+    images, each a normal form of level + 1, so the sum is one too."""
+    acc = Polynomial.zero(space.levels[level + 1].mspace.algebra.arity,
+                          space.field)
     for i in range(level + 2):
         img = space.structure_map(_face_alpha(i, level + 1),
                                   level + 1).apply_poly(poly)
         acc = acc + (img if i % 2 == 0 else -img)
-    return target.nf(acc)
+    return acc
 
 
 def cup_leibniz_check(space: CosimplicialSpace, cn: tuple[int, Polynomial],

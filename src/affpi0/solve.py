@@ -77,8 +77,10 @@ def _solve_rational(gens: list[Polynomial], n: int
             return _solve_linear(list(gb), n)
         return [], False
     var, eliminant = pick
+    powers = [(0,) * var + (k,) + (0,) * (n - var - 1)
+              for k in range(max(m[var] for m in eliminant.terms) + 1)]
     points, complete = [], True
-    for root in rational_roots(_univariate_coeffs(eliminant, var)):
+    for root in rational_roots(eliminant.coefficients(powers)):
         substituted = [h for h in (_plug_var(g, var, root) for g in gb)
                        if not h.is_zero]
         below, below_complete = _solve_rational(substituted, n - 1)
@@ -98,14 +100,6 @@ def _solve_linear(gens: list[Polynomial], n: int) -> tuple[list[tuple], bool]:
     for r, c in enumerate(pivots):
         particular[c] = -reduced[r][n]
     return [tuple(particular)], len(pivots) == n
-
-
-def _univariate_coeffs(g: Polynomial, var: int) -> list[Fraction]:
-    deg = max(m[var] for m in g.terms)
-    coeffs = [Fraction(0)] * (deg + 1)
-    for m, c in g.terms.items():
-        coeffs[m[var]] += c
-    return coeffs
 
 
 def _plug_var(g: Polynomial, var: int, value: Fraction) -> Polynomial:

@@ -187,6 +187,15 @@ def test_derham_integration_over_a_prime_field(files, capsys, p):
         assert code == 0 and rep["result"]["ok"]
 
 
+def test_derham_h0_over_a_prime_field_is_only_a_kernel(files, capsys):
+    """In characteristic p the kernel of d holds every p-th power, so it is
+    reported without the pi0 reading."""
+    code, rep = run_json(["derham", "h0", files["f3t"]], capsys)
+    assert code == 0
+    assert rep["result"]["interpretation"] == "kernel only (not pi0 in char p)"
+    assert rep["result"]["basis"] == ["1", "t"]
+
+
 def test_sing_h0_and_complex(files, capsys):
     code, rep = run_json(["sing", "h0", files["idem"], "--tower", "2",
                           "--deg", "2"], capsys)

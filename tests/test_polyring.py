@@ -371,6 +371,10 @@ def test_elimination_identity_and_zero():
     assert [g.to_string(names) for g in out] == ["x^2 - y"]
 
 
+def test_elimination_of_zero_generators_is_empty():
+    assert elimination_ideal([Polynomial.zero(2, QQ)] * 2, [0]) == []
+
+
 def test_standard_monomials_ordering():
     names = ["x"]
     gb = groebner([P("x^3-x", names)])

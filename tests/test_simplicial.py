@@ -161,6 +161,27 @@ def test_sing_h0_matches_pi0_equalizer_route():
         assert got == want
 
 
+@pytest.mark.parametrize("a, degree, bases", [
+    pytest.param(A_of(GF(3), ["x", "y"], ["y^2 - x^3"]), 3,
+                 [["1", "y^2", "y^3"], ["1", "y^3"], ["1"]], id="cusp-F3"),
+    pytest.param(A_of(GF(2), ["x", "y"], ["x*y - 1"]), 2,
+                 [["1", "x^2", "y^2"], ["1"]], id="hyperbola-F2"),
+    pytest.param(A_of(GF(5), ["x", "y"], ["(y - x^2)*(y - x^2 - 1)"]), 2,
+                 [["1", "4*x^2 + y"]] * 2, id="two_parabolas-F5")])
+def test_sing_h0_equals_the_equalizer_cut_at_every_tower_over_fp(a, degree,
+                                                                 bases):
+    """In characteristic p the level-T cut shrinks with T, and singular
+    H^0 follows it level by level."""
+    from affpi0.pi0 import equalizer_subspace
+
+    levels = sing_h0(a, len(bases), degree).levels
+    assert [lvl.tower for lvl in levels] == list(range(1, len(bases) + 1))
+    for level, want in zip(levels, bases):
+        cut = equalizer_subspace(a, degree, level.tower)
+        assert [e.to_string() for e in level.basis] == want
+        assert [e.to_string() for e in cut.basis] == want
+
+
 DOLD_KAN_ALGEBRAS = [field_algebra(QQ), A_of(QQ, ["t"], []),
                      A_of(QQ, ["t"], ["t^2"]), IDEMP,
                      A_of(QQ, ["x", "y"], ["x^2 + y^2 - 1"]),
@@ -343,6 +364,24 @@ def test_cup_leibniz_with_unsigned_differential_fails(monkeypatch):
     assert cup_leibniz_check(space, (0, c), (0, c2))
     monkeypatch.setattr(simplicial, "alternating_sum", unsigned)
     assert not cup_leibniz_check(space, (0, c), (0, c2))
+
+
+def test_moore_complex_with_an_unsigned_coboundary_fails(monkeypatch):
+    """The matrix differential is read from `alternating_sum`, so an
+    unsigned sum there breaks d∘d = 0."""
+    a = A_of(QQ, ["t"], ["t^2 - 1"])
+
+    def unsigned(space, level, poly):
+        acc = Polynomial.zero(space.levels[level + 1].mspace.algebra.arity,
+                              space.field)
+        for i in range(level + 2):
+            face = simplicial._face_alpha(i, level + 1)
+            acc = acc + space.structure_map(face, level + 1).apply_poly(poly)
+        return acc
+
+    assert moore_complex(a, 1, 2, 2).dd_zero
+    monkeypatch.setattr(simplicial, "alternating_sum", unsigned)
+    assert not moore_complex(a, 1, 2, 2).dd_zero
 
 
 def test_simplicial_functoriality_with_a_wrong_structure_map_fails(
