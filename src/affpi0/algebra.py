@@ -16,8 +16,9 @@ from typing import Iterable, Sequence
 from .errors import (MorphismError, ParseError, ResourceLimitError,
                      RingMismatchError, UnsupportedFieldError)
 from .polyring import (DEGREVLEX, BlockOrder, FieldDescriptor, GroebnerBasis,
-                       Monomial, Polynomial, groebner, ideal_membership,
-                       is_name, normal_form, poly_parse, standard_monomials)
+                       Monomial, Polynomial, _normal_form_at, _pack_images,
+                       _packing, groebner, ideal_membership, is_name,
+                       normal_form, poly_parse, standard_monomials)
 from .solve import SOLVE_GUARD, solve_system
 
 
@@ -207,7 +208,9 @@ class AlgebraMorphism:
     """A unital morphism source -> target given by generator images.
 
     Validated at construction: every source relation must map into the target
-    ideal.  Images are stored as normal forms.
+    ideal.  Images are stored as normal forms, and packed for the layout of
+    the target's basis order (`polyring._pack_images`) on first apply, once
+    per morphism.
     """
 
     def __init__(self, source: AlgebraPresentation, target: AlgebraPresentation,
@@ -227,6 +230,7 @@ class AlgebraMorphism:
                 raise RingMismatchError("image lives outside the target ring")
             imgs.append(target.nf(im))
         self.images: tuple[Polynomial, ...] = tuple(imgs)
+        self._packed_images: list[tuple] | None = None
         if check:
             self._validate()
 
@@ -242,12 +246,16 @@ class AlgebraMorphism:
     # -- action -----------------------------------------------------------------
 
     def apply_poly(self, p: Polynomial) -> Polynomial:
+        """The normal form of p at the images, by one pass of the
+        substitution kernel into the reduction loop
+        (`polyring._normal_form_at`)."""
         if p.arity != self.source.arity or p.field != self.source.field:
             raise RingMismatchError("argument lives outside the source ring")
-        if self.source.arity == 0:
-            return self.target.nf(Polynomial.constant(
-                p.constant_term(), self.target.arity, self.target.field))
-        return self.target.nf(p.substitute(self.images))
+        gb, arity = self.target.gb(), self.target.arity
+        if self._packed_images is None:
+            self._packed_images = _pack_images(self.images,
+                                               _packing(gb.order, arity))
+        return _normal_form_at(p, self._packed_images, gb, arity)
 
     def apply(self, a: ElementRep) -> ElementRep:
         return ElementRep(self.target, self.apply_poly(a.poly))

@@ -4,41 +4,81 @@ Matrices are lists of rows of field scalars (Fraction or residues).  The
 vocabulary the geometry modules share: RREF, the canonical row basis, rank,
 right and left kernels, the relations among polynomials, membership of a
 vector in a row span, and products.
-Everything is exact; no pivoting heuristics needed.
+Everything is exact; no pivoting heuristics needed.  Elimination is
+fraction-free, in the integer-preserving style of E. H. Bareiss ("Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math.
+Comp. 22, 1968): over Q it runs on integer rows, so a `Fraction` is built
+only for an entry of a returned pivot row.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .polyring import FieldDescriptor, Polynomial
 
 
 def rref(rows: list[list], field: FieldDescriptor) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form (fresh matrix) and pivot column indices."""
-    m = [list(r) for r in rows]
+    """Reduced row echelon form (fresh matrix) and pivot column indices.
+
+    One elimination loop for both fields.  Over Q each row is scaled to
+    primitive integers; clearing column c of row i by the pivot row, whose
+    entry there is a, takes (a/g)·row_i − (b/g)·pivot row for b = row_i[c]
+    and g = gcd(a, b), and divides the result by its content.  Over F_p the
+    same step is a·row_i − b·pivot row on residues.  Each pivot row is
+    divided by its pivot at the end, and the zero rows follow."""
+    modulus = field.p
+    if modulus is None:
+        m = []
+        for row in rows:
+            ratios = [v.as_integer_ratio() for v in row]
+            den = lcm(*[d for _, d in ratios])
+            row = [n * (den // d) for n, d in ratios]
+            content = gcd(*row)
+            m.append([v // content for v in row] if content > 1 else row)
+    else:
+        m = [list(r) for r in rows]
     if not m:
         return [], []
     ncols = len(m[0])
-    zero = field.zero()
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != zero), None)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(v, inv) for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != zero:
-                f = m[i][c]
-                m[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(m[i], m[r])]
+        top = m[r]
+        a = top[c]
+        for i, row in enumerate(m):
+            b = row[c]
+            if b and i != r:
+                if modulus is None:
+                    g = gcd(a, b)
+                    x, y = a // g, b // g
+                    row = [x * u - y * v for u, v in zip(row, top)]
+                    content = gcd(*row)
+                    if content > 1:
+                        row = [u // content for u in row]
+                else:
+                    row = [(a * u - b * v) % modulus for u, v in zip(row, top)]
+                m[i] = row
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m, pivots
+    zero = field.zero()
+    out = []
+    for row, c in zip(m, pivots):
+        a = row[c]
+        if modulus is None:
+            out.append([Fraction(v, a) if v else zero for v in row])
+        else:
+            inv = pow(a, -1, modulus)
+            out.append([v * inv % modulus for v in row])
+    return out + [[zero] * ncols for _ in m[r:]], pivots
 
 
 def row_basis(rows: list[list], field: FieldDescriptor) -> list[list]:

@@ -5,8 +5,13 @@ residues in ``[0, p)`` over a prime field.  Rational coefficients are
 `Fraction`s wherever a polynomial is handed out.  A polynomial enters the
 engine one way (`_packed`), over Q as integers under one common scale, and
 the reduction loop (`_divide`) reduces by integer multiples of its
-divisors, so no step builds a `Fraction`.  Every reducer record is
-normalized one way (`_remainder_record`): primitive over Q, monic over F_p.
+divisors, so no step builds a `Fraction`.  Substitution is part of that
+one way in: images are packed once (`_pack_images`), and the substitution
+kernel (`_substitution`) expands a polynomial at them into one packed
+integer term map under one scale, which `substitute` unpacks and
+`_normal_form_at`, a morphism's action, hands to `_divide` as it is.
+Every reducer record is normalized one way (`_remainder_record`):
+primitive over Q, monic over F_p.
 Buchberger's loop runs on reducer records alone: S-pairs are built and
 reduced as packed integer term maps, and `Fraction`s are built only for the
 basis returned.  Monomials are exponent tuples at the API and guard-bit
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm as int_lcm
+from math import gcd, lcm as int_lcm, prod
 from operator import (add as _add, le as _le, mul as _mul, neg as _neg,
                       sub as _sub)
 from typing import Iterable, Iterator, Sequence
@@ -162,7 +167,7 @@ class FieldDescriptor:
         if self.p is None:
             if a == 0:
                 raise ZeroDivisionError("inverse of 0")
-            return 1 / a
+            return _ONE / a     # a Fraction for an int argument too
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, -1, self.p)
@@ -349,6 +354,90 @@ def _packed(p: "Polynomial", packing: _Packing) -> tuple[dict[int, int], int]:
         coeffs = [n * (scale // d) for n, d in ratios]
     return dict(zip([sum(map(_mul, m, units)) for m in p.terms],
                     coeffs)), scale
+
+
+def _pack_images(images: Sequence["Polynomial"], packing: _Packing
+                 ) -> list[tuple[dict[int, Scalar], int, int]]:
+    """Each image packed once (`_packed`), as (term map, scale, total
+    degree): the images `_substitution` takes."""
+    return [(*_packed(im, packing), im.total_degree()) for im in images]
+
+
+def _nonzero(terms: dict[int, Scalar], modulus: int | None
+             ) -> dict[int, Scalar]:
+    """The nonzero terms of a packed term map, reduced mod p over F_p."""
+    if modulus is not None:
+        terms = {m: c % modulus for m, c in terms.items()}
+    return {m: c for m, c in terms.items() if c}
+
+
+def _product(a: tuple[dict[int, Scalar], int], b: tuple[dict[int, Scalar], int],
+             modulus: int | None) -> tuple[dict[int, Scalar], int]:
+    """a·b for packed term maps with their total degrees, (terms, degree).
+    The guards are `Polynomial.__mul__`'s: the degree before the product,
+    unless a factor is zero, the term count after it.  A degree that passes
+    `max_degree` but not the `_WIDTH`-bit fields is a `ResourceLimitError`,
+    so no field reaches its guard bit."""
+    (ta, da), (tb, db) = a, b
+    if not (ta and tb):
+        return {}, -1
+    deg = da + db
+    _check_degree(deg)
+    if deg >= _FIELD_BOUND:
+        raise ResourceLimitError(
+            f"degree {deg} does not fit the {_WIDTH}-bit fields of a packed "
+            f"monomial")
+    out: dict[int, Scalar] = {}
+    get = out.get
+    for m1, c1 in ta.items():
+        for m2, c2 in tb.items():
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+    out = _nonzero(out, modulus)
+    _check_terms(len(out))
+    return out, deg
+
+
+def _substitution(p: "Polynomial", images: Sequence[tuple], modulus: int | None
+                  ) -> tuple[dict[int, Scalar], int]:
+    """The substitution kernel: p at packed images (`_pack_images`), as a
+    packed term map and one scale, in the images' packing.  Over Q the
+    integers stand for p(images)·scale; over F_p they are residues, under
+    scale 1.
+
+    Each power of an image is built once, from the image, as far as a term
+    needs it, and each term is its coefficient times one product per
+    variable it uses (`_product`, which keeps the guards).  Over Q the
+    coefficients are integers under den, the lcm of p's denominators, so a
+    term c·x^e stands under den·Π s_i^e_i, with s_i the images' scales; its
+    coefficient is lifted to the common scale den·Π s_i^E_i, with E_i the
+    highest exponent of x_i in p, before any product."""
+    coeffs, scale = p.terms.values(), 1
+    if modulus is None:
+        ratios = [c.as_integer_ratio() for c in coeffs]
+        scale = int_lcm(*[d for _, d in ratios])
+        coeffs = [n * (scale // d) for n, d in ratios]
+    else:
+        coeffs = [c % modulus for c in coeffs]
+    scales = [s for _, s, _ in images]
+    if any(s != 1 for s in scales):         # over Q only
+        tops = [max(e) for e in zip(*p.terms)]
+        coeffs = [c * prod(map(pow, scales, map(_sub, tops, m)))
+                  for m, c in zip(p.terms, coeffs)]
+        scale *= prod(map(pow, scales, tops))
+    powers = [[(terms, deg)] for terms, _, deg in images]
+    result: dict[int, Scalar] = {}
+    get = result.get
+    for m, c in sorted(zip(p.terms, coeffs)):
+        part = {0: c}, 0
+        for e, pw in zip(m, powers):
+            if e:
+                while len(pw) < e:
+                    pw.append(_product(pw[-1], pw[0], modulus))
+                part = _product(part, pw[e - 1], modulus)
+        for k, v in part[0].items():
+            result[k] = get(k, 0) + v
+    return _nonzero(result, modulus), scale
 
 
 # ---------------------------------------------------------------------------
@@ -559,20 +648,16 @@ class Polynomial:
         if not images:
             # constants into the 0-variable ring of the same field
             return Polynomial(0, self.field, dict(self.terms))
-        tgt_arity = images[0].arity
-        f = images[0].field
-        result = Polynomial.zero(tgt_arity, f)
-        # powers[i][e - 1] is images[i]^e, grown only as far as a term needs
-        powers = [[image] for image in images]
-        for m, c in sorted(self.terms.items()):
-            part = Polynomial.constant(c, tgt_arity, f)
-            for e, pw in zip(m, powers):
-                if e:
-                    while len(pw) < e:
-                        pw.append(pw[-1] * pw[0])
-                    part = part * pw[e - 1]
-            result = result + part
-        return result
+        arity, f = images[0].arity, self.field
+        if any(im.arity != arity or im.field != f for im in images):
+            raise RingMismatchError("substitution needs images in one ring "
+                                    "over the polynomial's field")
+        packing = _packing(DEGREVLEX, arity)
+        work, scale = _substitution(self, _pack_images(images, packing), f.p)
+        unpack = packing.unpack
+        return Polynomial(arity, f, {
+            unpack(m): c if f.p else Fraction(c, scale)
+            for m, c in work.items()})
 
     def evaluate(self, values: Sequence) -> Scalar:
         """Evaluate at field scalars."""
@@ -875,6 +960,21 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
                  else Fraction(c, s))
         result[t] = c
     return Polynomial(p.arity, p.field, result)
+
+
+def _normal_form_at(p: Polynomial, images: Sequence[tuple],
+                    gb: GroebnerBasis, arity: int) -> Polynomial:
+    """The normal form by `gb`, in `arity` variables over p's field, of p
+    at images packed in the layout of gb's order (`_pack_images`): the
+    substitution kernel's term map (`_substitution`) goes straight into
+    `_divide`, and only the remainder is unpacked."""
+    modulus = p.field.p
+    packing = _packing(gb.order, arity)
+    work, scale = _substitution(p, images, modulus)
+    unpack = packing.unpack
+    return Polynomial(arity, p.field, {
+        unpack(m): c if modulus else Fraction(c, s)
+        for m, c, s in _divide(work, scale, gb._reducers(), packing, modulus)})
 
 
 def _divide(work: dict[int, Scalar], scale: int, reducers: Sequence[tuple],

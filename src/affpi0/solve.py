@@ -142,21 +142,22 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
             raise ResourceLimitError(
                 f"rational root search: isqrt of the {name} {value} exceeds "
                 f"guard SOLVE_GUARD = {SOLVE_GUARD}")
+    # p/q in lowest terms is a root exactly when the integer
+    # sum_i ints[i]·p^i·q^(n-i) vanishes; a pair with a common factor
+    # repeats the candidate of its reduced pair
+    highest_first = ints[::-1]
     for q in _divisors(lead):
+        weights = [q ** k for k in range(len(highest_first))]
         for p in _divisors(const):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in roots:
-                    continue
-                if _poly_at(ints, cand) == 0:
-                    roots.add(cand)
+            if gcd(p, q) != 1:
+                continue
+            for num in (p, -p):
+                acc = 0
+                for c, w in zip(highest_first, weights):
+                    acc = acc * num + c * w
+                if acc == 0:
+                    roots.add(Fraction(num, q))
     return sorted(roots)
-
-
-def _poly_at(ints: Sequence[int], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(ints):
-        acc = acc * x + c
-    return acc
 
 
 def _divisors(n: int) -> list[int]:

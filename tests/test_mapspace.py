@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from affpi0 import mapspace
+from affpi0 import mapspace, polyring
 from affpi0.algebra import (AlgebraMorphism, AlgebraPresentation,
                             enumerate_hom, enumerate_points, field_algebra,
                             polynomial_extension, tensor_product)
@@ -292,18 +292,22 @@ def test_functor_action_reduces_each_image_once(monkeypatch):
     b = A_of(QQ, ["x"], ["x^2 - x"])
     m = mapspace_presentation(a, b, 1)
     target = m.algebra
+    records = target.gb()._reducers()
     calls = []
-    nf = target.nf
+    divide = polyring._divide
 
-    def spy(p):
-        calls.append(p)
-        return nf(p)
+    def spy(work, scale, reducers, *rest):
+        if reducers is records:
+            calls.append(work)
+        return divide(work, scale, reducers, *rest)
 
-    monkeypatch.setattr(target, "nf", spy)
+    monkeypatch.setattr(polyring, "_divide", spy)
     functor_action(AlgebraMorphism.identity(a), AlgebraMorphism.identity(b),
                    m, m)
-    # one reduction per image and one per checked relation, all in the
-    # morphism's constructor; every coefficient lies on its delta
+    # one reduction by the target's basis per image and one per checked
+    # relation, all in the morphism's constructor: `target.nf` reduces each
+    # image and `apply_poly` each relation by one pass of the reduction
+    # loop; every coefficient lies on its delta
     assert len(calls) == m.n_z + len(target.relations)
 
 
