@@ -7,6 +7,11 @@ generator a of A by sum_v v*z[a,v] into the relations of A, reducing modulo
 the ideal of B, and collecting the coefficient of every standard monomial of
 B.
 
+Over a free B (no relations) every relation of a level is homogeneous in
+the weight |v| of z[a,v] (`weight_order`), so an element of weight w lies in
+the level ideal exactly when a basis truncated at weight w reduces it to
+zero (`bounded_basis`).
+
 The universal map υ: A -> B ⊗ (level) is a morphism (`universal`), and the
 maps of M are written as in the paper, from υ, `tensor_morphism` (f ⊗ g),
 `compose` and `identity`: the associated morphism of φ is the ψ with
@@ -21,6 +26,7 @@ The inverse limit is never materialized: every statement is per level.
 from __future__ import annotations
 
 from functools import cached_property
+from math import prod
 from typing import Sequence
 
 from .algebra import (AlgebraMorphism, AlgebraPresentation, ElementRep,
@@ -29,7 +35,9 @@ from .algebra import (AlgebraMorphism, AlgebraPresentation, ElementRep,
                       tensor_product)
 from .errors import (HypothesisError, MorphismError, PropertyViolationError,
                      RingMismatchError, TruncationError)
-from .polyring import Monomial, Polynomial, monomial_divides
+from .polyring import (GroebnerBasis, Monomial, Polynomial, WeightOrder,
+                       _normal_form_at, _pack_images, _packing, groebner,
+                       monomial_divides)
 
 
 def z_name(generator: str, monomial: Monomial) -> str:
@@ -84,6 +92,67 @@ class MapSpacePresentation:
                     j_gens.append(coeff)
         j_gens.sort(key=lambda p: p.key())
         self.algebra = AlgebraPresentation(self.field, self.z_names, j_gens)
+        self._bounded: dict[int, GroebnerBasis] = {}
+        self._families: dict[tuple, list[tuple]] = {}
+
+    # -- the weight grading over a free target ----------------------------------
+
+    @cached_property
+    def weight_order(self) -> WeightOrder:
+        """WeightOrder of the weight |v| of each coordinate z[a,v].  Over a
+        free B the coefficient of the B-monomial w in r(sum_v v·z[a,v]) has
+        weight |w|, so every relation of the level is homogeneous; over a B
+        with relations, products of B-monomials reduce and mix weights, so
+        that is a HypothesisError."""
+        if self.b.relations:
+            raise HypothesisError("the level is weight-graded only over a "
+                                  "free target algebra")
+        return WeightOrder([sum(v) for _, v in self.zvars])
+
+    def bounded_basis(self, bound: int) -> GroebnerBasis:
+        """The level ideal's basis under `weight_order`, truncated at weight
+        `bound` (`polyring.groebner`): it decides membership of every
+        element of weight <= bound, and its normal forms refuse a heavier
+        one.  Built once per bound."""
+        gb = self._bounded.get(bound)
+        if gb is None:
+            gb = self._bounded[bound] = groebner(
+                self.algebra.relations, self.weight_order, bound)
+        return gb
+
+    def families_at(self, q: Polynomial, points: Sequence[tuple], bound: int
+                    ) -> Polynomial:
+        """q, a polynomial in one block of A's generators per point of a
+        free B in `points`, at the universal family evaluated at those
+        points, in the level.  The generator a of block i goes to
+        sum_v points[i]^v·z[a,v], of weight at most T, so q's image has
+        weight at most deg(q)·T; it is reduced by `bounded_basis(bound)` in
+        one pass of the substitution kernel into the reduction loop
+        (`polyring._normal_form_at`), and a bound below its weight is a
+        TruncationError."""
+        if q.arity != self.a.arity * len(points) or q.field != self.field:
+            raise RingMismatchError("polynomial outside the blocks of the "
+                                    "source algebra's generators")
+        gb = self.bounded_basis(bound)
+        images = [im for point in points for im in self._family_at(point)]
+        return _normal_form_at(q, images, gb, self.n_z)
+
+    def _family_at(self, point: tuple) -> list[tuple]:
+        """υ's images at `point`, a ↦ sum_v point^v·z[a,v], packed for
+        `weight_order` (`polyring._pack_images`); built once per point."""
+        packed = self._families.get(point)
+        if packed is None:
+            field, n_z, width = self.field, self.n_z, len(self.monomials)
+            units = [(0,) * k + (1,) + (0,) * (n_z - k - 1) for k in range(n_z)]
+            coeffs = [field.scalar(prod(map(pow, point, v)))
+                      for v in self.monomials]
+            packed = self._families[point] = _pack_images(
+                [Polynomial.combination(n_z, field,
+                                        units[gi * width:(gi + 1) * width],
+                                        coeffs)
+                 for gi in range(self.a.arity)],
+                _packing(self.weight_order, n_z))
+        return packed
 
     # -- the universal map -------------------------------------------------------
 

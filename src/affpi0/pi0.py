@@ -3,9 +3,10 @@
 Route one (primary, characteristic 0): the kernel of the universal
 derivation.  Route two (definitional): elements whose images under the two
 evaluations of the universal polynomial family agree at every computed tower
-level.  Route three: the idempotent / k-th-root solvers that feed component
-counting.  The routes are independent implementations and cross-check each
-other.
+level; the difference of the two is reduced by the level's basis truncated
+at the weight it can reach (`MapSpacePresentation.bounded_basis`).  Route
+three: the idempotent / k-th-root solvers that feed component counting.
+The routes are independent implementations and cross-check each other.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .solve import SolveResult, solve_system
 class EqualizerVerdict:
     passed: bool
     level: int                   # first failing level, or the last one checked
-    residual: Polynomial | None  # nonzero residual in the level algebra
+    residual: Polynomial | None  # nonzero, reduced by the bounded basis
 
 
 def equalizer_membership(a: AlgebraPresentation, elem: ElementRep,
@@ -41,8 +42,11 @@ def equalizer_membership(a: AlgebraPresentation, elem: ElementRep,
     """Test the two evaluations of the universal line family on one element.
 
     At each level d = 1..towerdepth the image of the element in
-    F[x] ⊗ M_d(A, F[x]) is evaluated at x=0 and x=1; the difference must lie
-    in the level ideal.  Returns the first failing level with its residual.
+    F[x] ⊗ M_d(A, F[x]) is evaluated at x=0 and x=1; the difference, of
+    weight at most deg·d, must lie in the level ideal, which the level's
+    basis truncated at that weight decides, as in the cut
+    (`_evaluation_difference`).  Returns the first failing level with its
+    residual.
     With towerdepth < 1 no level would be checked, so that is a
     HypothesisError.
     """
@@ -50,7 +54,9 @@ def equalizer_membership(a: AlgebraPresentation, elem: ElementRep,
         raise ValueError("element of a different algebra")
     require_tower(towerdepth)
     for d in range(1, towerdepth + 1):
-        diff = _evaluation_difference(_line_level(a, d), elem.poly)
+        m = _line_level(a, d)
+        diff = _evaluation_difference(
+            m, elem.poly, _weight_bound(m, elem.poly.total_degree()))
         if not diff.is_zero:
             return EqualizerVerdict(False, d, diff)
     return EqualizerVerdict(True, towerdepth, None)
@@ -62,15 +68,28 @@ def _line_level(a: AlgebraPresentation, d: int) -> MapSpacePresentation:
     return mapspace_presentation(a, AlgebraPresentation(a.field, ["x"], []), d)
 
 
-def _evaluation_difference(m: MapSpacePresentation, poly: Polynomial
-                           ) -> Polynomial:
-    """(x->1) - (x->0) of the universal image, in the level algebra; υ's
-    coefficients are reduced, so their sum is too."""
-    acc = Polynomial.zero(m.n_z, m.field)
-    for v, coeff in m.upsilon_poly(poly).items():
-        if sum(v) > 0:          # x^k with k >= 1 contributes only at x=1
-            acc = acc + coeff
-    return acc
+def _weight_bound(m: MapSpacePresentation, degree: int) -> int:
+    """degree·T, with T the top weight |v| of the level's coordinates: the
+    highest weight the evaluation difference of an element of degree
+    `degree` reaches, since each generator goes to a sum of z[a,v] of
+    weight at most T."""
+    return max(degree, 0) * max(m.weight_order.weights, default=0)
+
+
+def _evaluation_difference(m: MapSpacePresentation, poly: Polynomial,
+                           bound: int) -> Polynomial:
+    """(x->1) - (x->0) of the universal image υ(poly), in the level
+    algebra: the sum of υ(poly)'s x^k coefficients for k >= 1.  B = F[x]
+    is free, so each evaluation is the universal family at a point of B:
+    poly(y) - poly(y'), with y at x=1 and y' at x=0, goes through one
+    substitution and one reduction (`families_at`) by the level's basis
+    bounded at weight `bound`, which must be at least `_weight_bound` of
+    poly's degree.  It is zero exactly when the difference lies in the
+    level ideal."""
+    n = m.a.arity
+    twice = (poly.extend_arity(2 * n, range(n))
+             - poly.extend_arity(2 * n, range(n, 2 * n)))
+    return m.families_at(twice, [(1,), (0,)], bound)
 
 
 @dataclass
@@ -91,8 +110,10 @@ def equalizer_subspace(a: AlgebraPresentation, degree: int, tower: int
 
     Only level `tower` is built: the structural map M_T -> M_d carries the
     level-T family to the level-d one, so the verdict is monotone and an
-    element that passes at level T passes at every level below.  With
-    tower < 1 no level would be checked, so that is a HypothesisError.
+    element that passes at level T passes at every level below.  Of that
+    level only the basis truncated at weight degree·T is computed (`_cut`).
+    With tower < 1 no level would be checked, so that is a
+    HypothesisError.
     """
     require_tower(tower)
     return EqualizerSubspace(a, degree, tower, a.elements(
@@ -103,9 +124,14 @@ def _cut(a: AlgebraPresentation, degree: int, m: MapSpacePresentation
          ) -> tuple[list, list[list]]:
     """The slice's monomials and the canonical basis (the RREF rows) of the
     slice vectors that pass the equalizer at level m: the relations among
-    the slice monomials' evaluation differences."""
+    the slice monomials' evaluation differences.  Every difference has
+    weight at most degree·T (`_weight_bound`), so one basis of the level,
+    truncated there, reduces them all; its normal forms are linear and
+    vanish exactly on the level ideal, so the relations are those of the
+    full basis."""
     slice_monos = a.standard_monomials(degree)
-    diffs = [_evaluation_difference(m, Polynomial.monomial(v, a.field))
+    bound = _weight_bound(m, degree)
+    diffs = [_evaluation_difference(m, Polynomial.monomial(v, a.field), bound)
              for v in slice_monos]
     return slice_monos, linalg.relations(diffs, a.field)
 

@@ -16,7 +16,10 @@ Buchberger's loop runs on reducer records alone: S-pairs are built and
 reduced as packed integer term maps, and `Fraction`s are built only for the
 basis returned.  Monomials are exponent tuples at the API and guard-bit
 packed ints (`_Packing`) inside the reduction loop, the S-pairs, the pair
-update and the minimalization of a basis; polynomials are sparse term maps
+update and the minimalization of a basis; a packed row may weigh its
+variables (`WeightOrder`), and `groebner` can truncate the basis of an ideal
+homogeneous in that weight at a bound, which then decides membership up to
+the bound and refuses heavier inputs.  Polynomials are sparse term maps
 and carry no caches.  All values are immutable after construction and
 every operation is a pure function, so concurrent use on distinct values is
 safe.  The only writes after construction are a
@@ -39,7 +42,8 @@ from operator import (add as _add, le as _le, mul as _mul, neg as _neg,
                       sub as _sub)
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ParseError, ResourceLimitError, RingMismatchError
+from .errors import (HypothesisError, ParseError, ResourceLimitError,
+                     RingMismatchError, TruncationError)
 
 Monomial = tuple[int, ...]
 
@@ -201,18 +205,21 @@ def _drl_key(m: Monomial):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-def _drl_rows(start: int, stop: int) -> list[tuple[int, int]]:
-    """Degrevlex on the variables [start, stop) as sums compared
-    lexicographically: the degree, then e_start + … + e_k for k falling."""
-    return [(start, k) for k in range(stop, start, -1)]
+def _drl_rows(start: int, stop: int, arity: int) -> list[tuple[int, ...]]:
+    """Degrevlex on the variables [start, stop) of `arity` as sums compared
+    lexicographically: the degree, then e_start + … + e_k for k falling;
+    each row a 0/1 multiplier per variable."""
+    return [tuple(int(start <= i < k) for i in range(arity))
+            for k in range(stop, start, -1)]
 
 
 class MonomialOrder:
     """A monomial order given by a sort key; larger key = larger monomial.
 
-    `_rows` gives the order as a matrix of prefix sums: (a, b) stands for
-    the row e_a + … + e_{b-1}, and comparing these sums lexicographically,
-    then the exponents, is the order.
+    `_rows` gives the order as a matrix of non-negative integer
+    multipliers, one row of `arity` entries each: row r stands for the sum
+    r_1·e_1 + … + r_n·e_n, and comparing these sums lexicographically, then
+    the exponents, is the order.
     """
 
     name = "degrevlex"
@@ -220,8 +227,8 @@ class MonomialOrder:
     def key(self, m: Monomial):
         return _drl_key(m)
 
-    def _rows(self, arity: int) -> list[tuple[int, int]]:
-        return _drl_rows(0, arity)
+    def _rows(self, arity: int) -> list[tuple[int, ...]]:
+        return _drl_rows(0, arity, arity)
 
     def __repr__(self):
         return f"<order {self.name}>"
@@ -239,7 +246,7 @@ class LexOrder(MonomialOrder):
     def key(self, m: Monomial):
         return m
 
-    def _rows(self, arity: int) -> list[tuple[int, int]]:
+    def _rows(self, arity: int) -> list[tuple[int, ...]]:
         return []
 
 
@@ -254,9 +261,32 @@ class BlockOrder(MonomialOrder):
         k = self.n_front
         return (_drl_key(m[:k]), _drl_key(m[k:]))
 
-    def _rows(self, arity: int) -> list[tuple[int, int]]:
+    def _rows(self, arity: int) -> list[tuple[int, ...]]:
         k = min(self.n_front, arity)
-        return _drl_rows(0, k) + _drl_rows(k, arity)
+        return _drl_rows(0, k, arity) + _drl_rows(k, arity, arity)
+
+
+class WeightOrder(MonomialOrder):
+    """The weight w_1·e_1 + … + w_n·e_n first, then degrevlex.  The weights
+    are non-negative integers, one per variable, so this is a well-order;
+    variables of weight 0 are ordered by degrevlex alone.  An ideal whose
+    generators are homogeneous in the weight has a Gröbner basis of
+    homogeneous elements under it, which `groebner` can bound by weight."""
+
+    def __init__(self, weights: Sequence[int]):
+        self.weights = tuple(weights)
+        if any(w < 0 for w in self.weights):
+            raise ValueError(f"weights must be non-negative: {self.weights}")
+        self.name = f"weight{self.weights}"
+
+    def key(self, m: Monomial):
+        return (sum(map(_mul, m, self.weights)), _drl_key(m))
+
+    def _rows(self, arity: int) -> list[tuple[int, ...]]:
+        if arity != len(self.weights):
+            raise RingMismatchError(f"{len(self.weights)} weights for "
+                                    f"{arity} variables")
+        return [self.weights] + _drl_rows(0, arity, arity)
 
 
 DEGREVLEX = MonomialOrder()
@@ -292,35 +322,44 @@ class _Packing:
     """Monomials of `arity` variables under `order` as one int each; one
     per order and arity (`_packing`).
 
-    The int is a row of `_WIDTH`-bit fields: the order's row sums
-    (`MonomialOrder._rows`) in the high fields, then e_1 … e_n.  Packing is
-    linear, pack(m) = Σ e_i·units[i], so:
+    The int is a row of `_WIDTH`-bit fields: the values of the order's rows
+    (`MonomialOrder._rows`) in the high fields, the first row highest, then
+    e_1 … e_n.  Packing is linear, pack(m) = Σ e_i·units[i], so:
 
     - int comparison is the monomial order, and a product is one `+`;
     - lm divides m exactly when ``not (m - lm) & guard``: a field of m
-      smaller than lm's borrows from its own guard bit;
+      smaller than lm's borrows from its own guard bit, and since every
+      multiplier is non-negative, the row fields of m - lm are non-negative
+      where its exponent fields are;
     - a sum whose field overflows sets that field's guard bit, which
       `_divide` and `_s_remainder` test on every product and
       `_update_pairs` on every lcm,
       so an exponent never wraps.
 
-    Every field is at most the total degree, so a monomial of degree below
-    `_FIELD_BOUND` packs with its guard bits clear.
+    Every field is at most the largest multiplier (1 for the 0/1 rows of
+    degrevlex, lex and the block orders) times the total degree, so a
+    monomial of degree below `degree_limit`, `_FIELD_BOUND` over that
+    multiplier, packs with its guard bits clear.  `shift` is the bit offset
+    of the first row's field, None when the order has no row (lex).
     """
 
-    __slots__ = ("units", "guard", "low", "size", "fields")
+    __slots__ = ("units", "guard", "low", "size", "fields", "degree_limit",
+                 "shift")
 
     def __init__(self, order: MonomialOrder, arity: int):
         rows = order._rows(arity)
         top = len(rows) + arity - 1
         self.units = [
-            sum(1 << _WIDTH * (top - r) for r, (a, b) in enumerate(rows)
-                if a <= i < b) | 1 << _WIDTH * (arity - 1 - i)
+            sum(row[i] << _WIDTH * (top - r) for r, row in enumerate(rows))
+            | 1 << _WIDTH * (arity - 1 - i)
             for i in range(arity)]
         self.guard = sum(_FIELD_BOUND << _WIDTH * f for f in range(top + 1))
         self.low = (1 << _WIDTH * arity) - 1
         self.size = _WIDTH // 8 * arity
         self.fields = _struct.Struct(f">{arity}{_FIELD_CODE}")
+        stretch = max([1, *(w for row in rows for w in row)])
+        self.degree_limit = -(-_FIELD_BOUND // stretch)
+        self.shift = _WIDTH * top if rows else None
 
     def pack(self, m: Monomial) -> int:
         return sum(map(_mul, m, self.units))
@@ -342,7 +381,7 @@ def _packed(p: "Polynomial", packing: _Packing) -> tuple[dict[int, int], int]:
     could reach a guard bit is a `ResourceLimitError`, raised before
     anything is packed."""
     deg = max(map(sum, p.terms), default=0)
-    if deg >= _FIELD_BOUND:
+    if deg >= packing.degree_limit:
         raise ResourceLimitError(
             f"degree {deg} does not fit the {_WIDTH}-bit fields of a packed "
             f"monomial")
@@ -376,8 +415,8 @@ def _product(a: tuple[dict[int, Scalar], int], b: tuple[dict[int, Scalar], int],
     """a·b for packed term maps with their total degrees, (terms, degree).
     The guards are `Polynomial.__mul__`'s: the degree before the product,
     unless a factor is zero, the term count after it.  A degree that passes
-    `max_degree` but not the `_WIDTH`-bit fields is a `ResourceLimitError`,
-    so no field reaches its guard bit."""
+    `max_degree` but not the `_WIDTH`-bit fields of a 0/1 layout is a
+    `ResourceLimitError`, so no field reaches its guard bit."""
     (ta, da), (tb, db) = a, b
     if not (ta and tb):
         return {}, -1
@@ -398,16 +437,20 @@ def _product(a: tuple[dict[int, Scalar], int], b: tuple[dict[int, Scalar], int],
     return out, deg
 
 
-def _substitution(p: "Polynomial", images: Sequence[tuple], modulus: int | None
-                  ) -> tuple[dict[int, Scalar], int]:
-    """The substitution kernel: p at packed images (`_pack_images`), as a
-    packed term map and one scale, in the images' packing.  Over Q the
+def _substitution(p: "Polynomial", images: Sequence[tuple], packing: _Packing,
+                  modulus: int | None) -> tuple[dict[int, Scalar], int]:
+    """The substitution kernel: p at images packed in `packing`
+    (`_pack_images`), as a packed term map and one scale.  Over Q the
     integers stand for p(images)·scale; over F_p they are residues, under
     scale 1.
 
     Each power of an image is built once, from the image, as far as a term
     needs it, and each term is its coefficient times one product per
-    variable it uses (`_product`, which keeps the guards).  Over Q the
+    variable it uses (`_product`, which keeps the guards).  A layout with
+    multipliers above 1 (`WeightOrder`) fills its fields before the degree
+    reaches `_FIELD_BOUND`, so there the highest degree a product can
+    reach, Σ e_i·deg(image_i) over p's terms, is checked against the
+    layout's `degree_limit` before any product.  Over Q the
     coefficients are integers under den, the lcm of p's denominators, so a
     term c·x^e stands under den·Π s_i^e_i, with s_i the images' scales; its
     coefficient is lifted to the common scale den·Π s_i^E_i, with E_i the
@@ -426,6 +469,13 @@ def _substitution(p: "Polynomial", images: Sequence[tuple], modulus: int | None
                   for m, c in zip(p.terms, coeffs)]
         scale *= prod(map(pow, scales, tops))
     powers = [[(terms, deg)] for terms, _, deg in images]
+    if packing.degree_limit < _FIELD_BOUND:
+        degs = [deg for _, _, deg in images]
+        top = max((sum(map(_mul, m, degs)) for m in p.terms), default=0)
+        if top >= packing.degree_limit:
+            raise ResourceLimitError(
+                f"degree {top} does not fit the {_WIDTH}-bit fields of a "
+                f"packed monomial")
     result: dict[int, Scalar] = {}
     get = result.get
     for m, c in sorted(zip(p.terms, coeffs)):
@@ -653,7 +703,8 @@ class Polynomial:
             raise RingMismatchError("substitution needs images in one ring "
                                     "over the polynomial's field")
         packing = _packing(DEGREVLEX, arity)
-        work, scale = _substitution(self, _pack_images(images, packing), f.p)
+        work, scale = _substitution(self, _pack_images(images, packing),
+                                    packing, f.p)
         unpack = packing.unpack
         return Polynomial(arity, f, {
             unpack(m): c if f.p else Fraction(c, scale)
@@ -899,6 +950,10 @@ class GroebnerBasis:
     """A Gröbner basis under `order`; `groebner` returns it reduced, monic
     and sorted.
 
+    A `bound` makes it a basis up to that value of the order's first row
+    (`groebner`): it decides membership for inputs whose terms all lie at or
+    below the bound, and `normal_form` refuses any other input.
+
     `_records` holds the reducer records of `polys` under `order`
     (`Polynomial._record`: primitive over Q, monic over F_p), parallel to
     `polys`: those `groebner` built the elements from, or built on first
@@ -907,6 +962,7 @@ class GroebnerBasis:
 
     polys: tuple[Polynomial, ...]
     order: MonomialOrder
+    bound: int | None = None
     _records: list[tuple] | None = field(default=None, init=False,
                                          repr=False, compare=False)
 
@@ -936,15 +992,31 @@ class GroebnerBasis:
         return any(g.total_degree() == 0 for g in self.polys)
 
 
+def _check_bound(gb: GroebnerBasis, monomials: Iterable[int],
+                 packing: _Packing) -> None:
+    """A basis with a `bound` reduces only inputs whose packed monomials
+    have their first-row field at or below it: anything higher is a
+    `TruncationError`, never a remainder the truncated basis cannot
+    vouch for."""
+    top = max(monomials, default=0) >> packing.shift
+    if top > gb.bound:
+        raise TruncationError(f"an input of weight {top} lies above the "
+                              f"bound {gb.bound} of its Gröbner basis")
+
+
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Full remainder of multivariate division by the elements of `gb`, monic
     or not: no term divisible by any LT.  p is packed (`_packed`), reduced by
     `_divide` and unpacked, its terms in the order found; over Q a term
     that comes out under the entry scale with its entry value keeps p's
-    `Fraction`."""
+    `Fraction`.  A bounded basis refuses an input above its bound
+    (`_check_bound`)."""
     for g in gb.polys[:1]:      # __post_init__ checked the rest
         if g.arity != p.arity or g.field != p.field:
             raise RingMismatchError("normal form: basis lives in another ring")
+    if gb.bound is not None:
+        packing = _packing(gb.order, p.arity)
+        _check_bound(gb, map(packing.pack, p.terms), packing)
     reducers = gb._reducers()
     if not reducers or p.is_zero:
         return p
@@ -967,10 +1039,13 @@ def _normal_form_at(p: Polynomial, images: Sequence[tuple],
     """The normal form by `gb`, in `arity` variables over p's field, of p
     at images packed in the layout of gb's order (`_pack_images`): the
     substitution kernel's term map (`_substitution`) goes straight into
-    `_divide`, and only the remainder is unpacked."""
+    `_divide`, and only the remainder is unpacked.  A bounded basis
+    refuses a term map above its bound (`_check_bound`)."""
     modulus = p.field.p
     packing = _packing(gb.order, arity)
-    work, scale = _substitution(p, images, modulus)
+    work, scale = _substitution(p, images, packing, modulus)
+    if gb.bound is not None:
+        _check_bound(gb, work, packing)
     unpack = packing.unpack
     return Polynomial(arity, p.field, {
         unpack(m): c if modulus else Fraction(c, s)
@@ -1103,8 +1178,9 @@ def _update_pairs(records: list[tuple], record: tuple,
     and returns them.
 
     Equality, strict divisibility by lm(h) and the product criterion read
-    only the exponent fields (``& packing.low``): the row fields are sums
-    of exponents, so they agree and divide where the exponents do.  Every
+    only the exponent fields (``& packing.low``): the row fields are
+    combinations of the exponents with non-negative multipliers, so they
+    agree and divide where the exponents do.  Every
     exponent field of a record is below `_FIELD_BOUND`, so lcm(lm_i, lm_h)
     is a field-wise max by the exponent fields' guard bits G (16-bit
     fields shown): ge = ((a | G) − b) & G holds the guard bit of each field
@@ -1158,8 +1234,8 @@ def _update_pairs(records: list[tuple], record: tuple,
     return new
 
 
-def groebner(gens: Iterable[Polynomial],
-             order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
+def groebner(gens: Iterable[Polynomial], order: MonomialOrder = DEGREVLEX,
+             bound: int | None = None) -> GroebnerBasis:
     """Reduced Gröbner basis by Buchberger with Gebauer-Möller elimination.
 
     Output is deterministic: monic, auto-reduced, sorted by leading monomial,
@@ -1175,9 +1251,22 @@ def groebner(gens: Iterable[Polynomial],
     reduced by `_divide`, and a nonzero remainder becomes a record
     (`_remainder_record`) and counts against `max_basis`.  Polynomials are
     built only for the reduced basis, which keeps its records.
+
+    With a `bound`, the basis is truncated at that value of the order's
+    first row, its weight (the degree of degrevlex; `WeightOrder`'s
+    weight), as `degBound` in Singular and `DegreeLimit` in Macaulay2 do.
+    Every generator must be homogeneous in the weight, else it is a
+    `HypothesisError`; then every S-pair and remainder is homogeneous of
+    the weight of its packed lcm, generators above the bound are dropped
+    and a pair whose lcm lies above it is never reduced.  The sugar is then
+    the weight itself, with every ecart 0: pairs are drawn weight by weight,
+    the normal strategy of homogeneous Buchberger.  The result reduces
+    every element of the ideal of weight at most `bound` to zero, so it
+    decides membership up to the bound, and `normal_form` refuses a larger
+    input (`_check_bound`).
     """
     gens = [g for g in gens if not g.is_zero]
-    if not gens:
+    if not gens:                # the zero ideal: complete at every weight
         return GroebnerBasis((), order)
     arity, field = gens[0].arity, gens[0].field
     for g in gens:
@@ -1186,7 +1275,23 @@ def groebner(gens: Iterable[Polynomial],
     packing = _packing(order, arity)
     works = sorted(((*_packed(g, packing), max(map(sum, g.terms)))
                     for g in gens), key=lambda work: max(work[0]))
+    if bound is not None:
+        shift = packing.shift
+        if shift is None:
+            raise HypothesisError(f"{order.name} has no weight row to bound")
+        if any(len({m >> shift for m in work}) > 1 for work, _, _ in works):
+            raise HypothesisError(
+                f"a generator is not homogeneous in the first row of "
+                f"{order.name}, so no basis can be bounded in it")
+        works = [(work, scale, max(work) >> shift)
+                 for work, scale, _ in works if max(work) >> shift <= bound]
     modulus, unpack = field.p, packing.unpack
+    if bound is None:
+        def weight(m: int) -> int:      # the total degree
+            return sum(unpack(m))
+    else:
+        def weight(m: int) -> int:      # the first row's field
+            return m >> shift
     reducers: list[tuple] = []
     ecarts: list[int] = []      # parallel to reducers
     P: dict[tuple[int, int], int] = {}
@@ -1197,10 +1302,13 @@ def groebner(gens: Iterable[Polynomial],
             raise ResourceLimitError(
                 f"basis size exceeds guard {LIMITS.max_basis}")
         record = _remainder_record(rem, unpack, modulus)
-        ecart = sugar - sum(record[0])
+        ecart = sugar - weight(record[2])
         for pair in _update_pairs(reducers, record, P, order):
             lcm = P[pair]
-            heappush(queue, (sum(unpack(lcm)) + max(ecarts[pair[0]], ecart),
+            if bound is not None and lcm >> shift > bound:
+                del P[pair]     # above the bound: never reduced
+                continue
+            heappush(queue, (weight(lcm) + max(ecarts[pair[0]], ecart),
                              lcm, pair))
         reducers.append(record)
         ecarts.append(ecart)
@@ -1217,7 +1325,8 @@ def groebner(gens: Iterable[Polynomial],
         if rem:
             deg = max([sum(unpack(m)) for m, _, _ in rem])
             _check_degree(deg)
-            insert(rem, max(sugar, deg))
+            # with a bound, rem is homogeneous of its pair's weight
+            insert(rem, max(sugar, deg) if bound is None else sugar)
     # minimalize: drop elements whose LT is divisible by another LT, on
     # packed leading monomials, smallest first; packed ints compare as the
     # order does, so the basis comes out sorted
@@ -1237,7 +1346,7 @@ def groebner(gens: Iterable[Polynomial],
     polys = [Polynomial(arity, field, {lm: one, **{
         unpack(m): c if modulus else Fraction(c, lc) for m, c in tail}})
         for lm, lc, _, tail in records]
-    basis = GroebnerBasis(tuple(polys), order)
+    basis = GroebnerBasis(tuple(polys), order, bound)
     object.__setattr__(basis, "_records", records)
     return basis
 
