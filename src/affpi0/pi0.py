@@ -11,6 +11,7 @@ The routes are independent implementations and cross-check each other.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -193,15 +194,22 @@ def idempotent_search(a: AlgebraPresentation, degree: int) -> IdempotentReport:
 
 
 def primitive_idempotents(report: IdempotentReport) -> list[ElementRep]:
-    """Minimal nonzero idempotents under e <= f iff e·f = e."""
+    """Minimal nonzero idempotents under e <= f iff e·f = e, in the
+    report's order.  Idempotents commute, so one product e·f decides both
+    e <= f and f <= e: each unordered pair is multiplied once, and not at
+    all when both its members already lie strictly above another."""
     nonzero = [e for e in report.idempotents if not e.is_zero]
-    primitive = []
-    for e in nonzero:
-        strictly_below = [f for f in nonzero
-                          if f != e and (f * e) == f]
-        if not strictly_below:
-            primitive.append(e)
-    return primitive
+    above = [False] * len(nonzero)
+    for i, j in itertools.combinations(range(len(nonzero)), 2):
+        if above[i] and above[j]:
+            continue
+        e, f = nonzero[i], nonzero[j]
+        product = e * f
+        if product == e != f:
+            above[j] = True
+        elif product == f != e:
+            above[i] = True
+    return [e for e, up in zip(nonzero, above) if not up]
 
 
 @dataclass

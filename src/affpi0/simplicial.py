@@ -21,6 +21,7 @@ from .algebra import (AlgebraMorphism, AlgebraPresentation, ElementRep,
 from .errors import HypothesisError, PropertyViolationError
 from .mapspace import (MapSpacePresentation, functor_action,
                        mapspace_presentation, require_tower)
+from .pi0 import equalizer_subspace
 from .polyring import FieldDescriptor, Monomial, Polynomial
 
 
@@ -323,20 +324,20 @@ class SingH0Result:
 
 
 def sing_h0(a: AlgebraPresentation, tower: int, degree: int) -> SingH0Result:
-    """Kernel of d^0 - d^1 on the level-0 slice, per tower level 1..T: the
-    relations among the coboundaries of its standard monomials.  With T < 1
-    no level would be reported, so that is a HypothesisError."""
+    """Kernel of d^0 - d^1 on the level-0 slice, per tower level d = 1..T.
+
+    Level 0 of the cosimplicial space, M_d(A, F[Delta^0]), is A on renamed
+    generators, so its slice is A's.  The cofaces of Delta^1 are x1 -> 1
+    and x1 -> 0, so d^0 - d^1 of a slice element is its evaluation
+    difference (x->1) - (x->0) in M_d(A, F[x]), and the kernel is the
+    level-d equalizer cut (`pi0.equalizer_subspace`), reduced by the
+    level's basis bounded at weight degree·d; no structure map is built.
+    `moore_complex` keeps the cosimplicial route, with its checked
+    structure maps, and cross-checks this H^0.  With T < 1 no level would
+    be reported, so that is a HypothesisError."""
     require_tower(tower)
-    out = []
-    for d in range(1, tower + 1):
-        space = CosimplicialSpace(a, d, degree, 1)
-        basis = space.levels[0].basis
-        kernel = linalg.relations(
-            [alternating_sum(space, 0, Polynomial.monomial(mono, a.field))
-             for mono in basis], a.field)
-        # level-0 coordinates mirror the generators of A
-        out.append(SingLevel(d, a.elements(basis, kernel)))
-    return SingH0Result(out)
+    return SingH0Result([SingLevel(d, equalizer_subspace(a, degree, d).basis)
+                         for d in range(1, tower + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,19 @@ def test_sing_h0_and_complex(files, capsys):
     assert res["h0_dimension"] == 2 and res["h1_dimension"] == 0
 
 
+def test_sing_h0_of_the_f3_cusp_shrinks_with_the_tower(files, capsys):
+    path = files["tmp"] / "f3cusp.json"
+    path.write_text(json.dumps({"field": {"p": 3}, "vars": ["x", "y"],
+                                "relations": ["y^2 - x^3"]}))
+    code, rep = run_json(["sing", "h0", str(path), "--tower", "3",
+                          "--deg", "3"], capsys)
+    assert code == 0
+    assert [(lvl["tower"], lvl["dimension"], lvl["basis"])
+            for lvl in rep["result"]["levels"]] == [
+        (1, 3, ["1", "y^2", "y^3"]), (2, 2, ["1", "y^3"]), (3, 1, ["1"])]
+    assert rep["result"]["note"] == "tower level 0 is degenerate and excluded"
+
+
 @pytest.mark.parametrize("argv", [
     ["sing", "complex", "{circle}", "--trunc", "0", "--deg", "2"],
     ["sing", "h0", "{circle}", "--tower", "0", "--deg", "2"],

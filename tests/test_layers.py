@@ -20,7 +20,8 @@ ALLOWED = {
     "homotopy": {"algebra", "errors", "mapspace", "polyring", "solve"},
     "pi0": {"algebra", "derham", "errors", "linalg", "mapspace", "polyring",
             "solve"},
-    "simplicial": {"algebra", "errors", "linalg", "mapspace", "polyring"},
+    "simplicial": {"algebra", "errors", "linalg", "mapspace", "pi0",
+                   "polyring"},
     "cli": {"algebra", "derham", "errors", "homotopy", "mapspace",
             "matrix_homotopy", "pi0", "polyring", "simplicial"},
     "__init__": {"algebra", "derham", "mapspace", "pi0", "polyring"},

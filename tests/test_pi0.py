@@ -9,8 +9,8 @@ import pytest
 
 from affpi0 import derham, linalg, polyring
 from affpi0 import pi0 as pi0_mod
-from affpi0.algebra import (AlgebraPresentation, direct_sum, field_algebra,
-                            tensor_product)
+from affpi0.algebra import (AlgebraPresentation, ElementRep, direct_sum,
+                            field_algebra, tensor_product)
 from affpi0.errors import (HypothesisError, PropertyViolationError,
                            ResourceLimitError, UnsupportedFieldError)
 from affpi0.matrix_homotopy import NCPoly, mat_mul
@@ -209,6 +209,68 @@ def test_idempotents_of_the_affine_line():
 def test_idempotents_over_f2():
     rep = idempotent_search(A_of(GF(2), ["e"], ["e^2 - e"]), 1)
     assert rep.complete and rep.count == 4
+
+
+def reference_primitives(report):
+    """The scan `primitive_idempotents` replaced: e is primitive when no
+    other nonzero f has f·e = f, every ordered pair multiplied."""
+    nonzero = [e for e in report.idempotents if not e.is_zero]
+    return [e for e in nonzero
+            if not any(f != e and (f * e) == f for f in nonzero)]
+
+
+# the finite algebras of this file, each searched whole at its top degree
+FINITE_ALGEBRAS = {
+    "three_points": (QQ, ["x"], ["x^3 - x"], 2),
+    "two_points": (QQ, ["e"], ["e^2 - e"], 1),
+    "four_points": (QQ, ["x", "y"], ["x^2 - x", "y^2 - y"], 2),
+    "quartic": (QQ, ["x"], ["(x - 1)*(x + 2)*(x^2 - 3)"], 3),
+    "f3-three_points": (GF(3), ["x"], ["x^3 - x"], 2),
+    "f5-three_points": (GF(5), ["x"], ["x^3 - x"], 2),
+    "f3-two_points": (GF(3), ["t"], ["t^2 - 1"], 1),
+    "f5-two_points": (GF(5), ["t"], ["t^2 - 1"], 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_ALGEBRAS))
+def test_primitive_idempotents_multiply_each_pair_at_most_once(name,
+                                                               monkeypatch):
+    """Q[x]/(x^3 - x) has seven nonzero idempotents: at most 21 products,
+    where the ordered scan made 42."""
+    field, names, rels, degree = FINITE_ALGEBRAS[name]
+    report = idempotent_search(A_of(field, names, rels), degree)
+    assert report.complete
+    want = reference_primitives(report)
+    products = []
+    multiply = ElementRep.__mul__
+
+    def spy(self, other):
+        products.append(None)
+        return multiply(self, other)
+
+    monkeypatch.setattr(ElementRep, "__mul__", spy)
+    got = primitive_idempotents(report)
+    n = sum(not e.is_zero for e in report.idempotents)
+    assert len(products) <= n * (n - 1) // 2
+    assert got == want
+
+
+def test_primitive_idempotents_of_the_four_parabolas(monkeypatch):
+    """pi0 at D=3 searches the slice at ⌊8²/4⌋ = 16 and finds 15 nonzero
+    idempotents; every report it reads gives the reference's primitives,
+    in the reference's order."""
+    seen = []
+    primitives = pi0_mod.primitive_idempotents
+
+    def spy(report):
+        got = primitives(report)
+        seen.append((got, reference_primitives(report)))
+        return got
+
+    monkeypatch.setattr(pi0_mod, "primitive_idempotents", spy)
+    a = A_of(QQ, *LEVEL1_LAW_ALGEBRAS["four_parabolas"])
+    assert pi0_presentation(a, 3, 2).component_count == 4
+    assert seen and all(got == want for got, want in seen)
 
 
 def test_iskp_k2_matches_idempotents():

@@ -5,12 +5,13 @@ from __future__ import annotations
 from math import comb
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from affpi0 import simplicial
+from affpi0 import algebra, linalg, mapspace, simplicial
 from affpi0.algebra import AlgebraMorphism, AlgebraPresentation, field_algebra
 from affpi0.errors import HypothesisError
-from affpi0.polyring import GF, QQ, Polynomial
-from affpi0.simplicial import (CosimplicialSpace,
+from affpi0.polyring import GF, QQ, Polynomial, WeightOrder
+from affpi0.simplicial import (CosimplicialSpace, alternating_sum,
                                check_cosimplicial_identities,
                                check_simplicial_functoriality, cup_leibniz_check,
                                cup_product, degeneracy_map, delta_algebra,
@@ -182,6 +183,90 @@ def test_sing_h0_equals_the_equalizer_cut_at_every_tower_over_fp(a, degree,
         assert [e.to_string() for e in cut.basis] == want
 
 
+def reference_sing_h0(a, tower, degree):
+    """H^0 by the cosimplicial route `sing_h0` replaced: at each level d,
+    the relations among the coboundaries d^0 - d^1 of the level-0 slice,
+    taken through the checked structure maps of the full degrevlex levels
+    of CosimplicialSpace(a, d, degree, 1)."""
+    out = []
+    for d in range(1, tower + 1):
+        space = CosimplicialSpace(a, d, degree, 1)
+        basis = space.levels[0].basis
+        kernel = linalg.relations(
+            [alternating_sum(space, 0, Polynomial.monomial(mono, a.field))
+             for mono in basis], a.field)
+        out.append(a.elements(basis, kernel))
+    return out
+
+
+def sing_h0_bases(a, tower, degree):
+    return [level.basis for level in sing_h0(a, tower, degree).levels]
+
+
+# (field, variables, relations, slice degree D, tower T)
+SING_PINNED = {
+    "node": (QQ, ["x", "y"], ["y^2 - x^2 - x^3"], 2, 2),
+    "cusp": (QQ, ["x", "y"], ["y^2 - x^3"], 3, 2),
+    "f3-cusp": (GF(3), ["x", "y"], ["y^2 - x^3"], 3, 3),
+    "zero": (QQ, ["x", "y"], ["1"], 2, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SING_PINNED))
+def test_sing_h0_is_the_cosimplicial_kernel(name):
+    field, names, rels, degree, tower = SING_PINNED[name]
+    a = A_of(field, names, rels)
+    assert sing_h0_bases(a, tower, degree) \
+        == reference_sing_h0(a, tower, degree)
+
+
+SING_ALGEBRAS = [(["t"], ["t^2 - t"]), (["t"], []), (["t"], ["t^2"]),
+                 (["x"], ["x^3 - x"]), (["x", "y"], ["x^2 + y^2 - 1"]),
+                 (["x", "y"], ["y^2 - x^3"]), (["x", "y"], ["x*y - 1"]),
+                 (["x", "y"], ["x*y"]), (["x", "y"], ["y^2 - y"]),
+                 (["x", "y"], ["y^3 - x"]), (["u", "v"], ["u^2 - u", "v^2"]),
+                 (["x", "y"], ["(y - x^2)*(y - x^2 - 1)"]),
+                 (["x", "y"], ["1"])]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(field=st.sampled_from([QQ, GF(2), GF(3), GF(5)]),
+       presentation=st.sampled_from(SING_ALGEBRAS),
+       degree=st.integers(0, 3), tower=st.integers(1, 3))
+def test_sing_h0_is_the_cosimplicial_kernel_on_a_grid(field, presentation,
+                                                      degree, tower):
+    a = A_of(field, *presentation)
+    assert sing_h0_bases(a, tower, degree) \
+        == reference_sing_h0(a, tower, degree)
+
+
+# (field, variables, relations): Moore's H^0 at tower T is sing_h0's level T
+MOORE_H0_ALGEBRAS = {
+    "idempotent": (QQ, ["e"], ["e^2 - e"]),
+    "three_points": (QQ, ["x"], ["x^3 - x"]),
+    "dual_numbers": (QQ, ["t"], ["t^2"]),
+    "circle": (QQ, ["x", "y"], ["x^2 + y^2 - 1"]),
+    "cusp": (QQ, ["x", "y"], ["y^2 - x^3"]),
+    "f2-hyperbola": (GF(2), ["x", "y"], ["x*y - 1"]),
+    "f3-cusp": (GF(3), ["x", "y"], ["y^2 - x^3"]),
+    "f3-y3_x": (GF(3), ["x", "y"], ["y^3 - x"]),
+    "f5-two_parabolas": (GF(5), ["x", "y"], ["(y - x^2)*(y - x^2 - 1)"]),
+    "f5-two_lines": (GF(5), ["x", "y"], ["y^2 - y"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOORE_H0_ALGEBRAS))
+def test_moore_h0_is_sing_h0_at_the_top_level(name):
+    """The cosimplicial route, with its checked structure maps, stays the
+    independent cross-check of singular H^0."""
+    a = A_of(*MOORE_H0_ALGEBRAS[name])
+    for tower in (1, 2, 3):
+        for degree in (1, 2, 3):
+            assert moore_complex(a, tower, degree, 1).h0_dimension \
+                == sing_h0(a, tower, degree).levels[-1].dimension
+
+
 DOLD_KAN_ALGEBRAS = [field_algebra(QQ), A_of(QQ, ["t"], []),
                      A_of(QQ, ["t"], ["t^2"]), IDEMP,
                      A_of(QQ, ["x", "y"], ["x^2 + y^2 - 1"]),
@@ -266,12 +351,38 @@ def _count_functor_actions(monkeypatch) -> list:
     return calls
 
 
+def _record_groebner_runs(monkeypatch) -> list:
+    """(arity, order, bound) of every Buchberger run: A's own basis is
+    built in `algebra`, a level's bounded basis in `mapspace`."""
+    runs = []
+    for module in (algebra, mapspace):
+        def spy(gens, order, bound=None, run=module.groebner):
+            gens = list(gens)
+            runs.append((gens[0].arity if gens else None, order, bound))
+            return run(gens, order, bound)
+
+        monkeypatch.setattr(module, "groebner", spy)
+    return runs
+
+
 @pytest.mark.parametrize("tower", [1, 2, 3])
-def test_sing_h0_builds_two_structure_maps_per_tower_level(monkeypatch,
-                                                           tower):
-    calls = _count_functor_actions(monkeypatch)
-    sing_h0(IDEMP, tower, 2)
-    assert len(calls) == 2 * tower
+def test_sing_h0_builds_one_bounded_basis_per_tower_level(monkeypatch,
+                                                          tower):
+    """No structure map and no full level basis: level d's basis is
+    truncated at weight D·d, and the only unbounded runs are A's own and
+    those of free rings, which have no generators."""
+    actions = _count_functor_actions(monkeypatch)
+    runs = _record_groebner_runs(monkeypatch)
+    a = A_of(QQ, ["x", "y"], ["x^2 + y^2 - 1"])
+    sing_h0(a, tower, 2)
+    assert actions == []
+    bounded = [(order, bound) for _, order, bound in runs
+               if bound is not None]
+    assert [bound for _, bound in bounded] == [2 * d
+                                               for d in range(1, tower + 1)]
+    assert all(isinstance(order, WeightOrder) for order, _ in bounded)
+    assert all(arity in (None, a.arity) for arity, _, bound in runs
+               if bound is None)
 
 
 def test_structure_maps_are_built_once_per_space(monkeypatch):
