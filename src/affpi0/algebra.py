@@ -16,9 +16,9 @@ from typing import Iterable, Sequence
 from .errors import (MorphismError, ParseError, ResourceLimitError,
                      RingMismatchError, UnsupportedFieldError)
 from .polyring import (DEGREVLEX, BlockOrder, FieldDescriptor, GroebnerBasis,
-                       Monomial, Polynomial, _normal_form_at, _pack_images,
-                       _packing, groebner, ideal_membership, is_name,
-                       normal_form, poly_parse, standard_monomials)
+                       Monomial, Polynomial, _block_basis, _normal_form_at,
+                       _pack_images, _packing, groebner, ideal_membership,
+                       is_name, normal_form, poly_parse, standard_monomials)
 from .solve import SOLVE_GUARD, solve_system
 
 
@@ -354,9 +354,11 @@ class _BlockPresentation(AlgebraPresentation):
 
     The basis is the factors' reduced bases lifted side by side under
     BlockOrder(first.arity), or {1} when a factor is zero: no Buchberger
-    run.  It is reduced, since each basis element of the package lies in one
-    variable block on which its order is degrevlex, and the blocks of the
-    two factors are disjoint.
+    run, and its reducer records are the factors' records moved into the
+    block layout by whole fields (`polyring._block_basis`).  It is reduced,
+    since each basis element of the package lies in one variable block on
+    which its order is degrevlex, and the blocks of the two factors are
+    disjoint.
     """
 
     def __init__(self, names: Sequence[str], first: AlgebraPresentation,
@@ -379,11 +381,10 @@ class _BlockPresentation(AlgebraPresentation):
     def gb(self) -> GroebnerBasis:
         if self._gb is None:
             a, b = self.factor_a, self.factor_b
-            polys = ((Polynomial.one(self.arity, self.field),)
-                     if a.is_zero_algebra() or b.is_zero_algebra() else
-                     tuple(map(self.embed_a, a.gb()))
-                     + tuple(map(self.embed_b, b.gb())))
-            self._gb = GroebnerBasis(polys, BlockOrder(a.arity))
+            self._gb = (GroebnerBasis((Polynomial.one(self.arity, self.field),),
+                                      BlockOrder(a.arity))
+                        if a.is_zero_algebra() or b.is_zero_algebra() else
+                        _block_basis(a.gb(), b.gb(), a.arity, self.arity))
         return self._gb
 
 

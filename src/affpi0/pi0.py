@@ -121,17 +121,18 @@ def equalizer_subspace(a: AlgebraPresentation, degree: int, tower: int
         *_cut(a, degree, _line_level(a, tower))))
 
 
-def _cut(a: AlgebraPresentation, degree: int, m: MapSpacePresentation
-         ) -> tuple[list, list[list]]:
+def _cut(a: AlgebraPresentation, degree: int, m: MapSpacePresentation,
+         bound: int | None = None) -> tuple[list, list[list]]:
     """The slice's monomials and the canonical basis (the RREF rows) of the
     slice vectors that pass the equalizer at level m: the relations among
     the slice monomials' evaluation differences.  Every difference has
     weight at most degree·T (`_weight_bound`), so one basis of the level,
-    truncated there, reduces them all; its normal forms are linear and
-    vanish exactly on the level ideal, so the relations are those of the
-    full basis."""
+    truncated there or at any heavier `bound`, reduces them all; its normal
+    forms are linear and vanish exactly on the level ideal, so the
+    relations are those of the full basis."""
     slice_monos = a.standard_monomials(degree)
-    bound = _weight_bound(m, degree)
+    if bound is None:
+        bound = _weight_bound(m, degree)
     diffs = [_evaluation_difference(m, Polynomial.monomial(v, a.field), bound)
              for v in slice_monos]
     return slice_monos, linalg.relations(diffs, a.field)
@@ -256,7 +257,9 @@ def pi0_presentation(a: AlgebraPresentation, degree: int,
     on fresh variables through an elimination ideal.  In characteristic 0
     the slice's level-1 equalizer cut is that kernel, so both are computed
     and their canonical bases (RREF rows over the slice monomials) must be
-    equal; no level above 1 is built.  `tower` is only checked, since the
+    equal.  No level above 1 is built, and of level 1 only one basis,
+    bounded at the weight of the heavier of the two slices the check and
+    the idempotent search read.  `tower` is only checked, since the
     equalizer route has no level below 1 (tower < 1 is a HypothesisError);
     ROADMAP item 8 may drop it.  The component count is emitted only when
     the idempotent search is complete, and either it covers a degree that
@@ -270,8 +273,12 @@ def pi0_presentation(a: AlgebraPresentation, degree: int,
             "equalizer and idempotent routes run")
     require_tower(tower)
     kernel = derham_h0(a, degree)
+    top = _idempotent_degree(a)
     level1 = _line_level(a, 1)
-    slice_monos, cut = _cut(a, degree, level1)
+    # one basis of level 1, bounded at the heavier of the two slices'
+    # weights, serves the de Rham check and the idempotent search
+    bound = _weight_bound(level1, degree if top is None else max(degree, top))
+    slice_monos, cut = _cut(a, degree, level1, bound)
     if [e.poly.coefficients(slice_monos) for e in kernel.basis] != cut:
         raise PropertyViolationError(
             "derham kernel and level-1 equalizer cut differ",
@@ -279,10 +286,9 @@ def pi0_presentation(a: AlgebraPresentation, degree: int,
     pres, incl = _subalgebra_presentation(a, kernel.basis)
     idem = IdempotentReport(*_root_solutions(a, 2, slice_monos, cut))
     search = idem
-    top = _idempotent_degree(a)
     if top is not None and top > degree:
         search = IdempotentReport(*_root_solutions(
-            a, 2, *_cut(a, top, level1)))
+            a, 2, *_cut(a, top, level1, bound)))
     count = None
     if search.complete and (top is not None
                             or _no_nilpotents_on_slice(a, degree)):

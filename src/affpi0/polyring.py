@@ -1351,6 +1351,53 @@ def groebner(gens: Iterable[Polynomial], order: MonomialOrder = DEGREVLEX,
     return basis
 
 
+def _block_basis(first: GroebnerBasis, second: GroebnerBasis, n_first: int,
+                 arity: int) -> GroebnerBasis:
+    """The basis of I_first + I_second in `arity` variables, the first
+    `n_first` first's and the rest second's, under BlockOrder(n_first):
+    the two bases side by side, each element moved into its block.  No
+    Buchberger run.  When both factors are under degrevlex, their reducer
+    records are moved too (`_block_records`); a nested block ring's basis
+    builds its records on first use."""
+    basis = GroebnerBasis(
+        tuple(g.extend_arity(arity, range(n_first)) for g in first.polys)
+        + tuple(g.extend_arity(arity, range(n_first, arity))
+                for g in second.polys), BlockOrder(n_first))
+    if first.order == second.order == DEGREVLEX:
+        object.__setattr__(basis, "_records",
+                           _block_records(first, arity, 0)
+                           + _block_records(second, arity, n_first))
+    return basis
+
+
+def _block_records(gb: GroebnerBasis, arity: int, offset: int
+                   ) -> list[tuple]:
+    """The reducer records of gb's elements, under degrevlex, moved to the
+    variables offset, offset + 1, … of `arity`, which form one block of a
+    BlockOrder: those of `Polynomial._record` on the moved elements.
+
+    Under degrevlex a packed monomial is its block's row fields, then its
+    exponent fields (`_Packing`), and a BlockOrder holds the same rows for
+    each block, so every packed monomial moves by whole fields: the rows
+    to the block's row fields, the exponents to the block's exponent
+    fields.  That keeps the term order, the leading monomial and the
+    normalized coefficients."""
+    if not gb.polys:
+        return []
+    width = gb.polys[0].arity
+    after = arity - offset - width
+    rows, low = _WIDTH * width, (1 << _WIDTH * width) - 1
+    row_shift, exp_shift = _WIDTH * (arity + after), _WIDTH * after
+    before, behind = (0,) * offset, (0,) * after
+
+    def move(m: int) -> int:
+        return (m >> rows) << row_shift | (m & low) << exp_shift
+
+    return [(before + lm + behind, lc, move(plm),
+             tuple([(move(m), c) for m, c in tail]))
+            for lm, lc, plm, tail in gb._reducers()]
+
+
 def ideal_membership(p: Polynomial, gb: GroebnerBasis) -> bool:
     return normal_form(p, gb).is_zero
 
