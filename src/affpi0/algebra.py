@@ -258,6 +258,8 @@ class AlgebraMorphism:
         return _normal_form_at(p, self._packed_images, gb, arity)
 
     def apply(self, a: ElementRep) -> ElementRep:
+        if a.algebra != self.source:
+            raise RingMismatchError("element of a different algebra")
         return ElementRep(self.target, self.apply_poly(a.poly))
 
     # -- structure ----------------------------------------------------------------

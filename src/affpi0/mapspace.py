@@ -36,9 +36,9 @@ from .algebra import (AlgebraMorphism, AlgebraPresentation, ElementRep,
                       tensor_product)
 from .errors import (HypothesisError, MorphismError, PropertyViolationError,
                      RingMismatchError, TruncationError)
-from .polyring import (DEGREVLEX, GroebnerBasis, Monomial, Polynomial,
-                       WeightOrder, _block_basis, _normal_form_at,
-                       _pack_images, _packing, groebner, monomial_divides)
+from .polyring import (GroebnerBasis, Monomial, Polynomial, WeightOrder,
+                       _normal_form_at, _pack_images, _packing, _split_at,
+                       groebner, monomial_divides)
 
 
 def z_name(generator: str, monomial: Monomial) -> str:
@@ -51,12 +51,9 @@ class MapSpacePresentation:
     """One truncation level of the morphism-space pro-algebra of (A, B).
 
     The level is built in packed form, with no ring built only to reach
-    it: each relation r of A goes through one pass of the substitution
-    kernel at the universal family, packed in the layout of B ⊗ F[z], into
-    the reduction loop by B's reducer records moved into that layout
-    (`polyring._block_basis`), and the remainder is split on B's exponents.
-    `relation_ring` (B ⊗ F[z]) and `universal_ring` (B ⊗ level) are built
-    only when read."""
+    it: A's relations at the universal family are reduced by B's basis and
+    split on B's exponents in one block substitution (`polyring._split_at`).
+    `universal_ring` (B ⊗ level) is built only when read."""
 
     def __init__(self, a: AlgebraPresentation, b: AlgebraPresentation,
                  monomials: Sequence[Monomial]):
@@ -86,29 +83,16 @@ class MapSpacePresentation:
             images[gi][v + unknown] = self.field.one()
         self.upsilon_images = [Polynomial(arity, self.field, terms)
                                for terms in images]
-        # relation ideal: coefficients of standard B-monomials, each
-        # relation at the packed family reduced by B's records moved into
-        # the layout; sorted by key, so equal ones are neighbours
-        lifted = _block_basis(b.gb(), GroebnerBasis((), DEGREVLEX), self.n_b,
-                              arity)
-        family = _pack_images(self.upsilon_images,
-                              _packing(lifted.order, arity))
-        found = sorted(((coeff.key(), coeff) for r in a.relations
-                        for coeff in _normal_form_at(
-                            r, family, lifted, arity).split(self.n_b).values()),
-                       key=itemgetter(0))
+        # relation ideal: coefficients of standard B-monomials in each
+        # relation at the family; sorted by key, so equal ones are neighbours
+        found = sorted(((coeff.key(), coeff) for by_v in _split_at(
+            a.relations, self.upsilon_images, b.gb(), self.n_b, arity)
+            for coeff in by_v.values()), key=itemgetter(0))
         j_gens = [coeff for k, (key, coeff) in enumerate(found)
                   if key and (k == 0 or key != found[k - 1][0])]
         self.algebra = AlgebraPresentation(self.field, self.z_names, j_gens)
         self._bounded: dict[int, GroebnerBasis] = {}
         self._families: dict[tuple, list[tuple]] = {}
-
-    @cached_property
-    def relation_ring(self) -> TensorPresentation:
-        """B ⊗ F[z], where A's relations at the universal family live;
-        the level needs only its layout, so it is built when read."""
-        return tensor_product(self.b, AlgebraPresentation(self.field,
-                                                          self.z_names))
 
     # -- the weight grading over a free target ----------------------------------
 
@@ -356,39 +340,26 @@ def functor_action(f: AlgebraMorphism, g: AlgebraMorphism,
     """Level component of the bifunctor: M(A,B) -> M(A',B') for f: A -> A',
     g: B' -> B (covariant in the source, contravariant in the target).
 
-    z[a,v] goes to the coefficient of v in sum_w g(w)·c_w, with c_w the
-    coefficient of the target level's monomial w in υ'(f(a)).  When f
-    sends each generator to itself (`_is_identity`), c_w is z'[a,w], so
-    the image is sum_w [v]g(w)·z'[a,w], read off g's images of the target
-    level's monomials (`_monomial_image`) with no universal ring; any other
-    f goes through υ'.  Either way `_level_morphism` normalizes and checks
-    the images."""
+    z[a,v] goes to B's coefficient of v in f(a) at the target level's
+    family pushed through g, a' ↦ sum_w g(w)·z'[a',w] (`_monomial_image`),
+    in one block substitution (`polyring._split_at`).  For f = id
+    (`_is_identity`) that is the family itself, already reduced since g's
+    images are normal forms and the z''s are free, so it is split as it
+    is.  `_level_morphism` normalizes and checks the images."""
     if f.source != m_source.a or f.target != m_target.a:
         raise RingMismatchError("f does not connect the source algebras")
     if g.source != m_target.b or g.target != m_source.b:
         raise RingMismatchError("g must map the new target algebra into the old")
-    field = m_source.field
-    if _is_identity(f):
-        g_of = {w: _monomial_image(g, w) for w in m_target.monomials}
-        n_z = m_target.n_z
-        terms: list[dict] = [{} for _ in f.images]
-        for k, (gi, w) in enumerate(m_target.zvars):
-            unit = (0,) * k + (1,) + (0,) * (n_z - k - 1)
-            for v, c in g_of[w].terms.items():
-                terms[gi].setdefault(v, {})[unit] = c
-        coeffs = [{v: Polynomial(n_z, field, by_z) for v, by_z in by_v.items()}
-                  for by_v in terms]
-    else:
-        coeffs = []
-        for image in f.images:
-            acc: dict[Monomial, Polynomial] = {}
-            for w, coeff in m_target.upsilon_poly(image).items():
-                g_w = g.apply_poly(Polynomial.monomial(w, field))
-                for v, c in g_w.terms.items():
-                    piece = coeff.scale(c)
-                    prev = acc.get(v)
-                    acc[v] = piece if prev is None else prev + piece
-            coeffs.append(acc)
+    n_b, n_z = m_source.n_b, m_target.n_z
+    g_of = {w: _monomial_image(g, w) for w in m_target.monomials}
+    terms: list[dict] = [{} for _ in m_target.a.vars]
+    for k, (gi, w) in enumerate(m_target.zvars):
+        unit = (0,) * k + (1,) + (0,) * (n_z - k - 1)
+        for v, c in g_of[w].terms.items():
+            terms[gi][v + unit] = c
+    family = [Polynomial(n_b + n_z, m_source.field, t) for t in terms]
+    coeffs = ([p.split(n_b) for p in family] if _is_identity(f) else
+              _split_at(f.images, family, m_source.b.gb(), n_b, n_b + n_z))
     return _level_morphism(m_source, m_target.algebra, coeffs)
 
 

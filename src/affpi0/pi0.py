@@ -20,10 +20,10 @@ from .algebra import (AlgebraMorphism, AlgebraPresentation, ElementRep,
                       tensor_product)
 from .derham import derham_h0
 from .errors import (HypothesisError, PropertyViolationError,
-                     UnsupportedFieldError)
+                     RingMismatchError, UnsupportedFieldError)
 from .mapspace import (MapSpacePresentation, mapspace_presentation,
                        require_tower)
-from .polyring import DEGREVLEX, Polynomial, elimination_ideal
+from .polyring import DEGREVLEX, Polynomial, _split_at, elimination_ideal
 from .solve import SolveResult, solve_system
 
 
@@ -52,7 +52,7 @@ def equalizer_membership(a: AlgebraPresentation, elem: ElementRep,
     HypothesisError.
     """
     if elem.algebra != a:
-        raise ValueError("element of a different algebra")
+        raise RingMismatchError("element of a different algebra")
     require_tower(towerdepth)
     for d in range(1, towerdepth + 1):
         m = _line_level(a, d)
@@ -162,21 +162,21 @@ def _root_solutions(a: AlgebraPresentation, k: int, slice_monos: Sequence,
     constant, and (k·f - 1)·e' = 0 with k·f - 1 a unit when char ∤ k-1, so
     e' = 0; in characteristic p that puts e in M_1[x^p], where the same
     argument lowers the degree, so e is constant and both evaluations agree.
+    The system: A's coefficients of z^k − z at the generic element
+    sum_j u_j·(row j of the cut), in one block substitution (`_split_at`).
     """
     field = a.field
     r = len(cut)
-    # generic element over the cut's coordinates u, in A ⊗ F[u]
-    ring = tensor_product(a, AlgebraPresentation(
-        field, [f"u{j}" for j in range(r)]))
     terms = {}
     for j, row in enumerate(cut):
         unknown = (0,) * j + (1,) + (0,) * (r - j - 1)
         for m, c in zip(slice_monos, row):
             if c:
                 terms[m + unknown] = c
-    generic = Polynomial(ring.arity, field, terms)
-    constraint = generic ** k - generic
-    system = list(ring.nf(constraint).split(a.arity).values())
+    generic = Polynomial(a.arity + r, field, terms)
+    z = Polynomial.variable(0, 1, field)
+    system = list(_split_at([z ** k - z], [generic], a.gb(), a.arity,
+                            a.arity + r)[0].values())
     result: SolveResult = solve_system(system, r, field)
     # slice coordinates, sorted as the solver sorts them
     vectors = sorted(map(tuple, linalg.mat_mul(result.solutions, cut, field)))

@@ -10,6 +10,9 @@ one way in: images are packed once (`_pack_images`), and the substitution
 kernel (`_substitution`) expands a polynomial at them into one packed
 integer term map under one scale, which `substitute` unpacks and
 `_normal_form_at`, a morphism's action, hands to `_divide` as it is.
+A substitution into a block ring A ⊗ F[z] read by its coefficients on
+A's monomials (a level's relations, M's action, the root system) builds
+no ring: `_split_at` reduces it by A's records moved into the layout.
 Every reducer record is normalized one way (`_remainder_record`):
 primitive over Q, monic over F_p.
 Buchberger's loop runs on reducer records alone: S-pairs are built and
@@ -1368,6 +1371,19 @@ def _block_basis(first: GroebnerBasis, second: GroebnerBasis, n_first: int,
                            _block_records(first, arity, 0)
                            + _block_records(second, arity, n_first))
     return basis
+
+
+def _split_at(polys: Iterable[Polynomial], images: Sequence[Polynomial],
+              first: GroebnerBasis, n_first: int, arity: int
+              ) -> list[dict[Monomial, Polynomial]]:
+    """Each of `polys` at `images` (in `arity` variables, the first
+    `n_first` first's), reduced by first's records moved into
+    BlockOrder(n_first)'s layout (`_block_basis`, `_normal_form_at`), as
+    {first-block monomial: coefficient}."""
+    lifted = _block_basis(first, GroebnerBasis((), DEGREVLEX), n_first, arity)
+    packed = _pack_images(images, _packing(lifted.order, arity))
+    return [_normal_form_at(p, packed, lifted, arity).split(n_first)
+            for p in polys]
 
 
 def _block_records(gb: GroebnerBasis, arity: int, offset: int

@@ -334,6 +334,16 @@ def test_element_arithmetic_normal_forms():
         CUBIC.element("x") + IDEMP.element("t")
 
 
+def test_apply_refuses_an_element_of_another_algebra():
+    """Q[x]/(x² − 1) → Q, x ↦ 1 applied to x ∈ Q[x]/(x²): the same arity
+    and field, but not the source."""
+    source = A_of(QQ, ["x"], ["x^2 - 1"])
+    f = AlgebraMorphism(source, field_algebra(QQ), ["1"])
+    assert f.apply(source.element("x")) == field_algebra(QQ).element("1")
+    with pytest.raises(RingMismatchError):
+        f.apply(A_of(QQ, ["x"], ["x^2"]).element("x"))
+
+
 def test_compose_with_zero_images_point():
     a = A_of(QQ, ["s"], ["s^2 - s"])
     b = A_of(QQ, ["t"], ["t^2 - t"])

@@ -1,24 +1,30 @@
-"""Map-space levels built in packed form, against the ring-built references.
+"""Maps into a level built in packed form, against the ring-built references.
 
-A level's relation ideal J comes from one packed substitution of the
-universal family into the layout of B ⊗ F[z], reduced by B's reducer
-records moved into that layout; the functor action M(id, g) is read off
-g's images of the target level's monomials; a block ring's basis takes its
-factors' records moved by whole fields.  The tests keep the code these
-replace as references (J through the relation ring B ⊗ F[z] and a
-substitution morphism, the action through the universal ring B' ⊗ M' and
-υ, block records packed afresh from the lifted elements) and check that
-the new code gives the same relations, in the same order, and the same
-images, on a grid over Q, F_2, F_3 and F_5.
+A level's relation ideal J, the functor action M(f, g) and the root
+solver's system each come from one block substitution
+(`polyring._split_at`): polynomials at images in the layout of B ⊗ F[z]
+(or A ⊗ F[u]), reduced by B's (or A's) reducer records moved into that
+layout, split on that block.  For f = id the action's substitution is the
+identity, and the pushed family is split as it is.  A block ring's basis
+takes its factors' records moved by whole fields.  The tests keep the
+code these replace as references (J through the relation ring B ⊗ F[z]
+and a substitution morphism, the action through the universal ring
+B' ⊗ M' and υ', the root system through A ⊗ F[u] and e^k − e, block
+records packed afresh from the lifted elements) and check that the new
+code gives the same relations, systems and images, in the same order, on
+a grid over Q, F_2, F_3 and F_5.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
 
-from affpi0 import mapspace, pi0
+from affpi0 import algebra, mapspace, pi0
 from affpi0.algebra import (AlgebraMorphism, AlgebraPresentation, direct_sum,
                             field_algebra, tensor_product)
 from affpi0.errors import TruncationError
@@ -30,6 +36,7 @@ from affpi0.simplicial import (_degeneracy_alpha, _face_alpha, delta_algebra,
                                moore_complex, simplicial_map)
 
 FIELDS = [QQ, GF(2), GF(3), GF(5)]
+CIRCLE = AlgebraPresentation(QQ, ["x", "y"], ["x^2 + y^2 - 1"])
 
 
 def A_of(field, names, rels):
@@ -124,16 +131,18 @@ def level(a, b, trunc) -> MapSpacePresentation:
     return m
 
 
-def same_action(g, m_source, m_target) -> None:
-    """M(id, g) equals the υ route's, or both refuse the truncation."""
-    ident = AlgebraMorphism.identity(m_source.a)
+def same_action(g, m_source, m_target, f=None) -> None:
+    """M(f, g), with f the identity unless given, equals the υ' route's,
+    or both refuse the truncation."""
+    if f is None:
+        f = AlgebraMorphism.identity(m_source.a)
     try:
-        want = reference_functor_action(ident, g, m_source, m_target)
+        want = reference_functor_action(f, g, m_source, m_target)
     except TruncationError:
         with pytest.raises(TruncationError):
-            functor_action(ident, g, m_source, m_target)
+            functor_action(f, g, m_source, m_target)
         return
-    got = functor_action(ident, g, m_source, m_target)
+    got = functor_action(f, g, m_source, m_target)
     assert (got.source, got.target) == (want.source, want.target)
     assert got.images == want.images
 
@@ -218,6 +227,82 @@ def test_targets_with_relations_match_the_universal_route(field):
         same_action(p2, level(a, b2, b2.finite_basis()), m_ds)
 
 
+def source_maps(field) -> list[AlgebraMorphism]:
+    """f: A → A' into F[s]/(s³ − s): t ↦ s, t ↦ 1 − s and t ↦ s² + s from
+    the free line, t ↦ s from F[t]/(t³ − t), and the unit of F, whose
+    level has no coordinates."""
+    a2 = A_of(field, ["s"], ["s^3 - s"])
+    line = A_of(field, ["t"], [])
+    return ([AlgebraMorphism(line, a2, [image])
+             for image in ("s", "1 - s", "s^2 + s")]
+            + [AlgebraMorphism(A_of(field, ["t"], ["t^3 - t"]), a2, ["s"]),
+               AlgebraMorphism(field_algebra(field), a2, [])])
+
+
+def target_maps(field, name) -> list[tuple]:
+    """(g: B' → B, truncation of B, truncation of B') for one kind of
+    target."""
+    line = A_of(field, ["x"], [])
+    split = A_of(field, ["x"], ["x^2 - x"])
+    point = field_algebra(field)
+    zero = A_of(field, ["w"], ["w - 1", "w"])
+    if name == "free":
+        return [(AlgebraMorphism(line, line, [image]), t_src, t_tgt)
+                for image in ("1 - x", "x^2", "x")
+                for t_src, t_tgt in ((1, 1), (1, 2), (2, 1))]
+    if name == "split":
+        return ([(AlgebraMorphism(split, split, [image]), 1, 1)
+                 for image in ("1 - x", "x")]
+                + [(AlgebraMorphism(split, point, [str(value)]), 0, 1)
+                   for value in (0, 1)]
+                + [(AlgebraMorphism(point, split, []), 1, 0)])
+    if name == "tensor":
+        t = tensor_product(split, A_of(field, ["m"], ["m^2"]))
+        basis = t.finite_basis()
+        return [(AlgebraMorphism(t, t, images), basis, basis)
+                for images in (["1 - x_1", "m_2"], ["x_1", "m_2"])]
+    if name == "nested":
+        t = tensor_product(tensor_product(split, A_of(field, ["m"], ["m^2"])),
+                           split)
+        return [(AlgebraMorphism(t, t, images), 1, 1)
+                for images in (["x_1_1", "m_2_1", "1 - x_2"],
+                               ["x_1_1", "m_2_1", "x_2"])]
+    if name == "zero":
+        return [(AlgebraMorphism(split, zero, ["0"]), [], 1),
+                (AlgebraMorphism.identity(zero), [], [])]
+    maps = []
+    for b, b2 in ((split, point), (split, A_of(field, ["n"], ["n^2"])),
+                  (point, point)):
+        ds, p1, p2 = direct_sum(b, b2)
+        maps += [(p1, b.finite_basis(), ds.finite_basis()),
+                 (p2, b2.finite_basis(), ds.finite_basis())]
+    return maps
+
+
+TARGETS = ["free", "split", "tensor", "nested", "zero", "direct_sum"]
+
+
+@pytest.mark.parametrize("name", TARGETS)
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_non_identity_source_maps_match_the_universal_route(field, name):
+    """M(f, g) for every f of `source_maps` and every g of one kind of
+    target: a free line, F[x]/(x² − x), a block ring, a nested block ring
+    (whose records are built on first use), the zero algebra, and the
+    projections of the direct-sum law."""
+    levels: dict = {}
+
+    def cached(a, b, trunc):
+        key = (a, b, tuple(trunc) if isinstance(trunc, list) else trunc)
+        if key not in levels:
+            levels[key] = level(a, b, trunc)
+        return levels[key]
+
+    for f in source_maps(field):
+        for g, t_src, t_tgt in target_maps(field, name):
+            same_action(g, cached(f.source, g.target, t_src),
+                        cached(f.target, g.source, t_tgt), f)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_relations_over_block_targets_match_the_relation_ring(field):
     """J over targets that are block rings themselves (the exponential
@@ -242,8 +327,9 @@ def test_equal_coefficients_give_one_relation(field):
         assert len(set(relations)) == len(relations)
 
 
-def test_a_non_identity_source_map_keeps_the_universal_route(monkeypatch):
-    """f ≠ id goes through υ', and agrees with the reference."""
+def test_a_non_identity_source_map_builds_no_universal_ring(monkeypatch):
+    """f ≠ id is one block substitution at the target level's family
+    pushed through g: no υ', no B' ⊗ M', and the reference's images."""
     calls = []
     upsilon_poly = MapSpacePresentation.upsilon_poly
 
@@ -259,7 +345,9 @@ def test_a_non_identity_source_map_keeps_the_universal_route(monkeypatch):
     g = AlgebraMorphism(line, line, ["1 - x"])
     m_src, m_tgt = level(a, line, 2), level(a2, line, 2)
     got = functor_action(f, g, m_src, m_tgt)
-    assert len(calls) == a.arity
+    assert calls == []
+    assert "universal_ring" not in vars(m_src)
+    assert "universal_ring" not in vars(m_tgt)
     assert got == reference_functor_action(f, g, m_src, m_tgt)
 
 
@@ -293,10 +381,117 @@ def test_block_records_are_the_lifted_elements_records(field):
 
 
 # ---------------------------------------------------------------------------
+# the root solver's system
+
+
+def reference_root_system(a, k, slice_monos, cut) -> list[Polynomial]:
+    """e^k − e at the generic element of the cut, reduced in A ⊗ F[u]
+    and split on A's exponents."""
+    r = len(cut)
+    ring = tensor_product(a, AlgebraPresentation(
+        a.field, [f"u{j}" for j in range(r)]))
+    terms = {}
+    for j, row in enumerate(cut):
+        unknown = (0,) * j + (1,) + (0,) * (r - j - 1)
+        for m, c in zip(slice_monos, row):
+            if c:
+                terms[m + unknown] = c
+    generic = Polynomial(ring.arity, a.field, terms)
+    return list(ring.nf(generic ** k - generic).split(a.arity).values())
+
+
+def perfbench_etale_cases() -> list[tuple]:
+    """The seeded étale algebras of the benchmark's idempotent jobs over
+    Q and F_5 (seed 1), as (name, algebra, degree)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_jobs", Path(__file__).resolve().parent.parent
+        / "perfbench" / "jobs.py")
+    jobs = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(jobs)
+    finally:
+        sys.dont_write_bytecode = saved
+    return [(job["name"].split("/")[1],
+             AlgebraPresentation.from_json(job["algebra"]), job["degree"])
+            for job in jobs.pi0_routes(1)
+            if job["name"].startswith(("idempotent/etale",
+                                       "idempotent/f5etale"))]
+
+
+ROOT_CASES = [
+    *perfbench_etale_cases(),
+    *((name, A_of(QQ, ["x", "y"], [rel]), 2) for name, rel in (
+        ("cusp", "y^2 - x^3"), ("node", "y^2 - x^2 - x^3"),
+        ("circle", "x^2 + y^2 - 1"),
+        ("parabolas", "*".join(f"(y - x^2 - {i})" for i in range(4))))),
+    ("zero", A_of(QQ, ["x"], ["x - 1", "x"]), 2),
+]
+
+
+def handed_system(monkeypatch, call) -> list[Polynomial]:
+    """The system `call` hands to the solver, which is stopped there: over
+    Q some k = 3 systems trip its root guard, which is not compared."""
+
+    class Handed(Exception):
+        pass
+
+    def spy(system, *args):
+        raise Handed(system)
+
+    monkeypatch.setattr(pi0, "solve_system", spy)
+    with pytest.raises(Handed) as handed:
+        call()
+    return handed.value.args[0]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("name, a, degree", ROOT_CASES,
+                         ids=[name for name, _, _ in ROOT_CASES])
+def test_root_system_matches_the_tensor_ring(monkeypatch, name, a, degree,
+                                             k):
+    """The system of `idempotent_search` (k = 2) and `iskp_subalgebra`
+    (k = 3) is the reference's, in its order, terms in order."""
+    got = handed_system(monkeypatch, lambda: (
+        pi0.idempotent_search(a, degree) if k == 2
+        else pi0.iskp_subalgebra(a, k, degree)))
+    slice_monos, cut = pi0._cut(a, degree, pi0._line_level(a, 1))
+    want = reference_root_system(a, k, slice_monos, cut)
+    assert got == want
+    assert [list(p.terms.items()) for p in got] \
+        == [list(p.terms.items()) for p in want]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_an_empty_cut_gives_the_empty_system(monkeypatch, field, k):
+    a = A_of(field, ["x", "y"], ["x^2 + y^2 - 1"])
+    slice_monos = a.standard_monomials(1)
+    got = handed_system(monkeypatch, lambda: pi0._root_solutions(
+        a, k, slice_monos, []))
+    assert got == reference_root_system(a, k, slice_monos, []) == []
+
+
+# ---------------------------------------------------------------------------
 # design pins
 
 
-CIRCLE = A_of(QQ, ["x", "y"], ["x^2 + y^2 - 1"])
+def test_idempotent_search_builds_no_ring(monkeypatch):
+    """The root solver reduces by A's basis moved into the block layout:
+    no A ⊗ F[u]."""
+    rings = []
+    tensor = algebra.tensor_product
+
+    def spy(b, c):
+        rings.append((b, c))
+        return tensor(b, c)
+
+    for module in (algebra, mapspace, pi0):
+        monkeypatch.setattr(module, "tensor_product", spy)
+    report = pi0.idempotent_search(CIRCLE, 2)
+    assert report.complete and len(report.idempotents) == 2
+    assert rings == []
 
 
 def test_moore_complex_builds_no_universal_or_relation_ring(monkeypatch):
@@ -321,14 +516,6 @@ def test_moore_complex_builds_no_universal_or_relation_ring(monkeypatch):
     assert upsilon_calls == [] and rings == []
     for slice_ in complex_.space.levels:
         assert "universal_ring" not in vars(slice_.mspace)
-        assert "relation_ring" not in vars(slice_.mspace)
-
-
-def test_relation_ring_is_built_when_read():
-    m = mapspace_presentation(A_of(QQ, ["t"], ["t^3 - t"]),
-                              A_of(QQ, ["x"], ["x^2 - x"]), 1)
-    assert "relation_ring" not in vars(m)
-    assert m.relation_ring.gb().leading_monomials[:1] == ((2,) + (0,) * 2,)
 
 
 def test_pi0_builds_one_bounded_basis_of_level_one(monkeypatch):

@@ -12,7 +12,8 @@ from affpi0 import pi0 as pi0_mod
 from affpi0.algebra import (AlgebraPresentation, ElementRep, direct_sum,
                             field_algebra, tensor_product)
 from affpi0.errors import (HypothesisError, PropertyViolationError,
-                           ResourceLimitError, UnsupportedFieldError)
+                           ResourceLimitError, RingMismatchError,
+                           UnsupportedFieldError)
 from affpi0.matrix_homotopy import NCPoly, mat_mul
 from affpi0.pi0 import (equalizer_membership, equalizer_subspace,
                         idempotent_search, iskp_subalgebra, pi0_presentation,
@@ -51,6 +52,12 @@ def test_equalizer_membership_needs_a_checked_level():
     a = A_of(QQ, ["t"], [])
     with pytest.raises(HypothesisError, match="tower >= 1"):
         equalizer_membership(a, a.element("t"), 0)
+
+
+def test_equalizer_membership_refuses_an_element_of_another_algebra():
+    a = A_of(QQ, ["x"], ["x^2 - x"])
+    with pytest.raises(RingMismatchError):
+        equalizer_membership(a, A_of(QQ, ["x"], ["x^2"]).element("x"), 1)
 
 
 def test_equalizer_unit_always_passes():
