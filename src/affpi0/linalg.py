@@ -8,7 +8,8 @@ Everything is exact; no pivoting heuristics needed.  Elimination is
 fraction-free, in the integer-preserving style of E. H. Bareiss ("Sylvester's
 identity and multistep integer-preserving Gaussian elimination", Math.
 Comp. 22, 1968): over Q it runs on integer rows, so a `Fraction` is built
-only for an entry of a returned pivot row.
+only for an entry of a returned pivot row.  Products (`mat_mul`) run on
+integer rows too, one `Fraction` per nonzero entry of the product.
 """
 
 from __future__ import annotations
@@ -131,14 +132,33 @@ def in_span(rows: list[list], target: list, field: FieldDescriptor) -> bool:
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence],
             field: FieldDescriptor) -> list[list]:
     """a·b: row i is the combination of the rows of b weighted by row i of a,
-    zero weights skipped; with no rows in b every product row is empty."""
+    zero weights skipped; with no rows in b every product row is empty.
+
+    Fraction-free like `rref`: over Q the rows of b are integers under one
+    common denominator and each weight row is brought to integers under
+    its own, so a row accumulates plain integers and a `Fraction` is built
+    only for a nonzero entry of the product.  Over F_p the integer sums
+    are reduced once at the end."""
+    modulus = field.p
     zero = field.zero()
     width = len(b[0]) if b else 0
+    if modulus is None:
+        ratios = [[v.as_integer_ratio() for v in row] for row in b]
+        scale = lcm(*[d for row in ratios for _, d in row])
+        b = [[n * (scale // d) for n, d in row] for row in ratios]
     out = []
     for weights in a:
-        acc = [zero] * width
+        if modulus is None:
+            ratios = [w.as_integer_ratio() for w in weights]
+            den = lcm(*[d for _, d in ratios])
+            weights = [n * (den // d) for n, d in ratios]
+        acc = [0] * width
         for w, row in zip(weights, b):
-            if w != zero:
-                acc = [field.add(s, field.mul(w, v)) for s, v in zip(acc, row)]
-        out.append(acc)
+            if w:
+                acc = [s + w * v for s, v in zip(acc, row)]
+        if modulus is None:
+            den *= scale
+            out.append([Fraction(v, den) if v else zero for v in acc])
+        else:
+            out.append([v % modulus for v in acc])
     return out

@@ -5,7 +5,9 @@ derivation.  Route two (definitional): elements whose images under the two
 evaluations of the universal polynomial family agree at every computed tower
 level; the difference of the two is reduced by the level's basis truncated
 at the weight it can reach (`MapSpacePresentation.bounded_basis`).  Route
-three: the idempotent / k-th-root solvers that feed component counting.
+three, which feeds component counting: the idempotents on a slice, split
+off the algebra the level-1 cut generates (univariate factoring over Q,
+Berlekamp's kernel over F_p), and the k-th-root solver.
 The routes are independent implementations and cross-check each other.
 """
 
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import lcm
 from typing import Sequence
 
 from . import linalg
@@ -20,10 +23,12 @@ from .algebra import (AlgebraMorphism, AlgebraPresentation, ElementRep,
                       tensor_product)
 from .derham import derham_h0
 from .errors import (HypothesisError, PropertyViolationError,
-                     RingMismatchError, UnsupportedFieldError)
+                     ResourceLimitError, RingMismatchError,
+                     UnsupportedFieldError)
 from .mapspace import (MapSpacePresentation, mapspace_presentation,
                        require_tower)
-from .polyring import DEGREVLEX, Polynomial, _split_at, elimination_ideal
+from .polyring import (DEGREVLEX, LIMITS, FieldDescriptor, Polynomial,
+                       _split_at, elimination_ideal)
 from .solve import SolveResult, solve_system
 
 
@@ -154,38 +159,262 @@ class IdempotentReport:
 
 def _root_solutions(a: AlgebraPresentation, k: int, slice_monos: Sequence,
                     cut: list[list]) -> tuple[list[ElementRep], bool]:
-    """Solve e^k = e with e supported on the slice `slice_monos`.
+    """Solve e^k = e with e supported on the slice `slice_monos`, sorted by
+    slice coordinates, each checked.
 
-    The unknowns are the coordinates of the slice's level-1 equalizer cut
-    `cut`, which holds every solution: the image of e in M_1[x] solves
-    e^k = e, so f = e^(k-1) is an idempotent of a polynomial ring, hence
-    constant, and (k·f - 1)·e' = 0 with k·f - 1 a unit when char ∤ k-1, so
-    e' = 0; in characteristic p that puts e in M_1[x^p], where the same
-    argument lowers the degree, so e is constant and both evaluations agree.
-    The system: A's coefficients of z^k − z at the generic element
-    sum_j u_j·(row j of the cut), in one block substitution (`_split_at`).
+    Every solution lies in the slice's level-1 equalizer cut `cut`: the
+    image of e in M_1[x] solves e^k = e, so f = e^(k-1) is an idempotent of
+    a polynomial ring, hence constant, and (k·f - 1)·e' = 0 with k·f - 1 a
+    unit when char ∤ k-1, so e' = 0; in characteristic p that puts e in
+    M_1[x^p], where the same argument lowers the degree, so e is constant
+    and both evaluations agree.
+    For k = 2 over Q, or over F_p on a finite A, the idempotents are split
+    off (`_split`), complete by construction.  Otherwise the unknowns are
+    the coordinates of the cut, and the system, A's coefficients of
+    z^k − z at the generic element sum_j u_j·(row j of the cut), comes from
+    one block substitution (`_split_at`) and goes to `solve_system`: on an
+    infinite A over F_p the cut can hold an element with no minimal
+    polynomial (y³ on the cusp y² = x³ over F_3), and b^p can outrun the
+    degree guard.
     """
     field = a.field
-    r = len(cut)
-    terms = {}
-    for j, row in enumerate(cut):
-        unknown = (0,) * j + (1,) + (0,) * (r - j - 1)
-        for m, c in zip(slice_monos, row):
-            if c:
-                terms[m + unknown] = c
-    generic = Polynomial(a.arity + r, field, terms)
-    z = Polynomial.variable(0, 1, field)
-    system = list(_split_at([z ** k - z], [generic], a.gb(), a.arity,
-                            a.arity + r)[0].values())
-    result: SolveResult = solve_system(system, r, field)
-    # slice coordinates, sorted as the solver sorts them
-    vectors = sorted(map(tuple, linalg.mat_mul(result.solutions, cut, field)))
+    if k == 2 and (field.is_rational or a.finite_basis() is not None):
+        vectors = _slice_points(*_split(a, slice_monos, cut), slice_monos,
+                                field)
+        complete = True
+    else:
+        r = len(cut)
+        terms = {}
+        for j, row in enumerate(cut):
+            unknown = (0,) * j + (1,) + (0,) * (r - j - 1)
+            for m, c in zip(slice_monos, row):
+                if c:
+                    terms[m + unknown] = c
+        generic = Polynomial(a.arity + r, field, terms)
+        z = Polynomial.variable(0, 1, field)
+        system = list(_split_at([z ** k - z], [generic], a.gb(), a.arity,
+                                a.arity + r)[0].values())
+        result: SolveResult = solve_system(system, r, field)
+        # slice coordinates, sorted as the solver sorts them
+        vectors = sorted(map(tuple, linalg.mat_mul(result.solutions, cut,
+                                                   field)))
+        complete = result.complete
     elems = a.elements(slice_monos, vectors)
     for e in elems:
-        if (e ** k) != e:
+        if (e * e if k == 2 else e ** k) != e:
             raise PropertyViolationError("solver returned a non-solution",
                                          witness=e)
-    return elems, result.complete
+    return elems, complete
+
+
+def _split(a: AlgebraPresentation, slice_monos: Sequence, cut: list[list]
+           ) -> tuple[list, list[list]]:
+    """The primitive idempotents (atoms) of a subalgebra of A that holds
+    every idempotent on the slice, as coefficient vectors over a list of
+    standard monomials, which is returned first."""
+    if a.field.is_rational:
+        return _split_rational(a, slice_monos, cut)
+    return _split_frobenius(a, slice_monos, cut)
+
+
+def _split_frobenius(a: AlgebraPresentation, slice_monos: Sequence,
+                     cut: list[list]) -> tuple[list, list[list]]:
+    """Over F_p on a finite A: every idempotent e on the slice lies in the
+    cut and has e^p = e, so it lies in the Berlekamp subspace
+    K = {b in span(cut) : b^p = b}, one kernel since Frobenius is
+    F_p-linear.  An element b of K has a minimal polynomial dividing
+    z^p − z, so it splits with distinct roots a_i, and its Lagrange
+    idempotents L_i(b) (b·L_i(b) = a_i·L_i(b), summing to 1) refine the
+    atoms, starting from {1}.  Refined by a basis of K, every element of K
+    is F_p-valued on the atoms, so e is a sum of some of them."""
+    # the kernel is imported by the first split, so a process that never
+    # splits, as most CLI requests, does not load it at start-up
+    from .factor import crt_idempotents, roots_mod
+    field, p = a.field, a.field.p
+    monos = a.finite_basis()
+    one = a.nf(Polynomial.one(a.arity, field))
+    cut_elems = [Polynomial.combination(a.arity, field, slice_monos, row)
+                 for row in cut]
+    frobenius = [_power(a, b, p) - b for b in cut_elems]
+    atoms = [one] if not one.is_zero else []
+    for row in linalg.mat_mul(linalg.relations(frobenius, field), cut, field):
+        b = Polynomial.combination(a.arity, field, slice_monos, row)
+        powers, mu = _minimal_polynomial(
+            one.coefficients(monos), _times(a, monos, b), field)
+        roots = roots_mod(mu, p)
+        if len(roots) != len(mu) - 1:
+            raise PropertyViolationError(
+                "an element of the Berlekamp subspace has a minimal "
+                "polynomial that does not split", witness=b)
+        if len(roots) == 1:
+            continue
+        lagrange = [Polynomial.combination(
+            a.arity, field, monos, linalg.mat_mul([e], powers[:len(e)],
+                                                  field)[0])
+            for e in crt_idempotents([([-r % p, 1], 1) for r in roots], p)]
+        atoms = [f for f in (a.nf(g * h) for g in atoms for h in lagrange)
+                 if not f.is_zero]
+    return monos, [f.coefficients(monos) for f in atoms]
+
+
+def _split_rational(a: AlgebraPresentation, slice_monos: Sequence,
+                    cut: list[list]) -> tuple[list, list[list]]:
+    """Over Q: close 1 and the cut under products to a finite subalgebra H
+    of A (normal forms in A, a row basis over their monomials); the cut lies
+    in the de Rham kernel, so H does too, and every idempotent on the slice
+    is one of H.  A primitive element h of H (deg μ_h = dim H) makes
+    H = Q[z]/(μ_h), so the factors q^e of μ_h over Q give H's primitive
+    idempotents by Chinese remainders.  Refining by basis elements alone
+    would miss splits that only products show: (i, −i) and (i, i) of
+    Q(i) × Q(i).  The candidates for h are H's basis elements, then
+    Σ_i t^i·b_i for t = 1, 2, …: for H reduced of dimension n, h fails to be
+    primitive when two of its n values over the algebraic closure agree, a
+    polynomial of degree below n in t for each of the n(n−1)/2 pairs, so
+    n(n−1)²/2 + 1 values of t find one.  None found is a ResourceLimitError,
+    never an answer."""
+    from .factor import crt_idempotents, factor_int
+    field = a.field
+    one = a.nf(Polynomial.one(a.arity, field))
+    support, rows, pivots, table = _closed_span(a, [one] + [
+        Polynomial.combination(a.arity, field, slice_monos, row)
+        for row in cut])
+    n = len(rows)
+    if n <= 1:
+        # 0 or Q: 1, if nonzero, is the only atom, and RREF keeps it as it is
+        return support, rows
+    unit = [one.coefficients(support)[c] for c in pivots]
+    tries = n * (n - 1) ** 2 // 2 + 1
+    candidates = itertools.chain(
+        ([field.one() if i == j else field.zero() for i in range(n)]
+         for j in range(n)),
+        ([field.scalar(t ** i) for i in range(n)]
+         for t in range(1, tries + 1)))
+    for x in candidates:
+        powers, mu = _minimal_polynomial(unit, _times_in(table, x, field),
+                                         field)
+        if len(mu) == n + 1:
+            break
+    else:
+        raise ResourceLimitError(
+            f"no primitive element among the {n + tries} candidates that "
+            f"suffice for a reduced algebra of dimension {n}")
+    den = lcm(*[c.denominator for c in mu])
+    factors = factor_int([int(c * den) for c in mu])[1]
+    atoms = linalg.mat_mul(crt_idempotents(factors, None), powers, field)
+    return support, linalg.mat_mul(atoms, rows, field)
+
+
+def _closed_span(a: AlgebraPresentation, gens: list[Polynomial]
+                 ) -> tuple[list, list[list], list[int], list]:
+    """A basis of the subalgebra of A that the normal forms `gens`, 1 among
+    them, generate: its monomials in order of appearance, the RREF rows over
+    them, their pivot columns, and the structure constants, table[i][j]
+    the coordinates of b_i·b_j (an element's coordinates are its entries at
+    the pivots).  Each round multiplies every pair of basis elements and
+    ends the closure when all products lie in the span; its dimension is
+    guarded by `LIMITS.max_split_dim`."""
+    field = a.field
+    support = list(dict.fromkeys(m for g in gens for m in g.terms))
+    rows = linalg.row_basis([g.coefficients(support) for g in gens], field)
+    while True:
+        n = len(rows)
+        if n > LIMITS.max_split_dim:
+            raise ResourceLimitError(
+                f"the algebra the level-1 cut generates has dimension above "
+                f"guard max_split_dim = {LIMITS.max_split_dim}")
+        pivots = [next(c for c, v in enumerate(row) if v) for row in rows]
+        polys = [Polynomial.combination(a.arity, field, support, row)
+                 for row in rows]
+        products = {(i, j): a.nf(polys[i] * polys[j])
+                    for i in range(n) for j in range(i, n)}
+        known = set(support)
+        support += [m for m in dict.fromkeys(
+            m for prod in products.values() for m in prod.terms)
+            if m not in known]
+        padding = [field.zero()] * (len(support) - len(known))
+        rows = [row + padding for row in rows]
+        vectors = {ij: prod.coefficients(support)
+                   for ij, prod in products.items()}
+        outside = [v for v in vectors.values()
+                   if linalg.mat_mul([[v[c] for c in pivots]], rows,
+                                     field)[0] != v]
+        if not outside:
+            return support, rows, pivots, [
+                [[vectors[min(i, j), max(i, j)][c] for c in pivots]
+                 for j in range(n)] for i in range(n)]
+        rows = linalg.row_basis(rows + outside, field)
+
+
+def _minimal_polynomial(unit: list, times, field: FieldDescriptor
+                        ) -> tuple[list[list], list]:
+    """The powers 1, h, …, h^(d−1) of an element h as coordinate vectors,
+    `unit` the first and `times` multiplying a vector by h, and h's minimal
+    polynomial, monic of degree d, constant term first: the first power
+    that depends on those before it gives the one relation, whose free
+    column, the last, the kernel sets to 1."""
+    powers = [unit]
+    while True:
+        power = times(powers[-1])
+        relations = linalg.left_nullspace(powers + [power], field)
+        if relations:
+            return powers, relations[0]
+        powers.append(power)
+
+
+def _times(a: AlgebraPresentation, monos: list, b: Polynomial):
+    """Multiplication by b in A, on coordinate vectors over `monos`."""
+    field = a.field
+    return lambda v: a.nf(Polynomial.combination(
+        a.arity, field, monos, v) * b).coefficients(monos)
+
+
+def _times_in(table: list, x: list, field: FieldDescriptor):
+    """Multiplication by the element with coordinates x, on coordinate
+    vectors, from the structure constants `table`."""
+    n = len(x)
+    flat = linalg.mat_mul([x], [sum(t, []) for t in table], field)[0]
+    m = [flat[j * n:(j + 1) * n] for j in range(n)]
+    return lambda v: linalg.mat_mul([v], m, field)[0]
+
+
+def _power(a: AlgebraPresentation, b: Polynomial, e: int) -> Polynomial:
+    """b^e in A by repeated squaring, reduced after every product."""
+    result = a.nf(Polynomial.one(a.arity, a.field))
+    while e:
+        if e & 1:
+            result = a.nf(result * b)
+        e >>= 1
+        if e:
+            b = a.nf(b * b)
+    return result
+
+
+def _slice_points(support: list, atoms: list[list], slice_monos: Sequence,
+                  field: FieldDescriptor) -> list[tuple]:
+    """The slice coordinates of the sums of subsets of `atoms` (vectors over
+    `support`) that lie in the slice, sorted.  Σ c_i·atom_i lies there when
+    its entries off the slice vanish, a linear condition on c whose
+    solutions W have an RREF basis; the 0/1 points of W are among the sums
+    of subsets of that basis, one per 0/1 assignment of its pivots.  The
+    2^dim W assignments are guarded by `LIMITS.max_factors`."""
+    inside = set(slice_monos)
+    off = [[atom[i] for atom in atoms]
+           for i, m in enumerate(support) if m not in inside]
+    basis = linalg.row_basis(linalg.nullspace(off, len(atoms), field), field)
+    if len(basis) > LIMITS.max_factors:
+        raise ResourceLimitError(
+            f"{len(basis)} independent idempotents on the slice exceed guard "
+            f"max_factors = {LIMITS.max_factors}")
+    where = {m: i for i, m in enumerate(support)}
+    zero, one = field.zero(), field.one()
+    on_slice = [[atom[where[m]] if m in where else zero for m in slice_monos]
+                for atom in atoms]
+    points = []
+    for bits in itertools.product((zero, one), repeat=len(basis)):
+        c = linalg.mat_mul([bits], basis, field)[0]
+        if all(v == zero or v == one for v in c):
+            points.append(tuple(linalg.mat_mul([c], on_slice, field)[0]))
+    return sorted(points)
 
 
 def idempotent_search(a: AlgebraPresentation, degree: int) -> IdempotentReport:

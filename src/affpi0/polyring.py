@@ -56,25 +56,37 @@ Monomial = tuple[int, ...]
 
 @dataclass
 class ResourceLimits:
-    """Guards for the Gröbner engine; trip with an error, never a wrong answer."""
+    """Guards for the Gröbner engine, the univariate factoring kernel and
+    the idempotent split; trip with an error, never a wrong answer.
+
+    `max_factors` bounds the modular factors of a polynomial over Z, whose
+    subsets Zassenhaus recombination searches, and the primitive
+    idempotents a split may enumerate the sums of; `max_lift` the bit
+    length of a Hensel lifting modulus; `max_split_dim` the dimension of
+    the algebra the level-1 cut generates over Q."""
 
     max_basis: int = 10_000
     max_degree: int = 64
     max_terms: int = 100_000
+    max_factors: int = 16
+    max_lift: int = 4096
+    max_split_dim: int = 64
 
 
 LIMITS = ResourceLimits()
 
 
 def set_limits(max_basis: int | None = None, max_degree: int | None = None,
-               max_terms: int | None = None) -> None:
+               max_terms: int | None = None, max_factors: int | None = None,
+               max_lift: int | None = None,
+               max_split_dim: int | None = None) -> None:
     """Adjust the process-wide resource guards (CLI startup hook)."""
-    if max_basis is not None:
-        LIMITS.max_basis = max_basis
-    if max_degree is not None:
-        LIMITS.max_degree = max_degree
-    if max_terms is not None:
-        LIMITS.max_terms = max_terms
+    for name, value in (("max_basis", max_basis), ("max_degree", max_degree),
+                        ("max_terms", max_terms),
+                        ("max_factors", max_factors), ("max_lift", max_lift),
+                        ("max_split_dim", max_split_dim)):
+        if value is not None:
+            setattr(LIMITS, name, value)
 
 
 def _check_degree(deg: int) -> None:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
 from typing import Iterator
 
 from affpi0 import derham, pi0, simplicial
@@ -72,3 +75,23 @@ def reference_s_polynomial(g1, lm1, g2, lm2):
     a = g1.mul_monomial(monomial_div(lcm, lm1), f.inv(g1.terms[lm1]))
     b = g2.mul_monomial(monomial_div(lcm, lm2), f.inv(g2.terms[lm2]))
     return a - b
+
+
+def perfbench_etale_cases(seed: int = 1) -> list[tuple]:
+    """The seeded étale algebras of the benchmark's idempotent jobs over
+    Q and F_5, as (name, algebra, degree)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_jobs", Path(__file__).resolve().parent.parent
+        / "perfbench" / "jobs.py")
+    jobs = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(jobs)
+    finally:
+        sys.dont_write_bytecode = saved
+    return [(job["name"].split("/")[1],
+             AlgebraPresentation.from_json(job["algebra"]), job["degree"])
+            for job in jobs.pi0_routes(seed)
+            if job["name"].startswith(("idempotent/etale",
+                                       "idempotent/f5etale"))]

@@ -773,20 +773,40 @@ def test_derham_integration_with_a_doubled_phi1_exit_1(files, capsys,
 
 
 def test_root_solver_non_solution_exit_1(files, capsys, monkeypatch):
+    """A split that returns a non-idempotent (an atom tripled) is caught
+    by the e² = e check."""
     from affpi0 import pi0
-    solve = pi0.solve_system
+    split = pi0._split
 
-    def planted(gens, nvars, field):
-        result = solve(gens, nvars, field)
-        result.solutions.append(tuple(field.scalar(3)
-                                      for _ in range(nvars)))
-        return result
+    def planted(a, slice_monos, cut):
+        support, atoms = split(a, slice_monos, cut)
+        tripled = [a.field.mul(a.field.scalar(3), v) for v in atoms[0]]
+        return support, [tripled] + atoms[1:]
 
-    monkeypatch.setattr(pi0, "solve_system", planted)
+    monkeypatch.setattr(pi0, "_split", planted)
     code, rep = run_json(["pi0", files["idem"], "--method", "idempotent",
                           "--deg", "2"], capsys)
     assert code == 1 and rep["kind"] == "property"
     assert rep["error"] == "solver returned a non-solution"
+
+
+@pytest.mark.parametrize("relation, degree, count", [
+    ("(x - 1)*(x + 2)*(x - 4)*(x + 5)", 3, 4),
+    ("(x - 3)*x*(x^2 + 2)", 3, 3),
+    ("x*(x - 1)*(x - 2)*(x - 3)*(x - 4)", 4, 5)])
+def test_pi0_all_answers_the_etale_rows(files, capsys, relation, degree,
+                                        count):
+    """Searched whole, at the top degree of their standard monomials."""
+    doc = files["tmp"] / "etale.json"
+    doc.write_text(json.dumps({"field": "Q", "vars": ["x"],
+                               "relations": [relation]}))
+    code, rep = run_json(["pi0", str(doc), "--method", "all",
+                          "--deg", str(degree)], capsys)
+    assert code == 0
+    res = rep["result"]
+    assert res["derham"]["component_count"] == count
+    assert res["idempotent"]["count"] == 2 ** count
+    assert res["idempotent"]["primitive_count"] == count
 
 
 # ---------------------------------------------------------------------------

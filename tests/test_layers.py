@@ -12,14 +12,15 @@ ALLOWED = {
     "errors": set(),
     "polyring": {"errors"},
     "linalg": {"polyring"},
+    "factor": {"errors", "polyring"},
     "solve": {"errors", "linalg", "polyring"},
     "algebra": {"errors", "polyring", "solve"},
     "mapspace": {"algebra", "errors", "polyring"},
     "derham": {"algebra", "errors", "linalg", "polyring"},
     "matrix_homotopy": {"algebra", "errors", "polyring"},
     "homotopy": {"algebra", "errors", "mapspace", "polyring", "solve"},
-    "pi0": {"algebra", "derham", "errors", "linalg", "mapspace", "polyring",
-            "solve"},
+    "pi0": {"algebra", "derham", "errors", "factor", "linalg", "mapspace",
+            "polyring", "solve"},
     "simplicial": {"algebra", "errors", "linalg", "mapspace", "pi0",
                    "polyring"},
     "cli": {"algebra", "derham", "errors", "homotopy", "mapspace",

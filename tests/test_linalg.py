@@ -124,6 +124,47 @@ def test_mat_mul_matches_sympy():
         assert got == sympy_rows(to_sympy(a, k) * to_sympy(b, m))
 
 
+def reference_mat_mul(a, b, field):
+    """The loop `mat_mul` replaced: field additions and products of the
+    entries, zero weights skipped."""
+    zero = field.zero()
+    width = len(b[0]) if b else 0
+    out = []
+    for weights in a:
+        acc = [zero] * width
+        for w, row in zip(weights, b):
+            if w != zero:
+                acc = [field.add(s, field.mul(w, v)) for s, v in zip(acc, row)]
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, F3, GF(32003)], ids=str)
+def test_mat_mul_matches_the_entrywise_loop(field):
+    """Same values and types, over Q with fractions of unlike
+    denominators, integer entries and zero rows."""
+    rng = random.Random(11)
+    if field.is_rational:
+        def pick():
+            return rng.choice([Fraction(0), Fraction(rng.randint(-9, 9)),
+                               Fraction(rng.randint(-9, 9),
+                                        rng.randint(1, 12))])
+    else:
+        def pick():
+            return rng.choice([0, rng.randrange(field.p)])
+    for n, k, m in [(2, 3, 4), (3, 1, 2), (1, 4, 1), (4, 4, 4), (0, 2, 2),
+                    (2, 0, 3), (3, 5, 0)]:
+        a = [[pick() for _ in range(k)] for _ in range(n)]
+        b = [[pick() for _ in range(m)] for _ in range(k)]
+        if n:
+            a[0] = [field.zero()] * k
+        got = linalg.mat_mul(a, b, field)
+        want = reference_mat_mul(a, b, field)
+        assert got == want
+        assert [list(map(type, row)) for row in got] \
+            == [list(map(type, row)) for row in want]
+
+
 # ---------------------------------------------------------------------------
 # over F_3, against brute force
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -348,18 +349,70 @@ def test_circle_idempotents_at_high_degree(field, degree):
 
 
 def test_idempotent_search_solves_over_the_level_one_cut(monkeypatch):
-    a = A_of(QQ, ["x", "y"], ["x^2 + y^2 - 1"])
-    seen = []
-    solve = pi0_mod.solve_system
+    """Over Q, and over F_p on a finite algebra, the search builds level 1
+    once, reads one cut of it, and hands no system to the solver."""
+    levels, cuts = [], []
+    line_level, cut = pi0_mod._line_level, pi0_mod._cut
 
-    def spy(gens, nvars, field):
-        seen.append(nvars)
-        return solve(gens, nvars, field)
+    def level_spy(alg, d):
+        levels.append(d)
+        return line_level(alg, d)
 
-    monkeypatch.setattr(pi0_mod, "solve_system", spy)
-    idempotent_search(a, 4)
-    assert seen == [equalizer_subspace(a, 4, 1).dimension]
-    assert seen[0] < len(a.standard_monomials(4))
+    def cut_spy(*args):
+        cuts.append(args[1])
+        return cut(*args)
+
+    monkeypatch.setattr(pi0_mod, "_line_level", level_spy)
+    monkeypatch.setattr(pi0_mod, "_cut", cut_spy)
+    monkeypatch.setattr(pi0_mod, "solve_system", None)
+    for a, degree, count in (
+            (A_of(QQ, ["x", "y"], ["x^2 + y^2 - 1"]), 4, 2),
+            (A_of(GF(5), ["x"], ["x^3 - x"]), 2, 8)):
+        levels.clear()
+        cuts.clear()
+        report = idempotent_search(a, degree)
+        assert levels == [1] and cuts == [degree]
+        assert report.complete and report.count == count
+
+
+def with_limits(**low):
+    saved = dict(vars(polyring.LIMITS))
+    polyring.set_limits(**low)
+    return saved
+
+
+def test_the_algebra_the_cut_generates_is_guarded():
+    a = A_of(QQ, ["x"], ["x^3 - x"])
+    saved = with_limits(max_split_dim=2)
+    try:
+        with pytest.raises(ResourceLimitError, match="max_split_dim"):
+            idempotent_search(a, 2)
+    finally:
+        polyring.set_limits(**saved)
+    assert idempotent_search(a, 2).count == 8
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_the_sums_of_atoms_on_the_slice_are_guarded(field):
+    a = A_of(field, ["x"], ["x^3 - x"])
+    saved = with_limits(max_factors=2)
+    try:
+        with pytest.raises(ResourceLimitError, match="max_factors"):
+            idempotent_search(a, 2)
+    finally:
+        polyring.set_limits(**saved)
+    assert idempotent_search(a, 2).count == 8
+
+
+def test_a_split_without_a_primitive_element_is_a_resource_limit():
+    """Q[x,y]/(x, y)², handed its whole degree-1 slice as the cut (its true
+    cut is the constants): every element h has (h − h(0))² = 0, so no
+    minimal polynomial reaches the dimension 3."""
+    a = A_of(QQ, ["x", "y"], ["x^2", "x*y", "y^2"])
+    slice_monos = a.standard_monomials(1)
+    identity = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    with pytest.raises(ResourceLimitError, match="primitive element"):
+        pi0_mod._root_solutions(a, 2, slice_monos, identity)
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +474,31 @@ def test_pi0_counts_components_of_a_finite_algebra_beyond_the_slice(
         assert pi0_presentation(a, degree, 2).component_count == count
 
 
-def test_pi0_whole_algebra_search_reports_its_guard():
-    a = A_of(QQ, ["x"], ["(x - 1)*(x + 2)*(x - 4)*(x + 5)"])
-    with pytest.raises(ResourceLimitError):
-        pi0_presentation(a, 1, 2)
+def seeded_four_roots(seed: int) -> str:
+    """Four distinct integer roots in -9..9, drawn from the seed."""
+    roots = random.Random(seed).sample(range(-9, 10), 4)
+    return "*".join(f"(x - ({r}))" for r in roots)
+
+
+# étale algebras on which the lex solve of e² = e tripped SOLVE_GUARD or
+# ran for seconds: (relation, component count)
+ETALE_ROWS = {
+    "four-lines": ("(x - 1)*(x + 2)*(x - 4)*(x + 5)", 4),
+    "lines-and-a-conic": ("(x - 3)*x*(x^2 + 2)", 3),
+    "five-lines": ("x*(x - 1)*(x - 2)*(x - 3)*(x - 4)", 5),
+    **{f"seeded-{seed}": (seeded_four_roots(seed), 4)
+       for seed in range(1, 6)},
+}
+
+
+def test_pi0_whole_algebra_search_answers_the_etale_rows():
+    """Searched whole, each row has 2^c idempotents and c components."""
+    for relation, count in ETALE_ROWS.values():
+        a = A_of(QQ, ["x"], [relation])
+        whole = idempotent_search(a, a.dimension() - 1)
+        assert whole.complete and whole.count == 2 ** count
+        assert len(primitive_idempotents(whole)) == count
+        assert pi0_presentation(a, 1, 2).component_count == count
 
 
 @pytest.mark.parametrize("names, rels, degree, count", [
