@@ -169,13 +169,15 @@ def _root_solutions(a: AlgebraPresentation, k: int, slice_monos: Sequence,
     M_1[x^p], where the same argument lowers the degree, so e is constant
     and both evaluations agree.
     For k = 2 over Q, or over F_p on a finite A, the idempotents are split
-    off (`_split`), complete by construction.  Otherwise the unknowns are
-    the coordinates of the cut, and the system, A's coefficients of
-    z^k − z at the generic element sum_j u_j·(row j of the cut), comes from
-    one block substitution (`_split_at`) and goes to `solve_system`: on an
-    infinite A over F_p the cut can hold an element with no minimal
-    polynomial (y³ on the cusp y² = x³ over F_3), and b^p can outrun the
-    degree guard.
+    off (`_split`) the finite algebra that 1 and the cut generate, complete
+    by construction.  Otherwise the unknowns are the coordinates of the
+    cut, and the system, A's coefficients of z^k − z at the generic element
+    sum_j u_j·(row j of the cut), comes from one block substitution
+    (`_split_at`) and goes to `solve_system`, whose rational roots over Q
+    are the linear factors of its eliminants: on an infinite A over F_p the
+    cut can hold an element with no minimal polynomial (y³ on the cusp
+    y² = x³ over F_3), so the algebra it generates is infinite.  Every
+    solution is checked by e ** k == e.
     """
     field = a.field
     if k == 2 and (field.is_rational or a.finite_basis() is not None):
@@ -201,7 +203,7 @@ def _root_solutions(a: AlgebraPresentation, k: int, slice_monos: Sequence,
         complete = result.complete
     elems = a.elements(slice_monos, vectors)
     for e in elems:
-        if (e * e if k == 2 else e ** k) != e:
+        if e ** k != e:
             raise PropertyViolationError("solver returned a non-solution",
                                          witness=e)
     return elems, complete
@@ -209,184 +211,166 @@ def _root_solutions(a: AlgebraPresentation, k: int, slice_monos: Sequence,
 
 def _split(a: AlgebraPresentation, slice_monos: Sequence, cut: list[list]
            ) -> tuple[list, list[list]]:
-    """The primitive idempotents (atoms) of a subalgebra of A that holds
-    every idempotent on the slice, as coefficient vectors over a list of
-    standard monomials, which is returned first."""
-    if a.field.is_rational:
-        return _split_rational(a, slice_monos, cut)
-    return _split_frobenius(a, slice_monos, cut)
+    """The primitive idempotents (atoms) of the subalgebra H of A that 1 and
+    the cut generate (`_Closure`), as coefficient vectors over H's support
+    monomials, which are returned first.  Every idempotent on the slice lies
+    in the cut, hence in H, so it is a sum of atoms.  After the closure, H
+    multiplies by its structure constants alone.
 
+    Over Q: a primitive element h of H (deg μ_h = dim H) makes
+    H = Q[z]/(μ_h), so the factors q^e of μ_h over Q give H's atoms by
+    Chinese remainders.  Refining by basis elements alone would miss splits
+    that only products show: (i, −i) and (i, i) of Q(i) × Q(i).  The
+    candidates for h are H's basis elements, then Σ_i t^i·b_i for
+    t = 1, 2, …: for H reduced of dimension n, h fails to be primitive when
+    two of its n values over the algebraic closure agree, a polynomial of
+    degree below n in t for each of the n(n−1)/2 pairs, so n(n−1)²/2 + 1
+    values of t find one.  None found is a ResourceLimitError, never an
+    answer.
 
-def _split_frobenius(a: AlgebraPresentation, slice_monos: Sequence,
-                     cut: list[list]) -> tuple[list, list[list]]:
-    """Over F_p on a finite A: every idempotent e on the slice lies in the
-    cut and has e^p = e, so it lies in the Berlekamp subspace
-    K = {b in span(cut) : b^p = b}, one kernel since Frobenius is
-    F_p-linear.  An element b of K has a minimal polynomial dividing
-    z^p − z, so it splits with distinct roots a_i, and its Lagrange
-    idempotents L_i(b) (b·L_i(b) = a_i·L_i(b), summing to 1) refine the
-    atoms, starting from {1}.  Refined by a basis of K, every element of K
-    is F_p-valued on the atoms, so e is a sum of some of them."""
+    Over F_p: Frobenius is F_p-linear on H, so the Berlekamp subspace
+    K = {b in H : b^p = b} is the left kernel of its matrix minus the
+    identity.  An element b of K has a minimal polynomial dividing z^p − z,
+    so it splits with distinct roots a_i, and its Lagrange idempotents
+    L_i(b) (b·L_i(b) = a_i·L_i(b), summing to 1) refine the atoms, starting
+    from {1}.  Refined by a basis of K, every element of K is F_p-valued on
+    the atoms, so they are H's primitive idempotents."""
     # the kernel is imported by the first split, so a process that never
     # splits, as most CLI requests, does not load it at start-up
-    from .factor import crt_idempotents, roots_mod
-    field, p = a.field, a.field.p
-    monos = a.finite_basis()
-    one = a.nf(Polynomial.one(a.arity, field))
-    cut_elems = [Polynomial.combination(a.arity, field, slice_monos, row)
-                 for row in cut]
-    frobenius = [_power(a, b, p) - b for b in cut_elems]
-    atoms = [one] if not one.is_zero else []
-    for row in linalg.mat_mul(linalg.relations(frobenius, field), cut, field):
-        b = Polynomial.combination(a.arity, field, slice_monos, row)
-        powers, mu = _minimal_polynomial(
-            one.coefficients(monos), _times(a, monos, b), field)
-        roots = roots_mod(mu, p)
-        if len(roots) != len(mu) - 1:
-            raise PropertyViolationError(
-                "an element of the Berlekamp subspace has a minimal "
-                "polynomial that does not split", witness=b)
-        if len(roots) == 1:
-            continue
-        lagrange = [Polynomial.combination(
-            a.arity, field, monos, linalg.mat_mul([e], powers[:len(e)],
-                                                  field)[0])
-            for e in crt_idempotents([([-r % p, 1], 1) for r in roots], p)]
-        atoms = [f for f in (a.nf(g * h) for g in atoms for h in lagrange)
-                 if not f.is_zero]
-    return monos, [f.coefficients(monos) for f in atoms]
-
-
-def _split_rational(a: AlgebraPresentation, slice_monos: Sequence,
-                    cut: list[list]) -> tuple[list, list[list]]:
-    """Over Q: close 1 and the cut under products to a finite subalgebra H
-    of A (normal forms in A, a row basis over their monomials); the cut lies
-    in the de Rham kernel, so H does too, and every idempotent on the slice
-    is one of H.  A primitive element h of H (deg μ_h = dim H) makes
-    H = Q[z]/(μ_h), so the factors q^e of μ_h over Q give H's primitive
-    idempotents by Chinese remainders.  Refining by basis elements alone
-    would miss splits that only products show: (i, −i) and (i, i) of
-    Q(i) × Q(i).  The candidates for h are H's basis elements, then
-    Σ_i t^i·b_i for t = 1, 2, …: for H reduced of dimension n, h fails to be
-    primitive when two of its n values over the algebraic closure agree, a
-    polynomial of degree below n in t for each of the n(n−1)/2 pairs, so
-    n(n−1)²/2 + 1 values of t find one.  None found is a ResourceLimitError,
-    never an answer."""
-    from .factor import crt_idempotents, factor_int
+    from .factor import crt_idempotents, factor_int, roots_mod
     field = a.field
-    one = a.nf(Polynomial.one(a.arity, field))
-    support, rows, pivots, table = _closed_span(a, [one] + [
-        Polynomial.combination(a.arity, field, slice_monos, row)
-        for row in cut])
-    n = len(rows)
+    h = _Closure(a, slice_monos, cut)
+    n = len(h.rows)
     if n <= 1:
-        # 0 or Q: 1, if nonzero, is the only atom, and RREF keeps it as it is
-        return support, rows
-    unit = [one.coefficients(support)[c] for c in pivots]
-    tries = n * (n - 1) ** 2 // 2 + 1
-    candidates = itertools.chain(
-        ([field.one() if i == j else field.zero() for i in range(n)]
-         for j in range(n)),
-        ([field.scalar(t ** i) for i in range(n)]
-         for t in range(1, tries + 1)))
-    for x in candidates:
-        powers, mu = _minimal_polynomial(unit, _times_in(table, x, field),
-                                         field)
-        if len(mu) == n + 1:
-            break
-    else:
-        raise ResourceLimitError(
-            f"no primitive element among the {n + tries} candidates that "
-            f"suffice for a reduced algebra of dimension {n}")
-    den = lcm(*[c.denominator for c in mu])
-    factors = factor_int([int(c * den) for c in mu])[1]
-    atoms = linalg.mat_mul(crt_idempotents(factors, None), powers, field)
-    return support, linalg.mat_mul(atoms, rows, field)
-
-
-def _closed_span(a: AlgebraPresentation, gens: list[Polynomial]
-                 ) -> tuple[list, list[list], list[int], list]:
-    """A basis of the subalgebra of A that the normal forms `gens`, 1 among
-    them, generate: its monomials in order of appearance, the RREF rows over
-    them, their pivot columns, and the structure constants, table[i][j]
-    the coordinates of b_i·b_j (an element's coordinates are its entries at
-    the pivots).  Each round multiplies every pair of basis elements and
-    ends the closure when all products lie in the span; its dimension is
-    guarded by `LIMITS.max_split_dim`."""
-    field = a.field
-    support = list(dict.fromkeys(m for g in gens for m in g.terms))
-    rows = linalg.row_basis([g.coefficients(support) for g in gens], field)
-    while True:
-        n = len(rows)
-        if n > LIMITS.max_split_dim:
+        # 0 or F: 1, if nonzero, is the only atom, and RREF keeps it as it is
+        return h.support, h.rows
+    basis = [[field.one() if i == j else field.zero() for i in range(n)]
+             for j in range(n)]
+    if field.is_rational:
+        tries = n * (n - 1) ** 2 // 2 + 1
+        candidates = itertools.chain(basis, (
+            [field.scalar(t ** i) for i in range(n)]
+            for t in range(1, tries + 1)))
+        for x in candidates:
+            powers, mu = h.minimal_polynomial(x)
+            if len(mu) == n + 1:
+                break
+        else:
             raise ResourceLimitError(
-                f"the algebra the level-1 cut generates has dimension above "
-                f"guard max_split_dim = {LIMITS.max_split_dim}")
-        pivots = [next(c for c, v in enumerate(row) if v) for row in rows]
-        polys = [Polynomial.combination(a.arity, field, support, row)
-                 for row in rows]
-        products = {(i, j): a.nf(polys[i] * polys[j])
-                    for i in range(n) for j in range(i, n)}
-        known = set(support)
-        support += [m for m in dict.fromkeys(
-            m for prod in products.values() for m in prod.terms)
-            if m not in known]
-        padding = [field.zero()] * (len(support) - len(known))
-        rows = [row + padding for row in rows]
-        vectors = {ij: prod.coefficients(support)
-                   for ij, prod in products.items()}
-        outside = [v for v in vectors.values()
-                   if linalg.mat_mul([[v[c] for c in pivots]], rows,
-                                     field)[0] != v]
-        if not outside:
-            return support, rows, pivots, [
-                [[vectors[min(i, j), max(i, j)][c] for c in pivots]
-                 for j in range(n)] for i in range(n)]
-        rows = linalg.row_basis(rows + outside, field)
+                f"no primitive element among the {n + tries} candidates "
+                f"that suffice for a reduced algebra of dimension {n}")
+        den = lcm(*[c.denominator for c in mu])
+        factors = factor_int([int(c * den) for c in mu])[1]
+        atoms = linalg.mat_mul(crt_idempotents(factors, None), powers, field)
+    else:
+        p = field.p
+        frobenius = [[field.sub(v, u) for v, u in zip(h.power(e, p), e)]
+                     for e in basis]
+        atoms = [h.unit]
+        for b in linalg.left_nullspace(frobenius, field):
+            powers, mu = h.minimal_polynomial(b)
+            roots = roots_mod(mu, p)
+            if len(roots) != len(mu) - 1:
+                raise PropertyViolationError(
+                    "an element of the Berlekamp subspace has a minimal "
+                    "polynomial that does not split",
+                    witness=Polynomial.combination(
+                        a.arity, field, h.support,
+                        linalg.mat_mul([b], h.rows, field)[0]))
+            if len(roots) == 1:
+                continue
+            lagrange = linalg.mat_mul(crt_idempotents(
+                [([-r % p, 1], 1) for r in roots], p), powers, field)
+            atoms = [f for g in atoms
+                     for f in linalg.mat_mul(lagrange, h.matrix(g), field)
+                     if any(f)]
+    return h.support, linalg.mat_mul(atoms, h.rows, field)
 
 
-def _minimal_polynomial(unit: list, times, field: FieldDescriptor
-                        ) -> tuple[list[list], list]:
-    """The powers 1, h, …, h^(d−1) of an element h as coordinate vectors,
-    `unit` the first and `times` multiplying a vector by h, and h's minimal
-    polynomial, monic of degree d, constant term first: the first power
-    that depends on those before it gives the one relation, whose free
-    column, the last, the kernel sets to 1."""
-    powers = [unit]
-    while True:
-        power = times(powers[-1])
-        relations = linalg.left_nullspace(powers + [power], field)
-        if relations:
-            return powers, relations[0]
-        powers.append(power)
+class _Closure:
+    """The subalgebra H of A that 1 and the cut generate, on a basis b_i:
+    the RREF `rows` over `support`, the monomials of H's normal forms in
+    order of appearance.  An element's coordinates are its entries at the
+    `pivots`; `unit` holds those of 1, and the structure constants `table`
+    those of the products, b_i·b_j at table[i][j·n:(j+1)·n].
 
+    Each round of the closure multiplies every pair of basis elements by
+    normal forms in A and ends it when all products lie in the span; the
+    dimension is guarded by `LIMITS.max_split_dim`.  The methods work in
+    coordinates, by the structure constants alone."""
 
-def _times(a: AlgebraPresentation, monos: list, b: Polynomial):
-    """Multiplication by b in A, on coordinate vectors over `monos`."""
-    field = a.field
-    return lambda v: a.nf(Polynomial.combination(
-        a.arity, field, monos, v) * b).coefficients(monos)
+    def __init__(self, a: AlgebraPresentation, slice_monos: Sequence,
+                 cut: list[list]):
+        field = self.field = a.field
+        one = a.nf(Polynomial.one(a.arity, field))
+        gens = [one] + [Polynomial.combination(a.arity, field, slice_monos,
+                                               row) for row in cut]
+        support = list(dict.fromkeys(m for g in gens for m in g.terms))
+        rows = linalg.row_basis([g.coefficients(support) for g in gens],
+                                field)
+        while True:
+            n = len(rows)
+            if n > LIMITS.max_split_dim:
+                raise ResourceLimitError(
+                    f"the algebra the level-1 cut generates has dimension "
+                    f"above guard max_split_dim = {LIMITS.max_split_dim}")
+            pivots = [next(c for c, v in enumerate(row) if v) for row in rows]
+            polys = [Polynomial.combination(a.arity, field, support, row)
+                     for row in rows]
+            products = {(i, j): a.nf(polys[i] * polys[j])
+                        for i in range(n) for j in range(i, n)}
+            known = set(support)
+            support += [m for m in dict.fromkeys(
+                m for prod in products.values() for m in prod.terms)
+                if m not in known]
+            padding = [field.zero()] * (len(support) - len(known))
+            rows = [row + padding for row in rows]
+            vectors = {ij: prod.coefficients(support)
+                       for ij, prod in products.items()}
+            outside = [v for v in vectors.values()
+                       if linalg.mat_mul([[v[c] for c in pivots]], rows,
+                                         field)[0] != v]
+            if not outside:
+                break
+            rows = linalg.row_basis(rows + outside, field)
+        self.support, self.rows, self.pivots = support, rows, pivots
+        self.table = [[vectors[min(i, j), max(i, j)][c]
+                       for j in range(n) for c in pivots] for i in range(n)]
+        self.unit = [one.coefficients(support)[c] for c in pivots]
 
+    def matrix(self, x: list) -> list[list]:
+        """Multiplication by x: row j holds the coordinates of x·b_j."""
+        n = len(x)
+        flat = linalg.mat_mul([x], self.table, self.field)[0]
+        return [flat[j * n:(j + 1) * n] for j in range(n)]
 
-def _times_in(table: list, x: list, field: FieldDescriptor):
-    """Multiplication by the element with coordinates x, on coordinate
-    vectors, from the structure constants `table`."""
-    n = len(x)
-    flat = linalg.mat_mul([x], [sum(t, []) for t in table], field)[0]
-    m = [flat[j * n:(j + 1) * n] for j in range(n)]
-    return lambda v: linalg.mat_mul([v], m, field)[0]
+    def product(self, x: list, y: list) -> list:
+        return linalg.mat_mul([y], self.matrix(x), self.field)[0]
 
+    def power(self, x: list, e: int) -> list:
+        """x^e by repeated squaring."""
+        result = self.unit
+        while e:
+            if e & 1:
+                result = self.product(result, x)
+            e >>= 1
+            if e:
+                x = self.product(x, x)
+        return result
 
-def _power(a: AlgebraPresentation, b: Polynomial, e: int) -> Polynomial:
-    """b^e in A by repeated squaring, reduced after every product."""
-    result = a.nf(Polynomial.one(a.arity, a.field))
-    while e:
-        if e & 1:
-            result = a.nf(result * b)
-        e >>= 1
-        if e:
-            b = a.nf(b * b)
-    return result
+    def minimal_polynomial(self, x: list) -> tuple[list[list], list]:
+        """The powers 1, x, …, x^(d−1) as coordinate vectors, and x's
+        minimal polynomial, monic of degree d, constant term first: the
+        first power that depends on those before it gives the one relation,
+        whose free column, the last, the kernel sets to 1."""
+        m = self.matrix(x)
+        powers = [self.unit]
+        while True:
+            power = linalg.mat_mul([powers[-1]], m, self.field)[0]
+            relations = linalg.left_nullspace(powers + [power], self.field)
+            if relations:
+                return powers, relations[0]
+            powers.append(power)
 
 
 def _slice_points(support: list, atoms: list[list], slice_monos: Sequence,

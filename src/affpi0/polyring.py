@@ -60,10 +60,11 @@ class ResourceLimits:
     the idempotent split; trip with an error, never a wrong answer.
 
     `max_factors` bounds the modular factors of a polynomial over Z, whose
-    subsets Zassenhaus recombination searches, and the primitive
-    idempotents a split may enumerate the sums of; `max_lift` the bit
-    length of a Hensel lifting modulus; `max_split_dim` the dimension of
-    the algebra the level-1 cut generates over Q."""
+    subsets Zassenhaus recombination searches (the solver's rational roots
+    among them), and the primitive idempotents a split may enumerate the
+    sums of; `max_lift` the bit length of a Hensel lifting modulus;
+    `max_split_dim` the dimension of the algebra the level-1 cut
+    generates, over Q and over F_p."""
 
     max_basis: int = 10_000
     max_degree: int = 64
@@ -680,14 +681,20 @@ class Polynomial:
             raise ResourceLimitError(
                 f"exponent {n} of the constant {self.constant_term()} "
                 f"exceeds guard max_degree {LIMITS.max_degree}")
-        result = Polynomial.one(self.arity, self.field)
+        if n == 0:
+            return Polynomial.one(self.arity, self.field)
+        # start from the lowest set bit's power, so p ** 2 is one product
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        result = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 result = result * base
             n >>= 1
-            if n:
-                base = base * base
         return result
 
     def derivative(self, i: int) -> "Polynomial":

@@ -2,8 +2,9 @@
 
 Over a prime field the solver is exhaustive.  Over the rationals it
 triangularizes with a lex Gröbner basis and back-substitutes through the
-rational roots of univariate eliminants; the rational root theorem is
-exhaustive for rational points, so a solution set is certified complete
+rational roots of univariate eliminants, the linear factors of their
+factorization over Z (`factor.factor_int`); these are all of an
+eliminant's rational roots, so a solution set is certified complete
 whenever every branch produced a univariate eliminant.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import lcm
 from typing import Sequence
 
 from .errors import ResourceLimitError
@@ -115,59 +116,17 @@ def _plug_var(g: Polynomial, var: int, value: Fraction) -> Polynomial:
 
 
 def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """All rational roots of sum_i coeffs[i] x^i, with multiplicity ignored."""
-    # strip trailing zeros and factor out x^k
+    """All rational roots of sum_i coeffs[i] x^i, with multiplicity ignored:
+    the linear factors q·x + c of its factorization over Z, each the root
+    −c/q."""
+    # imported on first use, so start-up does not load the kernel
+    from .factor import factor_int
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if not coeffs:
         return []  # zero polynomial: callers treat separately
-    roots = set()
-    low = 0
-    while coeffs[low] == 0:
-        low += 1
-    if low > 0:
-        roots.add(Fraction(0))
-        coeffs = coeffs[low:]
-    if len(coeffs) == 1:
-        return sorted(roots)
-    # clear denominators to an integer polynomial
     den = lcm(*[c.denominator for c in coeffs])
-    ints = [int(c * den) for c in coeffs]
-    g = gcd(*ints)
-    ints = [c // g for c in ints]
-    lead, const = abs(ints[-1]), abs(ints[0])
-    for name, value in (("leading coefficient", lead), ("constant", const)):
-        if isqrt(value) > SOLVE_GUARD:
-            raise ResourceLimitError(
-                f"rational root search: isqrt of the {name} {value} exceeds "
-                f"guard SOLVE_GUARD = {SOLVE_GUARD}")
-    # p/q in lowest terms is a root exactly when the integer
-    # sum_i ints[i]·p^i·q^(n-i) vanishes; a pair with a common factor
-    # repeats the candidate of its reduced pair
-    highest_first = ints[::-1]
-    for q in _divisors(lead):
-        weights = [q ** k for k in range(len(highest_first))]
-        for p in _divisors(const):
-            if gcd(p, q) != 1:
-                continue
-            for num in (p, -p):
-                acc = 0
-                for c, w in zip(highest_first, weights):
-                    acc = acc * num + c * w
-                if acc == 0:
-                    roots.add(Fraction(num, q))
-    return sorted(roots)
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    return sorted(Fraction(-g[0], g[1])
+                  for g, _ in factor_int([int(c * den) for c in coeffs])[1]
+                  if len(g) == 2)

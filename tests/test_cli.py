@@ -809,6 +809,30 @@ def test_pi0_all_answers_the_etale_rows(files, capsys, relation, degree,
     assert res["idempotent"]["primitive_count"] == count
 
 
+@pytest.mark.parametrize("name, error", [
+    ("roots_mod", "an element of the Berlekamp subspace has a minimal "
+                  "polynomial that does not split"),
+    ("_equal_degree", "root search over F_p returned a non-root")])
+def test_f5_split_planted_root_faults_exit_1(files, capsys, monkeypatch,
+                                             name, error):
+    """A root search that drops a root, or a splitting step that shifts
+    every linear factor, is caught by the F_5 split's checks."""
+    from affpi0 import factor
+    roots_mod, equal_degree = factor.roots_mod, factor._equal_degree
+    planted = {
+        "roots_mod": lambda f, p: roots_mod(f, p)[1:],
+        "_equal_degree": lambda g, d, p, rng: [
+            [(q[0] + 1) % p, 1] for q in equal_degree(g, d, p, rng)]}
+    monkeypatch.setattr(factor, name, planted[name])
+    doc = files["tmp"] / "f5.json"
+    doc.write_text(json.dumps({"field": {"p": 5}, "vars": ["x"],
+                               "relations": ["x^3 - x"]}))
+    code, rep = run_json(["pi0", str(doc), "--method", "idempotent",
+                          "--deg", "2"], capsys)
+    assert code == 1 and rep["kind"] == "property"
+    assert rep["error"] == error
+
+
 # ---------------------------------------------------------------------------
 # the parser is built once per process: nothing may leak between runs
 

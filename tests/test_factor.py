@@ -190,6 +190,16 @@ def test_roots_mod_of_a_split_polynomial():
     assert factor.roots_mod([1, 1, 1], 2) == []
 
 
+def test_roots_mod_checks_each_root(monkeypatch):
+    """A planted splitting step that shifts every linear factor is caught:
+    x³ − x over F_5 gets no root it does not have."""
+    equal_degree = factor._equal_degree
+    monkeypatch.setattr(factor, "_equal_degree", lambda g, d, p, rng: [
+        [(q[0] + 1) % p, 1] for q in equal_degree(g, d, p, rng)])
+    with pytest.raises(PropertyViolationError, match="non-root"):
+        factor.roots_mod([0, -1, 0, 1], 5)
+
+
 # ---------------------------------------------------------------------------
 # Chinese remainders
 

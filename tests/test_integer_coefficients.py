@@ -265,25 +265,32 @@ def root_polynomials(draw):
 @DERANDOMIZED
 @given(root_polynomials())
 def test_rational_roots_agree_with_the_fraction_root_test(coeffs):
-    got = outcome(lambda: rational_roots(coeffs))
-    assert got == outcome(lambda: old_rational_roots(coeffs))
-    if isinstance(got, list):
-        assert all(type(r) is Fraction for r in got)
+    """Where the old root test answers, the sorted lists are the same;
+    where it tripped its guard, the factoring kernel answers, with roots."""
+    got = rational_roots(coeffs)
+    want = outcome(lambda: old_rational_roots(coeffs))
+    if isinstance(want, list):
+        assert got == want
+    assert all(type(r) is Fraction for r in got)
+    for r in got:
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * r + c
+        assert acc == 0
 
 
-def test_rational_roots_guard_boundary_is_unchanged():
-    # x² = 1/lead: isqrt of SOLVE_GUARD² is the guard itself, which passes,
-    # and one more trips it
-    for lead in (SOLVE_GUARD ** 2, (SOLVE_GUARD + 1) ** 2):
-        coeffs = [Fraction(-1), Fraction(0), Fraction(lead)]
-        assert outcome(lambda: rational_roots(coeffs)) == outcome(
-            lambda: old_rational_roots(coeffs))
-    assert rational_roots([Fraction(-1), Fraction(0),
-                           Fraction(SOLVE_GUARD ** 2)]) == \
-        [Fraction(-1, SOLVE_GUARD), Fraction(1, SOLVE_GUARD)]
+def test_rational_roots_answer_past_the_old_guard_boundary():
+    # x² = 1/lead²: the old root test answered at lead = SOLVE_GUARD, where
+    # isqrt(lead²) is the guard itself, and tripped one above
+    for lead in (SOLVE_GUARD, SOLVE_GUARD + 1):
+        coeffs = [Fraction(-1), Fraction(0), Fraction(lead ** 2)]
+        assert rational_roots(coeffs) == [Fraction(-1, lead),
+                                          Fraction(1, lead)]
+    below = [Fraction(-1), Fraction(0), Fraction(SOLVE_GUARD ** 2)]
+    assert rational_roots(below) == old_rational_roots(below)
     with pytest.raises(ResourceLimitError, match="leading coefficient"):
-        rational_roots([Fraction(-1), Fraction(0),
-                        Fraction((SOLVE_GUARD + 1) ** 2)])
+        old_rational_roots([Fraction(-1), Fraction(0),
+                            Fraction((SOLVE_GUARD + 1) ** 2)])
 
 
 # ---------------------------------------------------------------------------

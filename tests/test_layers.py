@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import ast
 import os
+import subprocess
+import sys
 
 import affpi0
 
@@ -13,7 +15,7 @@ ALLOWED = {
     "polyring": {"errors"},
     "linalg": {"polyring"},
     "factor": {"errors", "polyring"},
-    "solve": {"errors", "linalg", "polyring"},
+    "solve": {"errors", "factor", "linalg", "polyring"},
     "algebra": {"errors", "polyring", "solve"},
     "mapspace": {"algebra", "errors", "polyring"},
     "derham": {"algebra", "errors", "linalg", "polyring"},
@@ -141,3 +143,14 @@ def test_every_imported_name_is_used():
     unused = [entry for module in MODULES
               for entry in _imported_names_unused(module)]
     assert not unused, f"imported names the module never uses: {unused}"
+
+
+def test_starting_the_cli_does_not_load_the_factoring_kernel():
+    """`solve` and `pi0` import `factor` on first use: a request that
+    splits no algebra and seeks no rational root never pays for it."""
+    probe = ("import sys, affpi0.cli; "
+             "print('affpi0.factor' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "False"

@@ -302,6 +302,20 @@ def test_iskp_free_line_constants_only():
     assert all(e.poly.total_degree() <= 0 for e in sub.generators)
 
 
+def test_iskp_answers_where_the_eliminant_has_huge_coefficients():
+    """Q[x]/((x+4)(x²−3)) = Q × Q(√3): e³ = e takes -1, 0 or 1 on each
+    factor.  The solver's eliminant has a leading coefficient near 2·10²¹,
+    whose divisors are too many to try one by one."""
+    a = A_of(QQ, ["x"], ["(x + 4)*(x^2 - 3)"])
+    sub = iskp_subalgebra(a, 3, 3)
+    first = a.element("x^2 - 3").scale(Fraction(1, 13))  # 1 at x = -4
+    second = a.element("1") - first
+    want = {(first.scale(u) + second.scale(v)).poly
+            for u in (-1, 0, 1) for v in (-1, 0, 1)}
+    assert sub.complete and len(sub.generators) == 9
+    assert {e.poly for e in sub.generators} == want
+
+
 def test_iskp_char_divides_hypothesis():
     with pytest.raises(HypothesisError):
         iskp_subalgebra(A_of(GF(2), ["e"], ["e^2 - e"]), 3, 1)
@@ -381,8 +395,9 @@ def with_limits(**low):
     return saved
 
 
-def test_the_algebra_the_cut_generates_is_guarded():
-    a = A_of(QQ, ["x"], ["x^3 - x"])
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_the_algebra_the_cut_generates_is_guarded(field):
+    a = A_of(field, ["x"], ["x^3 - x"])
     saved = with_limits(max_split_dim=2)
     try:
         with pytest.raises(ResourceLimitError, match="max_split_dim"):
@@ -402,6 +417,17 @@ def test_the_sums_of_atoms_on_the_slice_are_guarded(field):
     finally:
         polyring.set_limits(**saved)
     assert idempotent_search(a, 2).count == 8
+
+
+def test_a_berlekamp_element_that_does_not_split_is_a_violation(
+        monkeypatch):
+    """A planted root search that drops a root leaves a minimal polynomial
+    of the Berlekamp subspace unsplit, and the split refuses it."""
+    from affpi0 import factor
+    roots_mod = factor.roots_mod
+    monkeypatch.setattr(factor, "roots_mod", lambda f, p: roots_mod(f, p)[1:])
+    with pytest.raises(PropertyViolationError, match="does not split"):
+        idempotent_search(A_of(GF(5), ["x"], ["x^3 - x"]), 2)
 
 
 def test_a_split_without_a_primitive_element_is_a_resource_limit():

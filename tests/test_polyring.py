@@ -137,6 +137,28 @@ def test_pow_negative_exponent_rejected():
         P("x", ["x"]) ** -1
 
 
+def test_pow_starts_from_the_base(monkeypatch):
+    """p ** 2 is one product and p ** 0 is one; p ** 5 is two squarings
+    and one product, with no unit polynomial multiplied in."""
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    p = P("x + y - 2", ["x", "y"])
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    for n, products in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3)):
+        calls.clear()
+        power = p ** n
+        assert len(calls) == products
+        want = Polynomial.one(2, QQ)
+        for _ in range(n):
+            want = mul(want, p)
+        assert power == want
+
+
 def test_ring_mismatch_detected():
     with pytest.raises(RingMismatchError):
         P("x", ["x"]) + P("x", ["x", "y"])
