@@ -17,7 +17,9 @@ J. Gerhard, *Modern Computer Algebra*, ch. 14–16).  Every factorization is
 multiplied back and compared with its input.  Two guards of `LIMITS` bound
 the work over Z: the number of modular factors (`max_factors`), whose
 subsets the recombination searches, and the bit length of the lifting
-modulus (`max_lift`).
+modulus (`max_lift`).  Rational roots (`roots_int`) need neither: the
+roots modulo such a prime are lifted one by one by Newton's iteration, and
+each candidate is checked exactly.
 """
 
 from __future__ import annotations
@@ -286,6 +288,49 @@ def factor_int(f: list) -> tuple[int, list[tuple[list, int]]]:
         raise PropertyViolationError(
             "factorization over Z does not multiply back", witness=f)
     return content, factors
+
+
+def roots_int(f: list) -> list[Fraction]:
+    """The distinct rational roots of the nonzero integer f, ascending.
+
+    A root a/b of f's primitive squarefree part g has b | lc(g), so it
+    reduces to a simple root of g modulo a good prime p.  Each root of
+    `roots_mod` is lifted by Newton's iteration until the modulus exceeds
+    twice the Cauchy bound |lc(g)·a/b| ≤ lc(g) + max|g_i|; its symmetric
+    residue times lc(g) is then lc(g)·a/b if the root is rational, which
+    exact evaluation decides.  Nothing is recombined, so no guard bounds
+    the work."""
+    f = _trim(list(f))
+    if not f:
+        raise ValueError("the zero polynomial has every root")
+    g = _primitive(f)
+    p = _good_prime(g, 4)
+    if p is None:
+        g = _primitive(_divmod(g, _gcd(g, _deriv(g, None), None), None)[0])
+        p = _good_prime(g)
+    lead, dg = g[-1], _deriv(g, None)
+    bound = 2 * (lead + max(abs(c) for c in g))
+    roots = []
+    for r in roots_mod(g, p):
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _value(g, r, m) * pow(_value(dg, r, m), -1, m)) % m
+        c = lead * r % m
+        root = Fraction(c - m if 2 * c > m else c, lead)
+        if not _value(g, root, None):
+            roots.append(root)
+    return sorted(roots)
+
+
+def _value(f: list, x, m: int | None):
+    """f(x), modulo m unless m is None."""
+    v = 0
+    for c in reversed(f):
+        v = v * x + c
+        if m:
+            v %= m
+    return v
 
 
 def _primitive(f: list) -> list:

@@ -291,8 +291,8 @@ class _Closure:
     """The subalgebra H of A that 1 and the cut generate, on a basis b_i:
     the RREF `rows` over `support`, the monomials of H's normal forms in
     order of appearance.  An element's coordinates are its entries at the
-    `pivots`; `unit` holds those of 1, and the structure constants `table`
-    those of the products, b_i·b_j at table[i][j·n:(j+1)·n].
+    pivots of `rows`; `unit` holds those of 1, and the structure constants
+    `table` those of the products, b_i·b_j at table[i][j·n:(j+1)·n].
 
     Each round of the closure multiplies every pair of basis elements by
     normal forms in A and ends it when all products lie in the span; the
@@ -333,7 +333,7 @@ class _Closure:
             if not outside:
                 break
             rows = linalg.row_basis(rows + outside, field)
-        self.support, self.rows, self.pivots = support, rows, pivots
+        self.support, self.rows = support, rows
         self.table = [[vectors[min(i, j), max(i, j)][c]
                        for j in range(n) for c in pivots] for i in range(n)]
         self.unit = [one.coefficients(support)[c] for c in pivots]

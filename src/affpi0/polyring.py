@@ -60,9 +60,8 @@ class ResourceLimits:
     the idempotent split; trip with an error, never a wrong answer.
 
     `max_factors` bounds the modular factors of a polynomial over Z, whose
-    subsets Zassenhaus recombination searches (the solver's rational roots
-    among them), and the primitive idempotents a split may enumerate the
-    sums of; `max_lift` the bit length of a Hensel lifting modulus;
+    subsets Zassenhaus recombination searches, and the primitive
+    idempotents a split may enumerate the sums of; `max_lift` the bit length of a Hensel lifting modulus;
     `max_split_dim` the dimension of the algebra the level-1 cut
     generates, over Q and over F_p."""
 

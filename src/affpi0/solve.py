@@ -2,8 +2,8 @@
 
 Over a prime field the solver is exhaustive.  Over the rationals it
 triangularizes with a lex Gröbner basis and back-substitutes through the
-rational roots of univariate eliminants, the linear factors of their
-factorization over Z (`factor.factor_int`); these are all of an
+rational roots of univariate eliminants, its roots modulo a prime lifted
+p-adically and checked exactly (`factor.roots_int`); these are all of an
 eliminant's rational roots, so a solution set is certified complete
 whenever every branch produced a univariate eliminant.
 """
@@ -116,17 +116,14 @@ def _plug_var(g: Polynomial, var: int, value: Fraction) -> Polynomial:
 
 
 def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """All rational roots of sum_i coeffs[i] x^i, with multiplicity ignored:
-    the linear factors q·x + c of its factorization over Z, each the root
-    −c/q."""
+    """All rational roots of sum_i coeffs[i] x^i, ascending, with
+    multiplicity ignored: `factor.roots_int` of its integer multiple."""
     # imported on first use, so start-up does not load the kernel
-    from .factor import factor_int
+    from .factor import roots_int
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if not coeffs:
         return []  # zero polynomial: callers treat separately
     den = lcm(*[c.denominator for c in coeffs])
-    return sorted(Fraction(-g[0], g[1])
-                  for g, _ in factor_int([int(c * den) for c in coeffs])[1]
-                  if len(g) == 2)
+    return roots_int([int(c * den) for c in coeffs])

@@ -200,6 +200,47 @@ def test_roots_mod_checks_each_root(monkeypatch):
         factor.roots_mod([0, -1, 0, 1], 5)
 
 
+
+def sympy_roots(f):
+    return sorted({Fraction(int(r.p), int(r.q))
+                   for r in sympy.Poly(f[::-1], X).ground_roots()})
+
+
+linear_and_quadratic = st.lists(st.tuples(st.one_of(
+    st.tuples(st.integers(-9, 9), st.integers(1, 6)).map(list),
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(1, 3))
+    .map(list)), st.integers(1, 3)), min_size=1, max_size=5)
+
+
+@FUZZ
+@given(linear_and_quadratic, st.integers(-12, 12).filter(bool))
+def test_roots_int_matches_sympy(factors, content):
+    f = [content * c for c in multiply(factors)]
+    assert factor.roots_int(f) == sympy_roots(f)
+
+
+@pytest.mark.parametrize("name", EDGE_INPUTS)
+def test_roots_int_edge_inputs_match_sympy(name):
+    f = EDGE_INPUTS[name]
+    assert factor.roots_int(f) == (sympy_roots(f) if len(f) > 1 else [])
+
+
+def test_roots_int_recombines_nothing():
+    """41 rational roots, each twice: more linear factors modulo a prime
+    than `max_factors` allows, even at its lowest setting."""
+    f = multiply([([-i, 3], 2) for i in range(-20, 21)])
+    saved = with_limits(max_factors=1)
+    try:
+        assert factor.roots_int(f) == [Fraction(i, 3) for i in range(-20, 21)]
+    finally:
+        set_limits(**saved)
+
+
+def test_roots_int_rejects_the_zero_polynomial():
+    with pytest.raises(ValueError):
+        factor.roots_int([0])
+
+
 # ---------------------------------------------------------------------------
 # Chinese remainders
 

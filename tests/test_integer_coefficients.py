@@ -293,6 +293,28 @@ def test_rational_roots_answer_past_the_old_guard_boundary():
                             Fraction((SOLVE_GUARD + 1) ** 2)])
 
 
+
+def product_of(*factors):
+    coeffs = [Fraction(1)]
+    for g in factors:
+        coeffs = times(coeffs, [Fraction(c) for c in g])
+    return coeffs
+
+
+@pytest.mark.parametrize("coeffs, count", [
+    # x·Π_{i≤8} (x² − i²): 17 rational roots, so 17 linear factors modulo
+    # every good prime, more than `max_factors` recombination allows
+    (product_of([0, 1], *[[-i * i, 0, 1] for i in range(1, 9)]), 17),
+    # 15 rational roots times an irreducible quadratic
+    (product_of([0, 1], *[[-i * i, 0, 1] for i in range(1, 8)], [1, 0, 1]),
+     15),
+], ids=["x-times-8-squares", "15-roots-times-x2+1"])
+def test_rational_roots_agree_past_the_factor_guard(coeffs, count):
+    want = old_rational_roots(coeffs)
+    assert len(want) == count
+    assert rational_roots(coeffs) == want
+
+
 # ---------------------------------------------------------------------------
 # guard parity of the substitution kernel
 
